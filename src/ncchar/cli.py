@@ -53,7 +53,6 @@ from .solver import (
     SearchConfig,
     budget_from_env,
     search_fractional,
-    search_scalar,
 )
 
 EXIT_OK = 0
@@ -288,19 +287,9 @@ def cmd_search(args) -> int:
             budget = budget_from_env()
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, str(exc)) from exc
-    fractional = (args.k, args.n) != (1, 1)
     try:
-        cfg = SearchConfig(
-            node_budget=budget,
-            enable_fractional=fractional,
-            k=args.k,
-            n=args.n,
-            worker_count=args.workers,
-        )
-        if fractional:
-            outcome = search_fractional(net, args.k, args.n, mod, cfg)
-        else:
-            outcome = search_scalar(net, mod, cfg)
+        cfg = SearchConfig(node_budget=budget, worker_count=args.workers)
+        outcome = search_fractional(net, args.k, args.n, mod, cfg)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
 

@@ -17,6 +17,7 @@ characteristic-dependent solvability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .network import (
     ROLE_INTERMEDIATE,
@@ -265,9 +266,9 @@ class GadgetApplication:
     s_nodes: tuple[str, ...]
 
 
-def _duplicated_demand(net: CodedNetwork) -> tuple[str, list[str]] | None:
+def _duplicated_demand(nodes: Iterable[NetNode]) -> tuple[str, list[str]] | None:
     by_msg: dict[str, list[str]] = {}
-    for node in net.nodes:
+    for node in nodes:
         if node.role == ROLE_TERMINAL and node.demands is not None:
             by_msg.setdefault(node.demands, []).append(node.id)
     for msg in sorted(by_msg):
@@ -305,7 +306,7 @@ def gadget_transform_traced(
         if dem_count[m] < 1:
             raise ValueError(f"message {m!r} is demanded by no terminal")
 
-    if _duplicated_demand(net) is None:
+    if _duplicated_demand(net.nodes) is None:
         return net, []
 
     messages = list(net.messages)
@@ -313,9 +314,8 @@ def gadget_transform_traced(
     edges = list(net.edges)
     applications: list[GadgetApplication] = []
     counter = 0
-    current = net
     while True:
-        dup = _duplicated_demand(current)
+        dup = _duplicated_demand(nodes.values())
         if dup is None:
             break
         msg, demanders = dup
@@ -362,9 +362,6 @@ def gadget_transform_traced(
             GadgetApplication(
                 counter, msg, n1_id, n2_id, z, ys, (x1, x2, x3, x4, x5), ts, ss
             )
-        )
-        current = CodedNetwork(
-            net.name, tuple(messages), tuple(nodes.values()), tuple(edges)
         )
 
     result = CodedNetwork(

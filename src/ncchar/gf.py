@@ -190,11 +190,15 @@ class FieldMatrix:
 # -- elimination core -----------------------------------------------------
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def _rref(
+    rows: list[Sequence[int]], p: int
+) -> tuple[list[Sequence[int]], list[int]]:
     """Reduced row echelon form in place; returns (rows, pivot columns).
 
-    Pivoting picks the first row with a nonzero entry in the current
-    column, which makes the reduction fully deterministic.
+    Entries must be canonical residues in [0, p).  Rows are replaced, never
+    mutated, so tuples are fine.  Pivoting picks the first row with a
+    nonzero entry in the current column, which makes the reduction fully
+    deterministic; the pivot rows come first, in pivot order.
     """
     if not rows:
         return rows, []
@@ -206,16 +210,17 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
             break
         sel = -1
         for i in range(r, len(rows)):
-            if rows[i][c] % p != 0:
+            if rows[i][c]:
                 sel = i
                 break
         if sel < 0:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
+        if inv != 1:
+            rows[r] = [(x * inv) % p for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] % p != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)

@@ -18,18 +18,11 @@ out with differences.
 
 from __future__ import annotations
 
-from .constructions import bmsg, gadget_transform_traced
+from .constructions import _check_params, bmsg, gadget_transform_traced
 from .lincode import SymInput, SymMatrix, SymbolicCode
 from .network import CodedNetwork
 
 Rules = dict[str, tuple[SymInput, ...]]
-
-
-def _check_params(q: int, n: int) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
 def solve_n1(q: int, n: int) -> SymbolicCode:

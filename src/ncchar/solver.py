@@ -1,14 +1,13 @@
 """Exhaustive search for scalar and fractional linear solvability.
 
 The search assigns edges of the DAG, in a fixed topological order, a
-canonical description of what they could carry:
+canonical description of what they could carry: the row space of the
+edge's global transfer matrix (n rows, k columns per message), kept as a
+reduced-echelon basis of at most n rows.  Scalar search is the case
+(k, n) = (1, 1), where that row space is the span of the edge's global
+coding vector: empty, or one vector whose first nonzero coordinate is 1.
 
-* scalar search: the edge's global coding vector over GF(p)^m, zero or
-  normalized so its first nonzero coordinate is 1;
-* fractional search: the row space of the edge's global transfer matrix
-  (n rows, k columns per message), kept as a reduced-echelon basis.
-
-Each edge is restricted to (the span of) what its parents carry, and
+Each edge is restricted to subspaces of what its parents carry, and
 invertible recombinations are factored out, which is exactly the
 information any downstream node can use.  A completed assignment where
 every terminal can recover its demand is turned back into an explicit
@@ -31,7 +30,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import FieldMatrix, PrimeModulus, as_modulus, solve_right
+from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
 from .lincode import CodeInput, FractionalCode
 from .network import CodedNetwork, topological_order, validate
 
@@ -41,21 +40,17 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_BUDGET = 10**9
 _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
+_LEASE = 0x1000  # states a worker claims at a time; also its stop-flag poll period
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     node_budget: int = DEFAULT_BUDGET
-    enable_fractional: bool = False
-    k: int = 1
-    n: int = 1
     worker_count: int = 1
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise ValueError("node_budget must be positive")
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
 
@@ -81,35 +76,13 @@ def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
     return value
 
 
-# -- tuple-based row reduction (hot path, kept free of FieldMatrix) -----------
+# -- tuple-based subspace helpers (hot path, kept free of FieldMatrix) --------
 
 
-def _rref_rows(rows: Sequence[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], ...]:
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        if r >= len(mat):
-            break
-        sel = -1
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        if inv != 1:
-            mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return tuple(tuple(row) for row in mat[:r] if any(row))
+def _echelon(rows: Sequence[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced-echelon basis of the row span, as a hashable key."""
+    mat, pivots = _rref(list(rows), p)
+    return tuple(tuple(row) for row in mat[: len(pivots)])
 
 
 def _pivot(row: tuple[int, ...]) -> int:
@@ -127,21 +100,6 @@ def _in_span(basis: tuple[tuple[int, ...], ...], v: tuple[int, ...], p: int) -> 
         if f:
             res = [(x - f * y) % p for x, y in zip(res, row)]
     return not any(res)
-
-
-def _span_vectors(basis: tuple[tuple[int, ...], ...], p: int) -> list[tuple[int, ...]]:
-    """All canonical (leading coefficient 1) nonzero vectors of the span."""
-    out: list[tuple[int, ...]] = []
-    r = len(basis)
-    for lead in range(r):
-        tail = basis[lead + 1 :]
-        for combo in itertools.product(range(p), repeat=len(tail)):
-            vv = list(basis[lead])
-            for coeff, row in zip(combo, tail):
-                if coeff:
-                    vv = [(x + coeff * y) % p for x, y in zip(vv, row)]
-            out.append(tuple(vv))
-    return out
 
 
 def _subspaces(
@@ -184,7 +142,7 @@ def _subspaces(
                                     (x + coeff * y) % p for x, y in zip(acc, term)
                                 ]
                     rows.append(tuple(acc))
-                out.append(_rref_rows(rows, p))
+                out.append(_echelon(rows, p))
     return out
 
 
@@ -216,7 +174,7 @@ def decodable(
     if not (0 <= demand < width):
         raise ValueError("demand index out of range")
     unit = tuple(1 if i == demand else 0 for i in range(width))
-    return _in_span(_rref_rows(vecs, mod.p), unit, mod.p)
+    return _in_span(_echelon(vecs, mod.p), unit, mod.p)
 
 
 # -- search planning ----------------------------------------------------------
@@ -346,79 +304,20 @@ def _build_plan(net: CodedNetwork) -> _Plan:
     )
 
 
-# -- the two state algebras ---------------------------------------------------
+# -- the state algebra ---------------------------------------------------------
 
 
-class _ScalarAlgebra:
-    """States are canonical global coding vectors in GF(p)^m."""
-
-    def __init__(self, m: int, p: int):
-        self.m = m
-        self.p = p
-        self.zero = (0,) * m
-        self.units = tuple(
-            tuple(1 if i == t else 0 for i in range(m)) for t in range(m)
-        )
-        self._join_cache: dict = {}
-        self._enum_cache: dict = {}
-
-    def src_candidates(self, t: int) -> tuple:
-        return (self.units[t], self.zero)
-
-    def forced_src(self, src_idx: int, demand_idx: int) -> tuple:
-        return (self.units[src_idx],) if src_idx == demand_idx else ()
-
-    def span_of(self, state: tuple[int, ...]) -> tuple:
-        return (state,) if any(state) else ()
-
-    def full_src_basis(self, t: int) -> tuple:
-        return (self.units[t],)
-
-    def join_bases(self, bases: Sequence[tuple]) -> tuple:
-        rows: list = []
-        for b in bases:
-            rows.extend(b)
-        key = tuple(sorted(set(rows)))
-        basis = self._join_cache.get(key)
-        if basis is None:
-            basis = _rref_rows(key, self.p)
-            self._join_cache[key] = basis
-        return basis
-
-    def join(self, states: Sequence[tuple[int, ...]]) -> tuple:
-        return self.join_bases([self.span_of(s) for s in states])
-
-    def enumerate(self, basis: tuple) -> tuple:
-        cands = self._enum_cache.get(basis)
-        if cands is None:
-            cands = tuple(_span_vectors(basis, self.p)) + (self.zero,)
-            self._enum_cache[basis] = cands
-        return cands
-
-    def forced(self, basis: tuple, demand_idx: int) -> tuple:
-        unit = self.units[demand_idx]
-        return (unit,) if _in_span(basis, unit, self.p) else ()
-
-    def demand_in(self, basis: tuple, demand_idx: int) -> bool:
-        return _in_span(basis, self.units[demand_idx], self.p)
-
-    def decode_ok(self, states: Sequence[tuple[int, ...]], demand_idx: int) -> bool:
-        return self.demand_in(self.join(states), demand_idx)
-
-
-class _FracAlgebra:
+class _Algebra:
     """States are row spaces (echelon bases) of n x (k*m) transfer matrices."""
 
     def __init__(self, m: int, k: int, n: int, p: int):
-        self.m = m
         self.k = k
         self.n = n
         self.p = p
-        self.cols = m * k
         self.zero: tuple = ()
         self.unit_rows = tuple(
             tuple(
-                tuple(1 if c == t * k + j else 0 for c in range(self.cols))
+                tuple(1 if c == t * k + j else 0 for c in range(m * k))
                 for j in range(k)
             )
             for t in range(m)
@@ -443,12 +342,6 @@ class _FracAlgebra:
             return (self.unit_rows[demand_idx],)
         return ()
 
-    def span_of(self, state: tuple) -> tuple:
-        return state
-
-    def full_src_basis(self, t: int) -> tuple:
-        return self.unit_rows[t]
-
     def join_bases(self, bases: Sequence[tuple]) -> tuple:
         rows: list = []
         for b in bases:
@@ -456,12 +349,9 @@ class _FracAlgebra:
         key = tuple(sorted(set(rows)))
         basis = self._join_cache.get(key)
         if basis is None:
-            basis = _rref_rows(key, self.p)
+            basis = _echelon(key, self.p)
             self._join_cache[key] = basis
         return basis
-
-    def join(self, states: Sequence[tuple]) -> tuple:
-        return self.join_bases(states)
 
     def enumerate(self, basis: tuple) -> tuple:
         cands = self._enum_cache.get(basis)
@@ -488,9 +378,6 @@ class _FracAlgebra:
             self._decode_cache[key] = ok
         return ok
 
-    def decode_ok(self, states: Sequence[tuple], demand_idx: int) -> bool:
-        return self.demand_in(self.join(states), demand_idx)
-
 
 # -- backtracking engine -------------------------------------------------------
 
@@ -499,16 +386,18 @@ class _Engine:
     def __init__(
         self,
         plan: _Plan,
-        algebra,
+        algebra: _Algebra,
         budget: int,
         first_candidates: tuple | None = None,
-        tick: Callable[[int], bool] | None = None,
+        refill: Callable[[_Engine], bool] | None = None,
     ):
         self.plan = plan
         self.alg = algebra
         self.budget = budget
         self.first_candidates = first_candidates
-        self.tick = tick  # returns False when the search should stop early
+        # Called when the budget runs out; it may raise self.budget and
+        # returns False when the search should stop.
+        self.refill = refill
         self.states = 0
         self._memo_full = False
 
@@ -517,13 +406,13 @@ class _Engine:
         info = self.plan.edges[i]
         alg = self.alg
         if info.src_msg_index is not None:
-            basis = alg.full_src_basis(info.src_msg_index)
+            basis = alg.unit_rows[info.src_msg_index]
             if info.forced_demand is not None:
                 cands = alg.forced_src(info.src_msg_index, info.forced_demand)
             else:
                 cands = alg.src_candidates(info.src_msg_index)
         else:
-            basis = alg.join_bases([alg.span_of(values[j]) for j in info.parents])
+            basis = alg.join_bases([values[j] for j in info.parents])
             if info.forced_demand is not None:
                 cands = alg.forced(basis, info.forced_demand)
             else:
@@ -543,15 +432,13 @@ class _Engine:
         plan = self.plan
         alg = self.alg
         edges = plan.edges
-        spans: list = [None] * len(edges)
-        for j in range(i + 1):
-            spans[j] = alg.span_of(values[j])
+        spans = values[: i + 1]
         for j in range(i + 1, len(edges)):
             info = edges[j]
             if info.src_msg_index is not None:
-                spans[j] = alg.full_src_basis(info.src_msg_index)
+                spans.append(alg.unit_rows[info.src_msg_index])
             else:
-                spans[j] = alg.join_bases([spans[par] for par in info.parents])
+                spans.append(alg.join_bases([spans[par] for par in info.parents]))
         for didx, positions in plan.checks_after[i]:
             joined = alg.join_bases([spans[pos] for pos in positions])
             if not alg.demand_in(joined, didx):
@@ -602,19 +489,19 @@ class _Engine:
             while ci < ncs:
                 cand = cs[ci]
                 ci += 1
-                if self.states >= self.budget:
+                if self.states >= self.budget and not (
+                    self.refill is not None and self.refill(self)
+                ):
                     return ("budget", None)
                 self.states += 1
-                if self.tick is not None and not (self.states & 0xFFF):
-                    if not self.tick(self.states):
-                        return ("stopped", None)
                 values[i] = cand
                 ok = True
                 for didx, positions in checks_at[i]:
-                    if not alg.decode_ok([values[j] for j in positions], didx):
+                    joined = alg.join_bases([values[j] for j in positions])
+                    if not alg.demand_in(joined, didx):
                         ok = False
                         break
-                if ok and pending and len(alg.span_of(cand)) < pdim:
+                if ok and pending and len(cand) < pdim:
                     ok = self._optimistic_ok(i, values)
                 if ok:
                     idxs[i] = ci
@@ -639,58 +526,6 @@ class _Engine:
 # -- witness reconstruction ----------------------------------------------------
 
 
-def _scalar_witness(
-    plan: _Plan, values: list, mod: PrimeModulus
-) -> FractionalCode:
-    m = len(plan.messages)
-    er: dict[str, tuple[CodeInput, ...]] = {}
-    dr: dict[str, tuple[CodeInput, ...]] = {}
-
-    def solve_combo(parent_positions: tuple[int, ...], target: tuple[int, ...]):
-        cols = [values[j] for j in parent_positions]
-        a = FieldMatrix.from_rows(
-            [[col[r] for col in cols] for r in range(m)], mod
-        )
-        b = FieldMatrix.from_rows([[x] for x in target], mod)
-        x = solve_right(a, b)
-        assert x is not None, "witness state escaped its parent span"
-        return [x.at(idx, 0) for idx in range(len(parent_positions))]
-
-    for i, info in enumerate(plan.edges):
-        v = values[i]
-        if info.src_msg_index is not None:
-            coeff = v[info.src_msg_index]
-            inputs = ()
-            if coeff:
-                inputs = (
-                    CodeInput(
-                        f"src:{info.src_msg}",
-                        FieldMatrix.from_rows([[coeff]], mod),
-                    ),
-                )
-            er[info.edge_id] = inputs
-        elif not info.parents:
-            er[info.edge_id] = ()
-        else:
-            coeffs = solve_combo(info.parents, v)
-            er[info.edge_id] = tuple(
-                CodeInput(
-                    plan.edges[j].edge_id, FieldMatrix.from_rows([[c]], mod)
-                )
-                for j, c in zip(info.parents, coeffs)
-                if c
-            )
-    for term_id, didx, positions in plan.terminals:
-        unit = tuple(1 if t == didx else 0 for t in range(m))
-        coeffs = solve_combo(positions, unit)
-        dr[term_id] = tuple(
-            CodeInput(plan.edges[j].edge_id, FieldMatrix.from_rows([[c]], mod))
-            for j, c in zip(positions, coeffs)
-            if c
-        )
-    return FractionalCode(1, 1, mod, er, dr)
-
-
 def _pad_state(state: tuple, n: int, cols: int) -> list[list[int]]:
     rows = [list(r) for r in state]
     while len(rows) < n:
@@ -698,7 +533,7 @@ def _pad_state(state: tuple, n: int, cols: int) -> list[list[int]]:
     return rows
 
 
-def _frac_witness(
+def _witness(
     plan: _Plan, values: list, k: int, n: int, mod: PrimeModulus
 ) -> FractionalCode:
     m = len(plan.messages)
@@ -770,83 +605,55 @@ def _prepare(net: CodedNetwork) -> _Plan:
     return _build_plan(net)
 
 
-def _run_single(plan, algebra, budget, witness) -> SearchOutcome:
-    engine = _Engine(plan, algebra, budget)
-    status, values = engine.run()
-    if status == "sat":
-        return SearchOutcome(SOLVABLE, engine.states, witness(values))
-    if status == "unsat":
-        return SearchOutcome(UNSOLVABLE, engine.states)
-    return SearchOutcome(INCONCLUSIVE, engine.states)
-
-
 def _worker_main(args) -> None:
-    (
-        idx,
-        net,
-        p,
-        kind,
-        k,
-        n,
-        budget,
-        subset,
-        queue,
-        shared_states,
-        stop_flag,
-    ) = args
+    idx, net, k, n, p, budget, workers, subset, queue, claimed, stop_flag = args
     plan = _build_plan(net)
-    if kind == "scalar":
-        algebra = _ScalarAlgebra(len(plan.messages), p)
-    else:
-        algebra = _FracAlgebra(len(plan.messages), k, n, p)
-    last_flush = 0
 
-    def tick(states: int) -> bool:
-        nonlocal last_flush
-        with shared_states.get_lock():
-            shared_states.value += states - last_flush
-            total = shared_states.value
-        last_flush = states
-        if stop_flag.value or total > budget:
+    def refill(engine: _Engine) -> bool:
+        """Claim the next lease of states from what is left of the shared
+        budget, so the workers together never explore more than it."""
+        if stop_flag.value:
             return False
+        with claimed.get_lock():
+            left = budget - claimed.value
+            if left <= 0:
+                return False
+            grant = min(_LEASE, -(-left // workers))
+            claimed.value += grant
+        engine.budget += grant
         return True
 
-    engine = _Engine(plan, algebra, budget, first_candidates=subset, tick=tick)
+    algebra = _Algebra(len(plan.messages), k, n, p)
+    engine = _Engine(plan, algebra, 0, first_candidates=subset, refill=refill)
     status, values = engine.run()
-    with shared_states.get_lock():
-        shared_states.value += engine.states - last_flush
+    with claimed.get_lock():
+        claimed.value -= engine.budget - engine.states  # hand back the unused lease
     if status == "sat":
         with stop_flag.get_lock():
             stop_flag.value = 1
-    queue.put((idx, status, engine.states, values if status == "sat" else None))
+    queue.put((idx, status, engine.states, values))
 
 
 def _run_parallel(
-    net: CodedNetwork,
-    plan: _Plan,
-    p: int,
-    kind: str,
-    k: int,
-    n: int,
-    budget: int,
-    workers: int,
-    algebra,
-    witness,
-) -> SearchOutcome:
-    first, _ = _Engine(plan, algebra, budget)._candidates(0, [])
+    net: CodedNetwork, plan: _Plan, k: int, n: int, p: int, cfg: SearchConfig
+) -> tuple[str, int, list | None]:
+    """Split edge 0's candidates over worker processes; (status, states, values)."""
+    algebra = _Algebra(len(plan.messages), k, n, p)
+    first, _ = _Engine(plan, algebra, 0)._candidates(0, [])
     if not first:
-        return SearchOutcome(UNSOLVABLE, 0)
-    workers = min(workers, len(first))
+        return ("unsat", 0, None)
+    workers = min(cfg.worker_count, len(first))
     subsets = [tuple(first[w::workers]) for w in range(workers)]
     ctx = multiprocessing.get_context()
     queue = ctx.Queue()
-    shared_states = ctx.Value("q", 0)
+    claimed = ctx.Value("q", 0)
     stop_flag = ctx.Value("b", 0)
     procs = [
         ctx.Process(
             target=_worker_main,
             args=(
-                (w, net, p, kind, k, n, budget, subsets[w], queue, shared_states, stop_flag),
+                (w, net, k, n, p, cfg.node_budget, workers, subsets[w], queue,
+                 claimed, stop_flag),
             ),
         )
         for w in range(workers)
@@ -856,35 +663,20 @@ def _run_parallel(
     results = [queue.get() for _ in procs]
     for proc in procs:
         proc.join()
-    total_states = shared_states.value
+    states = sum(r[2] for r in results)
     sat = sorted(r for r in results if r[1] == "sat")
     if sat:
-        return SearchOutcome(SOLVABLE, total_states, witness(sat[0][3]))
-    if any(r[1] in ("budget", "stopped") for r in results):
-        return SearchOutcome(INCONCLUSIVE, total_states)
-    return SearchOutcome(UNSOLVABLE, total_states)
+        return ("sat", states, sat[0][3])
+    if any(r[1] == "budget" for r in results):
+        return ("budget", states, None)
+    return ("unsat", states, None)
 
 
 def search_scalar(
     net: CodedNetwork, p: PrimeModulus | int, cfg: SearchConfig | None = None
 ) -> SearchOutcome:
     """Decide (1, 1) linear solvability over GF(p) by exhaustive search."""
-    cfg = cfg or SearchConfig()
-    mod = as_modulus(p)
-    plan = _prepare(net)
-    if plan.dead_terminal:
-        return SearchOutcome(UNSOLVABLE, 0)
-    algebra = _ScalarAlgebra(len(plan.messages), mod.p)
-
-    def witness(values):
-        return _scalar_witness(plan, values, mod)
-
-    if cfg.worker_count == 1:
-        return _run_single(plan, algebra, cfg.node_budget, witness)
-    return _run_parallel(
-        net, plan, mod.p, "scalar", 1, 1, cfg.node_budget, cfg.worker_count,
-        algebra, witness,
-    )
+    return search_fractional(net, 1, 1, p, cfg)
 
 
 def search_fractional(
@@ -902,14 +694,15 @@ def search_fractional(
     plan = _prepare(net)
     if plan.dead_terminal:
         return SearchOutcome(UNSOLVABLE, 0)
-    algebra = _FracAlgebra(len(plan.messages), k, n, mod.p)
-
-    def witness(values):
-        return _frac_witness(plan, values, k, n, mod)
-
     if cfg.worker_count == 1:
-        return _run_single(plan, algebra, cfg.node_budget, witness)
-    return _run_parallel(
-        net, plan, mod.p, "fractional", k, n, cfg.node_budget, cfg.worker_count,
-        algebra, witness,
-    )
+        algebra = _Algebra(len(plan.messages), k, n, mod.p)
+        engine = _Engine(plan, algebra, cfg.node_budget)
+        status, values = engine.run()
+        states = engine.states
+    else:
+        status, states, values = _run_parallel(net, plan, k, n, mod.p, cfg)
+    if status == "sat":
+        return SearchOutcome(SOLVABLE, states, _witness(plan, values, k, n, mod))
+    if status == "unsat":
+        return SearchOutcome(UNSOLVABLE, states)
+    return SearchOutcome(INCONCLUSIVE, states)

@@ -278,6 +278,13 @@ def test_search_bad_workers(tmp_path, capsys):
     assert code == 64
 
 
+def test_search_bad_rate(tmp_path, capsys):
+    net_path = write_net(tmp_path, gen_n1(2, 1))
+    for flag in ("--k", "--n"):
+        code, _, _ = run(capsys, "search", str(net_path), "--p", "2", flag, "0")
+        assert code == 64, flag
+
+
 # ---------------------------------------------------------------------------
 # gadget / union / info
 # ---------------------------------------------------------------------------

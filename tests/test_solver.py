@@ -1,5 +1,6 @@
 """Exhaustive canonical search: certificates, witnesses, budgets, workers."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from ncchar import (
     gen_n1,
     gen_n2,
     gen_nonfano,
+    gadget_transform,
+    save_code,
     search_fractional,
     search_scalar,
     verify,
@@ -103,6 +106,19 @@ def test_budget_yields_inconclusive():
     assert out.code is None
 
 
+@pytest.mark.parametrize(
+    "k, n, p, workers", [(1, 1, 3, 1), (1, 1, 3, 2), (2, 2, 2, 4)]
+)
+@pytest.mark.parametrize("budget", [50, 1000])
+def test_budget_holds_for_every_worker_count(k, n, p, workers, budget):
+    # (2,2) gives edge 0 five candidates over GF(2), so four workers run
+    out = search_fractional(
+        gen_fano(), k, n, p, SearchConfig(node_budget=budget, worker_count=workers)
+    )
+    assert out.status == INCONCLUSIVE
+    assert out.states_explored <= budget
+
+
 def test_exact_budget_accounting():
     out = search_scalar(gen_fano(), 3, SearchConfig(node_budget=1))
     assert out.status == INCONCLUSIVE
@@ -155,7 +171,8 @@ def test_fractional_1x1_reduces_to_scalar():
     scalar = search_scalar(net, 2, SearchConfig())
     frac = search_fractional(net, 1, 1, 2, SearchConfig())
     assert frac.status == scalar.status == SOLVABLE
-    assert frac.states_explored == scalar.states_explored
+    assert frac.states_explored == scalar.states_explored == 155
+    assert save_code(frac.code) == save_code(scalar.code)
 
 
 def test_fractional_1x1_unsolvable_matches_scalar():
@@ -163,7 +180,28 @@ def test_fractional_1x1_unsolvable_matches_scalar():
     scalar = search_scalar(net, 3, SearchConfig())
     frac = search_fractional(net, 1, 1, 3, SearchConfig())
     assert frac.status == scalar.status == UNSOLVABLE
-    assert frac.states_explored == scalar.states_explored
+    assert frac.states_explored == scalar.states_explored == 2106
+
+
+def test_scalar_search_matches_reference_runs():
+    # Decisions, state counts and witness bytes recorded when scalar search
+    # still had its own vector algebra; the (1,1) subspace search must
+    # reproduce them exactly.
+    cases = [
+        (gen_fano(), 3, UNSOLVABLE, 2106, None),
+        (gen_fano(), 5, UNSOLVABLE, 6446, None),
+        (gen_nonfano(), 2, UNSOLVABLE, 1825, None),
+        (gadget_transform(gen_fano(), 1), 3, UNSOLVABLE, 4178, None),
+        (gen_fano(), 2, SOLVABLE, 155,
+         "f3ff4b121c6d16a3c20c3ffeb364168be62ca876f1c68d87133ffc3dd2446360"),
+        (gen_nonfano(), 3, SOLVABLE, 1599,
+         "c7310cfccfa6217f6843c3d2c7078b91e5e2d2f1734da21db77ef1c53ea194ab"),
+    ]
+    for net, p, status, states, digest in cases:
+        out = search_scalar(net, p, SearchConfig())
+        assert (out.status, out.states_explored) == (status, states), (net.name, p)
+        if digest is not None:
+            assert hashlib.sha256(save_code(out.code)).hexdigest() == digest
 
 
 def test_fractional_trivial_network():

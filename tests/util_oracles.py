@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own search machinery:
 the scalar solvability oracle enumerates every local coefficient
-assignment directly, and the matrix helpers build block families whose
-products are known by construction.
+assignment directly and tests decoding with its own rank routine, which
+shares no elimination code with ncchar, and the matrix helpers build
+block families whose products are known by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ncchar import CodedNetwork, NetEdge, NetNode, decodable, validate
+from ncchar import CodedNetwork, NetEdge, NetNode, validate
 from ncchar.gf import FieldMatrix, PrimeModulus, inverse, rank
 from ncchar.network import topological_order
 
@@ -122,6 +123,32 @@ def random_network(rng: random.Random, max_slots: int = 14) -> CodedNetwork:
             return net
 
 
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by forward elimination with Fermat inverses."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def decodes(vecs: list[list[int]], demand: int, p: int) -> bool:
+    """True iff the demand's unit vector lies in the span of vecs."""
+    if not vecs:
+        return False
+    unit = [1 if i == demand else 0 for i in range(len(vecs[0]))]
+    return rank_mod_p(vecs + [unit], p) == rank_mod_p(vecs, p)
+
+
 def brute_force_scalar(net: CodedNetwork, p: int) -> bool:
     """Raw decision: enumerate every local coefficient assignment over
     GF(p) and test whether some assignment lets every terminal decode."""
@@ -159,7 +186,7 @@ def brute_force_scalar(net: CodedNetwork, p: int) -> bool:
         good = True
         for term in net.terminals():
             vecs = [vec[e.id] for e in net.in_edges(term.id)]
-            if not decodable(vecs, msg_idx[term.demands], p):
+            if not decodes(vecs, msg_idx[term.demands], p):
                 good = False
                 break
         if good:
