@@ -88,11 +88,17 @@ def _read_text(path: str) -> str:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from exc
 
 
-def _read_network(path: str) -> CodedNetwork:
+def _read_network(path: str, check: bool = True) -> CodedNetwork:
+    """Load a network file; unless ``check`` is off, reject invalid ones."""
     try:
-        return load(_read_text(path))
+        net = load(_read_text(path))
     except NetworkFormatError as exc:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
+    report = validate(net) if check else None
+    if report and not report.ok:
+        detail = report.violations[0].detail
+        raise _CliError(EXIT_USAGE, f"{path}: network is invalid: {detail}")
+    return net
 
 
 def _read_code(path: str, net: CodedNetwork | None):
@@ -246,7 +252,10 @@ def cmd_verify(args) -> int:
             EXIT_USAGE,
             f"{args.code}: code is symbolic (no p); instantiate it via solve first",
         )
-    report = verify(net, code)
+    try:
+        report = verify(net, code)
+    except CodeError as exc:
+        raise _CliError(EXIT_USAGE, f"{args.code}: {exc}") from exc
     if args.json:
         _emit_json(
             {
@@ -348,7 +357,7 @@ def cmd_union(args) -> int:
 
 
 def cmd_info(args) -> int:
-    net = _read_network(args.network)
+    net = _read_network(args.network, check=False)  # reports violations itself
     report = validate(net)
     unicast = is_multiple_unicast(net)
     roles = {"source": 0, "intermediate": 0, "terminal": 0}

@@ -311,6 +311,9 @@ def load(data: bytes | str) -> CodedNetwork:
         isinstance(m, str) for m in messages
     ):
         raise NetworkFormatError("field 'messages' must be a list of strings")
+    for key, value in (("nodes", raw_nodes), ("edges", raw_edges)):
+        if not isinstance(value, list):
+            raise NetworkFormatError(f"field {key!r} must be a list")
     nodes: list[NetNode] = []
     for i, entry in enumerate(raw_nodes):
         where = f"nodes[{i}]"

@@ -7,6 +7,11 @@ reduced-echelon basis of at most n rows.  Scalar search is the case
 (k, n) = (1, 1), where that row space is the span of the edge's global
 coding vector: empty, or one vector whose first nonzero coordinate is 1.
 
+That basis is unique, so each distinct one is interned as a small int:
+states, candidates, joins, decoding tests and memo keys are all ids.
+Bases come back only to rebuild a witness and to cross the process
+boundary of a parallel search, since ids are private to one process.
+
 Each edge is restricted to subspaces of what its parents carry, and
 invertible recombinations are factored out, which is exactly the
 information any downstream node can use.  A completed assignment where
@@ -28,6 +33,7 @@ import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
@@ -41,6 +47,7 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_BUDGET = 10**9
 _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
 _LEASE = 0x1000  # states a worker claims at a time; also its stop-flag poll period
+_FIXED, _COPY, _JOIN = 0, 1, 2  # how the optimistic closure fills a position
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,7 @@ def _subspaces(
     so equal subspaces reached from different parent sets share one key.
     """
     r = len(basis)
+    columns = list(zip(*basis))
     out: list[tuple[tuple[int, ...], ...]] = []
     for d in range(min(maxdim, r), 0, -1):
         for pivots in itertools.combinations(range(r), d):
@@ -128,20 +136,10 @@ def _subspaces(
                     coord[i][pivots[i]] = 1
                 for (i, j), val in zip(free, vals):
                     coord[i][j] = val
-                rows = []
-                for i in range(d):
-                    acc = None
-                    for cidx in range(r):
-                        coeff = coord[i][cidx]
-                        if coeff:
-                            term = basis[cidx]
-                            if acc is None:
-                                acc = [(coeff * y) % p for y in term]
-                            else:
-                                acc = [
-                                    (x + coeff * y) % p for x, y in zip(acc, term)
-                                ]
-                    rows.append(tuple(acc))
+                rows = [
+                    tuple(sum(c * x for c, x in zip(crow, col)) % p for col in columns)
+                    for crow in coord
+                ]
                 out.append(_echelon(rows, p))
     return out
 
@@ -308,13 +306,21 @@ def _build_plan(net: CodedNetwork) -> _Plan:
 
 
 class _Algebra:
-    """States are row spaces (echelon bases) of n x (k*m) transfer matrices."""
+    """States are interned ids of row spaces of n x (k*m) transfer matrices.
+
+    ``intern`` numbers each distinct reduced-echelon basis on first sight,
+    so equal subspaces share one id; ``basis[id]`` and ``dim[id]`` read it
+    back.  Candidates, joins and decoding tests take ids and cache on them.
+    """
 
     def __init__(self, m: int, k: int, n: int, p: int):
         self.k = k
         self.n = n
         self.p = p
-        self.zero: tuple = ()
+        self.basis: list[tuple] = []
+        self.dim: list[int] = []
+        self._ids: dict[tuple, int] = {}
+        self.zero = self.intern(())
         self.unit_rows = tuple(
             tuple(
                 tuple(1 if c == t * k + j else 0 for c in range(m * k))
@@ -322,60 +328,65 @@ class _Algebra:
             )
             for t in range(m)
         )
+        self.unit_ids = tuple(self.intern(u) for u in self.unit_rows)
         self._join_cache: dict = {}
         self._enum_cache: dict = {}
         self._src_cache: dict = {}
         self._decode_cache: dict = {}
 
+    def intern(self, basis: tuple) -> int:
+        """The id of a reduced-echelon basis, assigned on first sight."""
+        sid = self._ids.get(basis)
+        if sid is None:
+            sid = self._ids[basis] = len(self.basis)
+            self.basis.append(basis)
+            self.dim.append(len(basis))
+        return sid
+
+    def _subspace_ids(self, sid: int, maxdim: int) -> tuple:
+        subs = _subspaces(self.basis[sid], self.p, maxdim)
+        return tuple(self.intern(b) for b in subs) + (self.zero,)
+
     def src_candidates(self, t: int) -> tuple:
         cands = self._src_cache.get(t)
         if cands is None:
-            basis = self.unit_rows[t]  # already echelon
-            cands = tuple(_subspaces(basis, self.p, min(self.n, self.k))) + (
-                self.zero,
+            cands = self._src_cache[t] = self._subspace_ids(
+                self.unit_ids[t], min(self.n, self.k)
             )
-            self._src_cache[t] = cands
         return cands
 
     def forced_src(self, src_idx: int, demand_idx: int) -> tuple:
         if src_idx == demand_idx and self.k <= self.n:
-            return (self.unit_rows[demand_idx],)
+            return (self.unit_ids[demand_idx],)
         return ()
 
-    def join_bases(self, bases: Sequence[tuple]) -> tuple:
-        rows: list = []
-        for b in bases:
-            rows.extend(b)
-        key = tuple(sorted(set(rows)))
-        basis = self._join_cache.get(key)
-        if basis is None:
-            basis = _echelon(key, self.p)
-            self._join_cache[key] = basis
-        return basis
+    def join(self, ids: tuple[int, ...]) -> int:
+        """The id of the span of the given states; cached on the id tuple."""
+        sid = self._join_cache.get(ids)
+        if sid is None:
+            rows = [row for i in ids for row in self.basis[i]]
+            sid = self._join_cache[ids] = self.intern(_echelon(rows, self.p))
+        return sid
 
-    def enumerate(self, basis: tuple) -> tuple:
-        cands = self._enum_cache.get(basis)
+    def enumerate(self, sid: int) -> tuple:
+        cands = self._enum_cache.get(sid)
         if cands is None:
-            cands = tuple(_subspaces(basis, self.p, self.n)) + (self.zero,)
-            self._enum_cache[basis] = cands
+            cands = self._enum_cache[sid] = self._subspace_ids(sid, self.n)
         return cands
 
-    def forced(self, basis: tuple, demand_idx: int) -> tuple:
-        if self.k > self.n:
-            return ()
-        units = self.unit_rows[demand_idx]
-        if all(_in_span(basis, u, self.p) for u in units):
-            return (units,)
+    def forced(self, sid: int, demand_idx: int) -> tuple:
+        if self.k <= self.n and self.demand_in(sid, demand_idx):
+            return (self.unit_ids[demand_idx],)
         return ()
 
-    def demand_in(self, basis: tuple, demand_idx: int) -> bool:
-        key = (basis, demand_idx)
+    def demand_in(self, sid: int, demand_idx: int) -> bool:
+        key = (sid, demand_idx)
         ok = self._decode_cache.get(key)
         if ok is None:
-            ok = all(
+            basis = self.basis[sid]
+            ok = self._decode_cache[key] = all(
                 _in_span(basis, u, self.p) for u in self.unit_rows[demand_idx]
             )
-            self._decode_cache[key] = ok
         return ok
 
 
@@ -388,7 +399,7 @@ class _Engine:
         plan: _Plan,
         algebra: _Algebra,
         budget: int,
-        first_candidates: tuple | None = None,
+        first_candidates: frozenset | None = None,
         refill: Callable[[_Engine], bool] | None = None,
     ):
         self.plan = plan
@@ -400,26 +411,36 @@ class _Engine:
         self.refill = refill
         self.states = 0
         self._memo_full = False
+        # How _optimistic_ok fills each position: a fixed span (source unit
+        # block, or zero), its one parent's span, or its parents' join.
+        self._closure = tuple(
+            (_FIXED, algebra.unit_ids[e.src_msg_index]) if e.src_msg_index is not None
+            else (_FIXED, algebra.zero) if not e.parents
+            else (_COPY, e.parents[0]) if len(e.parents) == 1
+            else (_JOIN, itemgetter(*e.parents))
+            for e in plan.edges
+        )
 
-    def _candidates(self, i: int, values: list) -> tuple[tuple, tuple]:
-        """Candidate states for position i plus the parent span they live in."""
+    def _candidates(self, i: int, values: list) -> tuple[tuple, int]:
+        """Candidate state ids for position i plus the id of the parent
+        span they live in."""
         info = self.plan.edges[i]
         alg = self.alg
         if info.src_msg_index is not None:
-            basis = alg.unit_rows[info.src_msg_index]
+            span = alg.unit_ids[info.src_msg_index]
             if info.forced_demand is not None:
                 cands = alg.forced_src(info.src_msg_index, info.forced_demand)
             else:
                 cands = alg.src_candidates(info.src_msg_index)
         else:
-            basis = alg.join_bases([values[j] for j in info.parents])
+            span = alg.join(tuple([values[j] for j in info.parents]))
             if info.forced_demand is not None:
-                cands = alg.forced(basis, info.forced_demand)
+                cands = alg.forced(span, info.forced_demand)
             else:
-                cands = alg.enumerate(basis)
+                cands = alg.enumerate(span)
         if i == 0 and self.first_candidates is not None:
             cands = tuple(c for c in cands if c in self.first_candidates)
-        return cands, basis
+        return cands, span
 
     def _optimistic_ok(self, i: int, values: list) -> bool:
         """Can every pending terminal still be covered if all unassigned
@@ -429,19 +450,20 @@ class _Engine:
         forward closure dominates every completion; a terminal that fails
         here fails in all of them, making the prune certificate-safe.
         """
-        plan = self.plan
         alg = self.alg
-        edges = plan.edges
+        join = alg.join
         spans = values[: i + 1]
-        for j in range(i + 1, len(edges)):
-            info = edges[j]
-            if info.src_msg_index is not None:
-                spans.append(alg.unit_rows[info.src_msg_index])
+        append = spans.append
+        for kind, arg in self._closure[i + 1 :]:
+            if kind == _JOIN:
+                append(join(arg(spans)))
+            elif kind == _COPY:
+                append(spans[arg])
             else:
-                spans.append(alg.join_bases([spans[par] for par in info.parents]))
-        for didx, positions in plan.checks_after[i]:
-            joined = alg.join_bases([spans[pos] for pos in positions])
-            if not alg.demand_in(joined, didx):
+                append(arg)
+        for didx, positions in self.plan.checks_after[i]:
+            span = join(tuple([spans[pos] for pos in positions]))
+            if not alg.demand_in(span, didx):
                 return False
         return True
 
@@ -460,6 +482,7 @@ class _Engine:
         checks_at = plan.checks_at
         checks_after = plan.checks_after
         live_at = plan.live_at
+        dim = alg.dim
         memo_entries = 0
 
         i = 0
@@ -468,7 +491,7 @@ class _Engine:
             if fresh:
                 if i == E:
                     return ("sat", values)
-                key = tuple(values[j] for j in live_at[i])
+                key = tuple([values[j] for j in live_at[i]])
                 if key in failed[i]:
                     i -= 1
                     fresh = False
@@ -476,8 +499,8 @@ class _Engine:
                         return ("unsat", None)
                     continue
                 keys[i] = key
-                cands[i], pbasis = self._candidates(i, values)
-                pdims[i] = len(pbasis)
+                cands[i], pspan = self._candidates(i, values)
+                pdims[i] = dim[pspan]
                 idxs[i] = 0
 
             advanced = False
@@ -497,11 +520,11 @@ class _Engine:
                 values[i] = cand
                 ok = True
                 for didx, positions in checks_at[i]:
-                    joined = alg.join_bases([values[j] for j in positions])
+                    joined = alg.join(tuple([values[j] for j in positions]))
                     if not alg.demand_in(joined, didx):
                         ok = False
                         break
-                if ok and pending and len(cand) < pdim:
+                if ok and pending and dim[cand] < pdim:
                     ok = self._optimistic_ok(i, values)
                 if ok:
                     idxs[i] = ci
@@ -623,12 +646,15 @@ def _worker_main(args) -> None:
         engine.budget += grant
         return True
 
+    # ids are private to this process's algebra: bases cross the boundary
     algebra = _Algebra(len(plan.messages), k, n, p)
-    engine = _Engine(plan, algebra, 0, first_candidates=subset, refill=refill)
+    first = frozenset(algebra.intern(b) for b in subset)
+    engine = _Engine(plan, algebra, 0, first_candidates=first, refill=refill)
     status, values = engine.run()
     with claimed.get_lock():
         claimed.value -= engine.budget - engine.states  # hand back the unused lease
     if status == "sat":
+        values = [algebra.basis[v] for v in values]
         with stop_flag.get_lock():
             stop_flag.value = 1
     queue.put((idx, status, engine.states, values))
@@ -637,13 +663,13 @@ def _worker_main(args) -> None:
 def _run_parallel(
     net: CodedNetwork, plan: _Plan, k: int, n: int, p: int, cfg: SearchConfig
 ) -> tuple[str, int, list | None]:
-    """Split edge 0's candidates over worker processes; (status, states, values)."""
+    """Split edge 0's candidates over worker processes; (status, states, bases)."""
     algebra = _Algebra(len(plan.messages), k, n, p)
     first, _ = _Engine(plan, algebra, 0)._candidates(0, [])
     if not first:
         return ("unsat", 0, None)
     workers = min(cfg.worker_count, len(first))
-    subsets = [tuple(first[w::workers]) for w in range(workers)]
+    subsets = [tuple(algebra.basis[c] for c in first[w::workers]) for w in range(workers)]
     ctx = multiprocessing.get_context()
     queue = ctx.Queue()
     claimed = ctx.Value("q", 0)
@@ -699,6 +725,8 @@ def search_fractional(
         engine = _Engine(plan, algebra, cfg.node_budget)
         status, values = engine.run()
         states = engine.states
+        if status == "sat":
+            values = [algebra.basis[v] for v in values]
     else:
         status, states, values = _run_parallel(net, plan, k, n, mod.p, cfg)
     if status == "sat":

@@ -374,6 +374,57 @@ def test_broken_network_file(tmp_path, capsys):
     assert run(capsys, "info", str(bad))[0] == 64
 
 
+def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
+    doc = json.loads(save(gen_n1(2, 1)))
+    code_path = tmp_path / "code.json"
+    code_path.write_bytes(save_code(instantiate(solve_n1(2, 1), 2)))
+
+    nodes_int = tmp_path / "nodes_int.json"
+    nodes_int.write_text(json.dumps({**doc, "nodes": 5}))
+    dangling = tmp_path / "dangling.json"
+    edges = [dict(e) for e in doc["edges"]]
+    edges[0]["to"] = "nowhere"
+    dangling.write_text(json.dumps({**doc, "edges": edges}))
+    no_rule = tmp_path / "no_rule.json"
+    code_doc = json.loads(code_path.read_bytes())
+    code_doc["edge_rules"] = [
+        r for r in code_doc["edge_rules"] if r["edge"] != "a1->u1"
+    ]
+    no_rule.write_text(json.dumps(code_doc))
+    net_path = write_net(tmp_path, gen_n1(2, 1))
+
+    cases = [
+        (("info", str(nodes_int)), "field 'nodes' must be a list"),
+        (("verify", str(dangling), str(code_path)), "unknown node 'nowhere'"),
+        (("verify", str(net_path), str(no_rule)), "no rule for edge 'a1->u1'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
+
+def test_search_rejects_non_list_nodes_and_edges(tmp_path, capsys):
+    doc = json.loads(save(gen_n1(2, 1)))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({**doc, "nodes": {}, "edges": {}}))
+    code, out, err = run(capsys, "search", str(empty), "--p", "2")
+    assert code == 64
+    assert "must be a list" in err and out == ""
+
+
+def test_info_still_reports_an_invalid_network(tmp_path, capsys):
+    doc = json.loads(save(gen_n1(2, 1)))
+    doc["edges"][0]["to"] = "nowhere"
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0
+    assert "valid: no" in out and "dangling-node-ref" in out
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ncchar.cli", "gen", "--family", "fano"],

@@ -1,5 +1,7 @@
 """Network model: validation, ordering, unicast checks, serialization."""
 
+import json
+
 import pytest
 
 from ncchar import (
@@ -232,6 +234,15 @@ def test_save_is_canonical():
 def test_load_missing_edges_key():
     with pytest.raises(NetworkFormatError):
         load(b'{"name": "x", "messages": [], "nodes": []}')
+
+
+def test_load_rejects_non_list_nodes_and_edges():
+    for field in ("nodes", "edges"):
+        doc = {"name": "x", "messages": [], "nodes": [], "edges": []}
+        for bad in ({}, 5, "abc"):
+            doc[field] = bad
+            with pytest.raises(NetworkFormatError, match=field):
+                load(json.dumps(doc))
 
 
 def test_load_bad_json_reports_position():

@@ -21,7 +21,14 @@ from ncchar import (
     search_scalar,
     verify,
 )
-from ncchar.solver import INCONCLUSIVE, SOLVABLE, UNSOLVABLE, budget_from_env
+from ncchar.solver import (
+    INCONCLUSIVE,
+    SOLVABLE,
+    UNSOLVABLE,
+    _Algebra,
+    _echelon,
+    budget_from_env,
+)
 from util_oracles import brute_force_scalar, random_network
 
 
@@ -204,6 +211,35 @@ def test_scalar_search_matches_reference_runs():
             assert hashlib.sha256(save_code(out.code)).hexdigest() == digest
 
 
+def test_fractional_search_matches_reference_runs():
+    # Decisions, state counts and witness bytes recorded when search states
+    # were still echelon bases rather than interned ids.
+    cases = [
+        (gen_fano(), 1, 2, 2, SOLVABLE, 38,
+         "53783f9a2abba7464d252e26cb65157dcf98ab95931649ce71d01e78acee6933"),
+        (gen_nonfano(), 1, 2, 2, SOLVABLE, 35,
+         "4185e7e97eac68a8a1fe1db4b242c8921661350e15ae364c08986c6d72700482"),
+        (gen_fano(), 2, 1, 2, UNSOLVABLE, 340, None),
+        (gen_fano(), 2, 1, 3, UNSOLVABLE, 780, None),
+    ]
+    for net, k, n, p, status, states, digest in cases:
+        out = search_fractional(net, k, n, p, SearchConfig())
+        got = (out.status, out.states_explored)
+        assert got == (status, states), (net.name, k, n, p)
+        if digest is not None:
+            assert hashlib.sha256(save_code(out.code)).hexdigest() == digest
+    # two workers: states cross the process boundary as bases, not ids
+    pooled = [
+        (gen_fano(), 2, 1, 2, 340),
+        (gen_fano(), 2, 1, 3, 780),
+        (gen_nonfano(), 1, 1, 2, 2113),
+    ]
+    for net, k, n, p, states in pooled:
+        out = search_fractional(net, k, n, p, SearchConfig(worker_count=2))
+        got = (out.status, out.states_explored)
+        assert got == (UNSOLVABLE, states), (net.name, k, n, p)
+
+
 def test_fractional_trivial_network():
     for k, n in ((1, 1), (1, 2), (2, 2)):
         out = search_fractional(tiny_unicast(), k, n, 2, SearchConfig())
@@ -233,6 +269,48 @@ def test_fractional_rejects_invalid_network():
     )
     with pytest.raises(ValueError):
         search_scalar(bad, 2, SearchConfig())
+
+
+# ---------------------------------------------------------------------------
+# interned subspace ids
+# ---------------------------------------------------------------------------
+
+def test_equal_subspaces_share_one_id():
+    alg = _Algebra(2, 1, 2, 3)
+    a, b = alg.unit_ids
+    both = alg.intern(_echelon([(1, 0), (0, 1)], 3))
+    assert alg.join((a, b)) == alg.join((b, a)) == both
+    # the same plane from other spanning sets and other parent tuples
+    c = alg.intern(_echelon([(1, 1)], 3))
+    d = alg.intern(_echelon([(1, 2)], 3))
+    assert alg.join((c, d)) == alg.join((a, c)) == alg.join((d, b, alg.zero)) == both
+    assert alg.join((c, c)) == alg.join((c,)) == c != d
+    assert alg.intern(_echelon([(2, 2)], 3)) == c
+    assert alg.basis[both] == ((1, 0), (0, 1)) and alg.dim[both] == 2
+    assert alg.dim[alg.zero] == 0 and alg.basis[alg.zero] == ()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_join_matches_echelon_of_stacked_bases(p):
+    rng = random.Random(p)
+    width = 4
+    alg = _Algebra(width, 1, width, p)
+    for _ in range(200):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            rows = [
+                tuple(rng.randrange(p) for _ in range(width))
+                for _ in range(rng.randint(0, 3))
+            ]
+            parts.append(_echelon(rows, p))
+        ids = tuple(alg.intern(b) for b in parts)
+        stacked = [row for b in parts for row in b]
+        want = _echelon(stacked, p)
+        assert alg.basis[alg.join(ids)] == want
+        assert alg.join(ids) == alg.intern(want)
+        assert alg.dim[alg.join(ids)] == len(want)
+    # every distinct basis has exactly one id
+    assert len(set(alg.basis)) == len(alg.basis)
 
 
 # ---------------------------------------------------------------------------
