@@ -6,7 +6,8 @@ diagnostics go to standard error.
 
 Exit codes: 0 success/verified/solvable, 1 verification failed,
 2 proven impossible (inadmissible characteristic or exhausted search),
-3 inconclusive search, 64 usage or unparseable input.
+3 inconclusive search, 64 usage or unparseable input, 70 internal error
+(one line on standard error, never a traceback).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .constructions import (
     gen_nonfano,
     union_copies,
 )
-from .gf import PrimeModulus
+from .gf import PrimeModulus, rank
 from .lincode import (
     CharacteristicError,
     CodeError,
@@ -60,6 +61,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_IMPOSSIBLE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _CliError(Exception):
@@ -256,6 +258,11 @@ def cmd_verify(args) -> int:
         report = verify(net, code)
     except CodeError as exc:
         raise _CliError(EXIT_USAGE, f"{args.code}: {exc}") from exc
+    # a passing terminal decodes to the identity, so only failures need rank
+    ranks = {
+        t.terminal: code.k if t.passed else rank(t.demanded_block)
+        for t in report.terminals
+    }
     if args.json:
         _emit_json(
             {
@@ -265,6 +272,7 @@ def cmd_verify(args) -> int:
                         "terminal": t.terminal,
                         "demanded": t.demanded,
                         "passed": t.passed,
+                        "rank": ranks[t.terminal],
                         "interferers": list(t.interferers),
                     }
                     for t in report.terminals
@@ -274,7 +282,7 @@ def cmd_verify(args) -> int:
     else:
         width = max((len(t.terminal) for t in report.terminals), default=8)
         for t in report.terminals:
-            status = "ok" if t.passed else "FAIL"
+            status = "ok" if t.passed else f"FAIL rank {ranks[t.terminal]}/{code.k}"
             extra = ""
             if t.interferers:
                 extra = "  interference: " + ", ".join(t.interferers)
@@ -476,6 +484,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except Exception as exc:  # a bug: report it in one line, keep 1 for "failed"
+        print(f"ncchar: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_entry() -> None:

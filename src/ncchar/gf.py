@@ -82,6 +82,26 @@ class FieldMatrix:
     # -- construction helpers -------------------------------------------
 
     @classmethod
+    def _trusted(
+        cls, rows: int, cols: int, entries: tuple[int, ...], modulus: PrimeModulus
+    ) -> "FieldMatrix":
+        """Build without the checks of ``__post_init__``.
+
+        Only for entries that are canonical residues by construction: a
+        tuple of ``rows * cols`` ints in [0, p), such as the result of an
+        operation on valid matrices or of a reduction mod p.
+        """
+        m = object.__new__(cls)
+        # attribute by attribute: touching ``__dict__`` would give every
+        # instance a materialized dict, about twice the memory
+        setattr_ = object.__setattr__
+        setattr_(m, "rows", rows)
+        setattr_(m, "cols", cols)
+        setattr_(m, "entries", entries)
+        setattr_(m, "modulus", modulus)
+        return m
+
+    @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[int]], p: "PrimeModulus | int"
     ) -> "FieldMatrix":
@@ -93,7 +113,7 @@ class FieldMatrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
             flat.extend(int(x) % mod.p for x in r)
-        return cls(nrows, ncols, tuple(flat), mod)
+        return cls._trusted(nrows, ncols, tuple(flat), mod)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, p: "PrimeModulus | int") -> "FieldMatrix":
@@ -139,11 +159,11 @@ class FieldMatrix:
             raise ValueError("shape mismatch in addition")
         p = self.modulus.p
         flat = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
-        return FieldMatrix(self.rows, self.cols, flat, self.modulus)
+        return FieldMatrix._trusted(self.rows, self.cols, flat, self.modulus)
 
     def __neg__(self) -> "FieldMatrix":
         p = self.modulus.p
-        return FieldMatrix(
+        return FieldMatrix._trusted(
             self.rows, self.cols, tuple((-a) % p for a in self.entries), self.modulus
         )
 
@@ -153,7 +173,7 @@ class FieldMatrix:
     def scale(self, c: int) -> "FieldMatrix":
         p = self.modulus.p
         c %= p
-        return FieldMatrix(
+        return FieldMatrix._trusted(
             self.rows, self.cols, tuple((c * a) % p for a in self.entries), self.modulus
         )
 
@@ -176,7 +196,7 @@ class FieldMatrix:
                 for t in range(m):
                     s += arow[t] * b[t * k + j]
                 flat[base + j] = s % p
-        return FieldMatrix(n, k, tuple(flat), self.modulus)
+        return FieldMatrix._trusted(n, k, tuple(flat), self.modulus)
 
     def transpose(self) -> "FieldMatrix":
         flat = tuple(
@@ -184,7 +204,7 @@ class FieldMatrix:
             for c in range(self.cols)
             for r in range(self.rows)
         )
-        return FieldMatrix(self.cols, self.rows, flat, self.modulus)
+        return FieldMatrix._trusted(self.cols, self.rows, flat, self.modulus)
 
 
 # -- elimination core -----------------------------------------------------

@@ -5,9 +5,14 @@ code assigns each edge a rule combining the blocks on its tail's
 in-edges (n x n matrices) and/or the message generated at its tail
 (n x k matrices), and each terminal a decode rule (k x n matrices over
 its in-edges).  ``eval_transfer`` unrolls the rules into global transfer
-blocks, one n x k matrix per (edge, message); ``verify`` then checks
-that every terminal reconstructs its demand exactly: identity on the
-demanded block, zero on every other.
+blocks, an n x k matrix per (edge, message); ``verify`` then checks that
+every terminal reconstructs its demand exactly: identity on the demanded
+block, zero on every other.
+
+Transfer maps are sparse.  Each edge stores only its nonzero blocks, in a
+``TransferBlocks`` map that reads any other message of the network as the
+zero block, and evaluation and decoding multiply only stored blocks, so
+their cost follows the nonzero blocks rather than edges times messages.
 
 A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
@@ -196,7 +201,7 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
         flat = tuple(
             (coeff * (q_inv if inv else 1)) % mod.p for coeff, inv in matrix.entries
         )
-        return FieldMatrix(matrix.rows, matrix.cols, flat, mod)
+        return FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
 
     def convert(rules: Mapping[str, tuple[SymInput, ...]]) -> dict[str, tuple[CodeInput, ...]]:
         return {
@@ -220,7 +225,52 @@ def rate(code: FractionalCode | SymbolicCode) -> Fraction:
 
 # -- evaluation and verification ---------------------------------------------
 
-TransferMap = dict[str, dict[str, FieldMatrix]]
+
+class TransferBlocks(dict):
+    """One edge's transfer blocks: message -> n x k matrix, nonzero ones only.
+
+    Reading a message with no stored block gives the zero block; reading
+    anything that is not a message of the network raises ``KeyError``.
+    Iteration, ``len`` and ``==`` see only the stored blocks, so maps that
+    hold the same nonzero blocks compare equal.
+    """
+
+    __slots__ = ("messages", "zero")
+
+    def __init__(
+        self, blocks: Mapping[str, FieldMatrix], messages: frozenset[str], zero: FieldMatrix
+    ):
+        super().__init__(blocks)
+        self.messages = messages
+        self.zero = zero
+
+    def __missing__(self, message: str) -> FieldMatrix:
+        if message in self.messages:
+            return self.zero
+        raise KeyError(message)
+
+
+TransferMap = dict[str, TransferBlocks]
+
+
+def _combine(
+    terms: Sequence[tuple[FieldMatrix, Mapping[str, FieldMatrix]]],
+    zero: FieldMatrix,
+    messages: frozenset[str],
+) -> TransferBlocks:
+    """The blocks of sum(A @ B[m] for A, B in terms), per message m.
+
+    Only the stored blocks of each B are multiplied, and blocks that sum
+    to zero are dropped.  ``zero`` is the zero block of the result's shape.
+    """
+    acc: dict[str, FieldMatrix] = {}
+    for a, blocks in terms:
+        for m, b in blocks.items():
+            prod = a @ b
+            old = acc.get(m)
+            acc[m] = prod if old is None else old + prod
+    nonzero = {m: blk for m, blk in acc.items() if not blk.is_zero}
+    return TransferBlocks(nonzero, messages, zero)
 
 
 def eval_transfer(
@@ -230,7 +280,10 @@ def eval_transfer(
 ) -> TransferMap:
     """Global transfer blocks: for each edge, an n x k matrix per message.
 
-    The result is a function of the rules alone, so any valid topological
+    Each edge's ``TransferBlocks`` stores only its nonzero blocks, built
+    from the stored blocks of its parent edges and its ``src:`` input;
+    any other message of the network reads as the zero n x k block.  The
+    result is a function of the rules alone, so any valid topological
     node order yields the same map.
     """
     node_by_id = net.node_map()
@@ -243,7 +296,10 @@ def eval_transfer(
     for e in net.edges:
         in_edge_ids[e.head].add(e.id)
 
+    messages = frozenset(net.messages)
     zero = FieldMatrix.zeros(code.n, code.k, code.modulus)
+    # a src: input S (n x k) adds S @ I_k to its message's block
+    ident = FieldMatrix.identity(code.k, code.modulus)
     transfer: TransferMap = {}
     edges_from: dict[str, list] = {nid: [] for nid in node_by_id}
     for e in net.edges:
@@ -254,7 +310,7 @@ def eval_transfer(
         for e in edges_from[nid]:
             if e.id not in code.edge_rules:
                 raise CodeError(f"no rule for edge {e.id!r}")
-            blocks = {m: zero for m in net.messages}
+            terms = []
             for inp in code.edge_rules[e.id]:
                 if inp.ref.startswith(SRC_PREFIX):
                     msg = inp.ref[len(SRC_PREFIX) :]
@@ -263,18 +319,15 @@ def eval_transfer(
                             f"rule for edge {e.id!r} reads {inp.ref!r}, but its "
                             f"tail {nid!r} does not generate that message"
                         )
-                    blocks[msg] = blocks[msg] + inp.matrix
+                    terms.append((inp.matrix, {msg: ident}))
                 else:
                     if inp.ref not in in_edge_ids[nid]:
                         raise CodeError(
                             f"rule for edge {e.id!r} reads {inp.ref!r}, which is "
                             f"not an in-edge of its tail {nid!r}"
                         )
-                    parent = transfer[inp.ref]
-                    for m in net.messages:
-                        if not parent[m].is_zero:
-                            blocks[m] = blocks[m] + inp.matrix @ parent[m]
-            transfer[e.id] = blocks
+                    terms.append((inp.matrix, transfer[inp.ref]))
+            transfer[e.id] = _combine(terms, zero, messages)
     return transfer
 
 
@@ -305,6 +358,7 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     in_edge_ids: dict[str, set[str]] = {n.id: set() for n in net.nodes}
     for e in net.edges:
         in_edge_ids[e.head].add(e.id)
+    messages = frozenset(net.messages)
     ident = FieldMatrix.identity(code.k, code.modulus)
     zero = FieldMatrix.zeros(code.k, code.k, code.modulus)
 
@@ -312,24 +366,20 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     for term in net.terminals():
         if term.demands is None:
             raise CodeError(f"terminal {term.id!r} has no demand")
-        decoded = {m: zero for m in net.messages}
+        terms = []
         for inp in code.decode_rules.get(term.id, ()):
             if inp.ref not in in_edge_ids[term.id]:
                 raise CodeError(
                     f"decode rule for {term.id!r} reads {inp.ref!r}, which is "
                     f"not one of its in-edges"
                 )
-            parent = transfer[inp.ref]
-            for m in net.messages:
-                if not parent[m].is_zero:
-                    decoded[m] = decoded[m] + inp.matrix @ parent[m]
-        interferers = tuple(
-            m for m in net.messages if m != term.demands and not decoded[m].is_zero
-        )
-        good = decoded[term.demands] == ident and not interferers
-        reports.append(
-            TerminalReport(term.id, term.demands, good, decoded[term.demands], interferers)
-        )
+            terms.append((inp.matrix, transfer[inp.ref]))
+        decoded = _combine(terms, zero, messages)
+        demanded = decoded[term.demands]
+        # net.messages is sorted, so sorting keeps the message order
+        interferers = tuple(sorted(m for m in decoded if m != term.demands))
+        good = demanded == ident and not interferers
+        reports.append(TerminalReport(term.id, term.demands, good, demanded, interferers))
     return VerificationReport(tuple(sorted(reports, key=lambda r: r.terminal)))
 
 
@@ -486,15 +536,16 @@ def load_code(
                     inputs.append(SymInput(ref, SymMatrix.from_rows(sym_rows)))
                 else:
                     assert mod is not None
-                    for row in rows:
-                        for v in row:
-                            if not isinstance(v, int) or isinstance(v, bool):
-                                raise CodeFormatError(f"{iw}: entry {v!r} not an int")
-                            if not (0 <= v < mod.p):
-                                raise CodeFormatError(
-                                    f"{iw}: entry {v} outside [0, {mod.p})"
-                                )
-                    inputs.append(CodeInput(ref, FieldMatrix.from_rows(rows, mod)))
+                    flat = tuple(v for row in rows for v in row)
+                    for v in flat:
+                        if not isinstance(v, int) or isinstance(v, bool):
+                            raise CodeFormatError(f"{iw}: entry {v!r} not an int")
+                        if not (0 <= v < mod.p):
+                            raise CodeFormatError(
+                                f"{iw}: entry {v} outside [0, {mod.p})"
+                            )
+                    matrix = FieldMatrix._trusted(want[0], want[1], flat, mod)
+                    inputs.append(CodeInput(ref, matrix))
             rules[key] = tuple(inputs)
         return rules
 

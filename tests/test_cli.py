@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from ncchar import (
+    FractionalCode,
     gen_n1,
     instantiate,
     load,
@@ -15,7 +16,9 @@ from ncchar import (
     union_copies,
     verify,
 )
+from ncchar import cli
 from ncchar.cli import main
+from ncchar.gf import rank
 
 
 def run(capsys, *argv):
@@ -179,6 +182,22 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "interference: c1" in out
     assert "Ta:a1" in out and "Ta:a2" in out
     assert "6/8 terminals decode" in out
+    fail_lines = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fail_lines) == 2
+    assert all("FAIL rank 1/1" in line for line in fail_lines)
+
+    # without its decode rule Ta:a1 sees nothing: rank 0, no interferers
+    blind_code = instantiate(solve_n1(2, 2), 2)
+    blind_code = FractionalCode(
+        blind_code.k, blind_code.n, blind_code.modulus, blind_code.edge_rules,
+        {t: r for t, r in blind_code.decode_rules.items() if t != "Ta:a1"},
+    )
+    blind = tmp_path / "blind.json"
+    blind.write_bytes(save_code(blind_code))
+    code, out, _ = run(capsys, "verify", str(net_path), str(blind))
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if "FAIL" in line]
+    assert line.startswith("Ta:a1") and line.endswith("FAIL rank 0/1")
 
 
 def test_verify_json_report(tmp_path, capsys):
@@ -192,6 +211,26 @@ def test_verify_json_report(tmp_path, capsys):
     assert doc["passed"] is False
     failing = [t["terminal"] for t in doc["terminals"] if not t["passed"]]
     assert failing == ["Ta:a1"]
+    ranks = {t["terminal"]: t["rank"] for t in doc["terminals"]}
+    assert set(ranks) == {t.id for t in net.terminals()}
+    report = verify(net, instantiate(solve_n1(2, 1), 3))
+    assert ranks == {
+        t.terminal: rank(t.demanded_block) for t in report.terminals
+    }
+    assert ranks["Ta:a1"] == 1
+
+
+def test_internal_error_exits_70_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_info", broken)
+    net_path = write_net(tmp_path, gen_n1(2, 1))
+    code, out, err = run(capsys, "info", str(net_path))
+    assert code == 70
+    assert out == ""
+    assert err == "ncchar: internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
 
 
 def test_verify_truncated_code_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Fractional code representation, transfer evaluation, and verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,17 +15,24 @@ from ncchar import (
     NetEdge,
     NetNode,
     eval_transfer,
+    gadget_transform,
+    gen_fano,
     gen_n1,
     gen_n2,
+    gen_nonfano,
     instantiate,
+    lift_gadget,
+    lift_union,
     load_code,
     rate,
     save_code,
     solve_n1,
     solve_n2,
+    union_copies,
     verify,
 )
 from ncchar.gf import FieldMatrix
+from util_oracles import dense_transfer, dense_verify
 
 
 def tiny_net():
@@ -211,6 +219,139 @@ def test_eval_unreachable_messages_have_zero_blocks():
         for m in net.messages:
             if gen_node[m] not in reach:
                 assert tm[e.id][m].is_zero
+
+
+def test_transfer_map_reads_absent_messages_as_zero():
+    net = gen_n1(2, 2)
+    code = instantiate(solve_n1(2, 2), 2)
+    blocks = eval_transfer(net, code)["u13->u14"]
+    # only the nonzero blocks are stored and iterated
+    assert sorted(blocks) == ["a1", "a2"]
+    for m in ("b11", "b12", "c1", "c2"):
+        assert m not in blocks
+        assert blocks[m] == FieldMatrix.zeros(2, 1, 2)
+    for bad in ("nope", "src:a1", "u13->u14"):
+        with pytest.raises(KeyError):
+            blocks[bad]
+
+
+def test_eval_rejects_src_input_at_wrong_tail():
+    net = CodedNetwork(
+        "two",
+        ("a1", "a2"),
+        (
+            NetNode("s1", "source", generates="a1"),
+            NetNode("s2", "source", generates="a2"),
+            NetNode("v1", "intermediate"),
+            NetNode("t1", "terminal", demands="a1"),
+        ),
+        (
+            NetEdge("s1->v1", "s1", "v1"),
+            NetEdge("s2->v1", "s2", "v1"),
+            NetEdge("v1->t1", "v1", "t1"),
+        ),
+    )
+    one = FieldMatrix.from_rows([[1]], 2)
+    good = {
+        "s1->v1": (CodeInput("src:a1", one),),
+        "s2->v1": (CodeInput("src:a2", one),),
+        "v1->t1": (CodeInput("s1->v1", one),),
+    }
+    decode = {"t1": (CodeInput("v1->t1", one),)}
+    assert verify(net, FractionalCode(1, 1, one.modulus, good, decode)).passed
+    for edge, ref, tail in (
+        ("s1->v1", "src:a2", "s1"),  # a source reading another source's message
+        ("v1->t1", "src:a1", "v1"),  # an intermediate node reading a message
+    ):
+        rules = dict(good, **{edge: (CodeInput(ref, one),)})
+        code = FractionalCode(1, 1, one.modulus, rules, decode)
+        with pytest.raises(CodeError) as exc:
+            eval_transfer(net, code)
+        assert str(exc.value) == (
+            f"rule for edge {edge!r} reads {ref!r}, but its tail {tail!r} "
+            f"does not generate that message"
+        )
+
+
+# ---------------------------------------------------------------------------
+# differential check against the dense oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_cases():
+    fano, nonfano = gen_fano(), gen_nonfano()
+    fano_sym = solve_n1(2, 1)
+    gadget = gadget_transform(fano, 1)
+    return {
+        "fano": (fano, fano_sym),
+        "nonfano": (nonfano, solve_n2(2, 1)),
+        "n1(2,2)": (gen_n1(2, 2), solve_n1(2, 2)),
+        "n2(2,2)": (gen_n2(2, 2), solve_n2(2, 2)),
+        "gadget(fano)": (gadget, lift_gadget(fano_sym, fano, gadget)),
+        "union(fano,2)": (union_copies(fano, 2), lift_union(fano_sym, 2)),
+    }
+
+
+def _random_code(net, k, n, p, rng):
+    """Random rules over every parent and decoders over every in-edge;
+    about a third of the matrices are zero, so zero blocks and
+    cancellations occur next to dense ones."""
+
+    def mat(rows, cols):
+        if rng.random() < 0.3:
+            return FieldMatrix.zeros(rows, cols, p)
+        return FieldMatrix.from_rows(
+            [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p
+        )
+
+    node_map = net.node_map()
+    edge_rules = {}
+    for e in net.edges:
+        tail = node_map[e.tail]
+        inputs = [CodeInput(pe.id, mat(n, n)) for pe in net.in_edges(e.tail)]
+        if tail.role == "source":
+            inputs.append(CodeInput("src:" + tail.generates, mat(n, k)))
+        edge_rules[e.id] = tuple(inputs)
+    decode_rules = {
+        t.id: tuple(CodeInput(pe.id, mat(k, n)) for pe in net.in_edges(t.id))
+        for t in net.terminals()
+    }
+    return FractionalCode(k, n, FieldMatrix.zeros(1, 1, p).modulus, edge_rules, decode_rules)
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_sparse_transfer_matches_dense_oracle(case):
+    net, sym = _oracle_cases()[case]
+    rng = random.Random(f"dense-oracle:{case}")
+    seen_fail = seen_interference = 0
+    for p in (2, 3, 5):
+        codes = [_random_code(net, k, n, p, rng)
+                 for k, n in ((sym.k, sym.n), (sym.k, sym.n), (2, 3), (2, 1))]
+        try:
+            codes.append(instantiate(sym, p))
+        except CharacteristicError:
+            pass  # n2 needs 1/q, which GF(p) lacks when p divides q
+        for code in codes:
+            tm = eval_transfer(net, code)
+            want = dense_transfer(net, code)
+            assert sorted(tm) == sorted(want)
+            for e, blocks in want.items():
+                assert sorted(tm[e]) == sorted(
+                    m for m, rows in blocks.items() if any(any(r) for r in rows)
+                )
+                for m, rows in blocks.items():
+                    got = tm[e][m]
+                    assert (got.rows, got.cols) == (code.n, code.k)
+                    assert got.to_rows() == [list(r) for r in rows]
+            report = verify(net, code)
+            got = [
+                (t.terminal, t.demanded, t.passed, t.demanded_block.to_rows(),
+                 t.interferers)
+                for t in report.terminals
+            ]
+            assert got == dense_verify(net, code)
+            seen_fail += not report.passed
+            seen_interference += any(t.interferers for t in report.terminals)
+    assert seen_fail and seen_interference
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own search machinery:
 the scalar solvability oracle enumerates every local coefficient
 assignment directly and tests decoding with its own rank routine, which
-shares no elimination code with ncchar, and the matrix helpers build
-block families whose products are known by construction.
+shares no elimination code with ncchar, the dense transfer oracle does
+its own tuple arithmetic, and the matrix helpers build block families
+whose products are known by construction.
 """
 
 from __future__ import annotations
@@ -192,3 +193,77 @@ def brute_force_scalar(net: CodedNetwork, p: int) -> bool:
         if good:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# dense transfer oracle
+# ---------------------------------------------------------------------------
+# Plain tuple arithmetic on row tuples: nothing below calls into the
+# library's gf or lincode arithmetic; codes are read as raw entries only.
+
+def _rows_of(matrix) -> tuple[tuple[int, ...], ...]:
+    c = matrix.cols
+    return tuple(tuple(matrix.entries[r * c : (r + 1) * c]) for r in range(matrix.rows))
+
+
+def _zero_rows(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((0,) * cols for _ in range(rows))
+
+
+def _plus(a, b, p: int):
+    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _times(a, b, p: int):
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) % p for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def dense_transfer(net: CodedNetwork, code) -> dict[str, dict[str, tuple]]:
+    """Every (edge, message) transfer block as n row tuples of k ints,
+    zero blocks included, by memoized recursion over parent edges (no
+    topological order needed).  The code must be structurally valid."""
+    p, n, k = code.modulus.p, code.n, code.k
+    memo: dict[str, dict[str, tuple]] = {}
+
+    def blocks_of(eid: str) -> dict[str, tuple]:
+        if eid not in memo:
+            blocks = {m: _zero_rows(n, k) for m in net.messages}
+            for inp in code.edge_rules[eid]:
+                a = _rows_of(inp.matrix)
+                if inp.ref.startswith("src:"):
+                    m = inp.ref[len("src:") :]
+                    blocks[m] = _plus(blocks[m], a, p)
+                else:
+                    parent = blocks_of(inp.ref)
+                    for m in net.messages:
+                        blocks[m] = _plus(blocks[m], _times(a, parent[m], p), p)
+            memo[eid] = blocks
+        return memo[eid]
+
+    return {e.id: blocks_of(e.id) for e in net.edges}
+
+
+def dense_verify(net: CodedNetwork, code) -> list[tuple]:
+    """Per terminal, sorted by id: (terminal, demanded, passed, demanded
+    block as a list of row lists, interferers in message order)."""
+    p, k = code.modulus.p, code.k
+    transfer = dense_transfer(net, code)
+    ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    out = []
+    for term in sorted(net.terminals(), key=lambda t: t.id):
+        decoded = {m: _zero_rows(k, k) for m in net.messages}
+        for inp in code.decode_rules.get(term.id, ()):
+            d = _rows_of(inp.matrix)
+            for m in net.messages:
+                decoded[m] = _plus(decoded[m], _times(d, transfer[inp.ref][m], p), p)
+        interferers = tuple(
+            m for m in net.messages
+            if m != term.demands and any(any(r) for r in decoded[m])
+        )
+        passed = decoded[term.demands] == ident and not interferers
+        out.append((term.id, term.demands, passed,
+                    [list(r) for r in decoded[term.demands]], interferers))
+    return out
