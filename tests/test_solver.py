@@ -29,7 +29,12 @@ from ncchar.solver import (
     _echelon,
     budget_from_env,
 )
-from util_oracles import brute_force_scalar, random_network
+from util_oracles import (
+    brute_force_fractional,
+    brute_force_scalar,
+    fractional_slots,
+    random_network,
+)
 
 
 def tiny_unicast():
@@ -327,3 +332,22 @@ def test_search_agrees_with_raw_enumeration():
         assert (got.status == SOLVABLE) == want, net.name
         if got.status == SOLVABLE:
             assert verify(net, got.code).passed
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 1)])
+def test_fractional_search_agrees_with_raw_enumeration(k, n):
+    # every local block over GF(2) on DAGs of at most 4 edges
+    rng = random.Random(6000 + 10 * k + n)
+    decisions = []
+    while len(decisions) < 100:
+        net = random_network(rng, max_edges=4)
+        if fractional_slots(net, k, n) > 16:
+            continue
+        got = search_fractional(net, k, n, 2, SearchConfig())
+        want = brute_force_fractional(net, k, n, 2)
+        assert (got.status == SOLVABLE) == want, net
+        assert got.status in (SOLVABLE, UNSOLVABLE)
+        if got.status == SOLVABLE:
+            assert verify(net, got.code).passed
+        decisions.append(want)
+    assert any(decisions) and not all(decisions)

@@ -1,9 +1,10 @@
 """Shared test helpers: random instances and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own search machinery:
-the scalar solvability oracle enumerates every local coefficient
-assignment directly and tests decoding with its own rank routine, which
-shares no elimination code with ncchar, the dense transfer oracle does
+the scalar and fractional solvability oracles enumerate every local
+coefficient assignment directly and test decoding with their own rank
+routine, which shares no elimination code with ncchar, the dense transfer
+oracle does
 its own tuple arithmetic, and the matrix helpers build block families
 whose products are known by construction.
 """
@@ -90,8 +91,21 @@ def coefficient_slots(net: CodedNetwork) -> int:
     return total
 
 
-def random_network(rng: random.Random, max_slots: int = 14) -> CodedNetwork:
-    """A small random valid DAG: ≤ 3 messages, ≤ 6 edges."""
+def fractional_slots(net: CodedNetwork, k: int, n: int) -> int:
+    """Number of free local block entries in a (k, n) code for net: n×k per
+    source edge, n×n per parent of every other edge."""
+    node_map = net.node_map()
+    total = 0
+    for e in net.edges:
+        tail = node_map[e.tail]
+        total += n * k if tail.role == "source" else n * n * len(net.in_edges(e.tail))
+    return total
+
+
+def random_network(
+    rng: random.Random, max_slots: int = 14, max_edges: int | None = None
+) -> CodedNetwork:
+    """A small random valid DAG: ≤ 3 messages, ≤ 6 edges (≤ max_edges)."""
     while True:
         n_msgs = rng.randint(1, 3)
         messages = tuple(f"m{i}" for i in range(1, n_msgs + 1))
@@ -116,7 +130,7 @@ def random_network(rng: random.Random, max_slots: int = 14) -> CodedNetwork:
             h = rng.choice(heads)
             if rank_of[t] < rank_of[h]:
                 pairs.add((t, h))
-        if not pairs:
+        if not pairs or (max_edges is not None and len(pairs) > max_edges):
             continue
         edges = tuple(NetEdge(f"{t}->{h}", t, h) for t, h in sorted(pairs))
         net = CodedNetwork("random", messages, tuple(nodes), edges)
@@ -193,6 +207,72 @@ def brute_force_scalar(net: CodedNetwork, p: int) -> bool:
         if good:
             return True
     return False
+
+
+def brute_force_fractional(net: CodedNetwork, k: int, n: int, p: int) -> bool:
+    """Raw (k, n) decision: enumerate every assignment of local coding
+    blocks over GF(p) and test whether one lets every terminal decode.
+
+    Every edge carries n symbols.  A source edge applies an n×k block to
+    its message, any other edge an n×n block to each in-edge of its tail,
+    so an edge's transfer matrix is n rows over the m·k message columns.
+    A terminal decodes iff its demand's k unit rows lie in the row span of
+    its in-edges' rows (compared by rank_mod_p).  Edges are filled in
+    topological order and each block runs over all p^(rows·cols) matrices.
+    """
+    node_map = net.node_map()
+    msg_idx = {m: i for i, m in enumerate(net.messages)}
+    width = len(net.messages) * k
+    topo = {nid: i for i, nid in enumerate(topological_order(net))}
+    order = sorted(net.edges, key=lambda e: (topo[e.tail], e.id))
+    demands = []
+    for term in net.terminals():
+        d = msg_idx[term.demands]
+        units = [[int(c == d * k + j) for c in range(width)] for j in range(k)]
+        demands.append(([e.id for e in net.in_edges(term.id)], units))
+    rows: dict[str, list[list[int]]] = {}
+
+    def decodes_all() -> bool:
+        for in_ids, units in demands:
+            stacked = [row for eid in in_ids for row in rows[eid]]
+            if not stacked or rank_mod_p(stacked + units, p) != rank_mod_p(stacked, p):
+                return False
+        return True
+
+    def fill(i: int) -> bool:
+        if i == len(order):
+            return decodes_all()
+        e = order[i]
+        tail = node_map[e.tail]
+        if tail.role == "source":
+            t = msg_idx[tail.generates]
+            for entries in itertools.product(range(p), repeat=n * k):
+                rows[e.id] = [
+                    [entries[r * k + c - t * k] if t * k <= c < (t + 1) * k else 0
+                     for c in range(width)]
+                    for r in range(n)
+                ]
+                if fill(i + 1):
+                    return True
+            return False
+        parents = [rows[pe.id] for pe in net.in_edges(e.tail)]
+        per_parent = n * n
+        for entries in itertools.product(range(p), repeat=per_parent * len(parents)):
+            out = []
+            for r in range(n):
+                acc = [0] * width
+                for b, prow in enumerate(parents):
+                    for s in range(n):
+                        coeff = entries[b * per_parent + r * n + s]
+                        if coeff:
+                            acc = [(x + coeff * y) % p for x, y in zip(acc, prow[s])]
+                out.append(acc)
+            rows[e.id] = out
+            if fill(i + 1):
+                return True
+        return False
+
+    return fill(0)
 
 
 # ---------------------------------------------------------------------------
