@@ -33,7 +33,6 @@ import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
@@ -47,7 +46,6 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_BUDGET = 10**9
 _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
 _LEASE = 0x1000  # states a worker claims at a time; also its stop-flag poll period
-_FIXED, _COPY, _JOIN = 0, 1, 2  # how the optimistic closure fills a position
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ class _Plan:
     messages: tuple[str, ...]
     edges: tuple[_EdgeInfo, ...]
     checks_at: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    checks_after: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    frontier_after: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...], ...]
     live_at: tuple[tuple[int, ...], ...]
     terminals: tuple[tuple[str, int, tuple[int, ...]], ...]
     dead_terminal: bool
@@ -285,17 +283,37 @@ def _build_plan(net: CodedNetwork) -> _Plan:
     live = [
         tuple(j for j in range(i) if last_use[j] >= i) for i in range(len(order))
     ]
-    after: list[tuple] = [()] * len(order)
-    acc: tuple = ()
+
+    # The optimistic prune at position i lets every unassigned edge carry
+    # its parents' full span.  A pending terminal then sees the join of the
+    # assigned positions that feed its in-edges or their unassigned cone,
+    # plus the unit blocks of the source edges in that cone: per check,
+    # (demand, frontier positions, source message indices).  Walking i
+    # downward turns one position at a time from assigned to unassigned,
+    # which replaces it in every frontier holding it by its parents.
+    frontier: list[tuple] = [()] * len(order)
+    active: list[tuple[int, set[int], set[int]]] = []
     for i in range(len(order) - 1, -1, -1):
-        after[i] = acc
-        acc = tuple(checks[i]) + acc
+        # checks that read position i first: they are the ones a new value
+        # at i can break
+        frontier[i] = tuple(
+            (didx, tuple(sorted(fr)), tuple(sorted(srcs)))
+            for didx, fr, srcs in sorted(active, key=lambda c: i not in c[1])
+        )
+        active[:0] = [(didx, set(positions), set()) for didx, positions in checks[i]]
+        info = infos[i]
+        for _, fr, srcs in active:
+            if i in fr:
+                fr.discard(i)
+                fr.update(info.parents)
+                if info.src_msg_index is not None:
+                    srcs.add(info.src_msg_index)
 
     return _Plan(
         net.messages,
         tuple(infos),
         tuple(tuple(c) for c in checks),
-        tuple(after),
+        tuple(frontier),
         tuple(live),
         tuple(sorted(terminals)),
         dead,
@@ -411,14 +429,15 @@ class _Engine:
         self.refill = refill
         self.states = 0
         self._memo_full = False
-        # How _optimistic_ok fills each position: a fixed span (source unit
-        # block, or zero), its one parent's span, or its parents' join.
-        self._closure = tuple(
-            (_FIXED, algebra.unit_ids[e.src_msg_index]) if e.src_msg_index is not None
-            else (_FIXED, algebra.zero) if not e.parents
-            else (_COPY, e.parents[0]) if len(e.parents) == 1
-            else (_JOIN, itemgetter(*e.parents))
-            for e in plan.edges
+        # plan.frontier_after with each check's source messages folded into
+        # one trailing id: the join of their unit blocks (none if no source)
+        self._frontier = tuple(
+            tuple(
+                (didx, fr, (algebra.join(tuple(algebra.unit_ids[t] for t in srcs)),)
+                 if srcs else ())
+                for didx, fr, srcs in checks
+            )
+            for checks in plan.frontier_after
         )
 
     def _candidates(self, i: int, values: list) -> tuple[tuple, int]:
@@ -448,22 +467,14 @@ class _Engine:
 
         Actual edge states are subspaces of their parents' spans, so this
         forward closure dominates every completion; a terminal that fails
-        here fails in all of them, making the prune certificate-safe.
+        here fails in all of them, making the prune certificate-safe.  Each
+        terminal's closure span is one cached join over its frontier (see
+        ``_build_plan``), the same subspace the whole closure would give.
         """
-        alg = self.alg
-        join = alg.join
-        spans = values[: i + 1]
-        append = spans.append
-        for kind, arg in self._closure[i + 1 :]:
-            if kind == _JOIN:
-                append(join(arg(spans)))
-            elif kind == _COPY:
-                append(spans[arg])
-            else:
-                append(arg)
-        for didx, positions in self.plan.checks_after[i]:
-            span = join(tuple([spans[pos] for pos in positions]))
-            if not alg.demand_in(span, didx):
+        join = self.alg.join
+        demand_in = self.alg.demand_in
+        for didx, frontier, src in self._frontier[i]:
+            if not demand_in(join(tuple([values[j] for j in frontier]) + src), didx):
                 return False
         return True
 
@@ -480,7 +491,7 @@ class _Engine:
         pdims: list = [0] * E
         idxs: list = [0] * E
         checks_at = plan.checks_at
-        checks_after = plan.checks_after
+        frontier_after = self._frontier
         live_at = plan.live_at
         dim = alg.dim
         memo_entries = 0
@@ -507,7 +518,7 @@ class _Engine:
             ci = idxs[i]
             cs = cands[i]
             ncs = len(cs)
-            pending = checks_after[i]
+            pending = frontier_after[i]
             pdim = pdims[i]
             while ci < ncs:
                 cand = cs[ci]

@@ -17,6 +17,7 @@ from ncchar import (
     gen_nonfano,
     gadget_transform,
     save_code,
+    union_copies,
     search_fractional,
     search_scalar,
     verify,
@@ -26,6 +27,7 @@ from ncchar.solver import (
     SOLVABLE,
     UNSOLVABLE,
     _Algebra,
+    _Engine,
     _echelon,
     budget_from_env,
 )
@@ -316,6 +318,61 @@ def test_join_matches_echelon_of_stacked_bases(p):
         assert alg.dim[alg.join(ids)] == len(want)
     # every distinct basis has exactly one id
     assert len(set(alg.basis)) == len(alg.basis)
+
+
+# ---------------------------------------------------------------------------
+# the optimistic prune
+# ---------------------------------------------------------------------------
+
+def closure_ok(engine, i, values):
+    """The optimistic prune written as the whole forward closure: every
+    edge after position i carries its parents' join (a source edge its
+    unit block), then every terminal checked after i must decode."""
+    plan, alg = engine.plan, engine.alg
+    spans = list(values[: i + 1])
+    for info in plan.edges[i + 1 :]:
+        if info.src_msg_index is not None:
+            spans.append(alg.unit_ids[info.src_msg_index])
+        else:
+            spans.append(alg.join(tuple(spans[j] for j in info.parents)))
+    return all(
+        alg.demand_in(alg.join(tuple(spans[j] for j in positions)), didx)
+        for checks in plan.checks_at[i + 1 :]
+        for didx, positions in checks
+    )
+
+
+@pytest.mark.parametrize(
+    "net, k, n, p",
+    [
+        (gen_fano(), 1, 1, 3),
+        (gen_n1(2, 2), 1, 2, 3),
+        (union_copies(gen_fano(), 2), 2, 1, 3),
+    ],
+    ids=["fano", "n1(2,2)", "union(fano,2)"],
+)
+def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
+    # compare on every prefix the search asks about, and on every prefix
+    # it extends (each fresh position i has values[:i] assigned)
+    seen = []
+    prune = _Engine._optimistic_ok
+    candidates = _Engine._candidates
+
+    def checked_prune(self, i, values):
+        got = prune(self, i, values)
+        assert got == closure_ok(self, i, values), (i, values[: i + 1])
+        seen.append(got)
+        return got
+
+    def checked_candidates(self, i, values):
+        if i > 0:
+            assert prune(self, i - 1, values) == closure_ok(self, i - 1, values)
+        return candidates(self, i, values)
+
+    monkeypatch.setattr(_Engine, "_optimistic_ok", checked_prune)
+    monkeypatch.setattr(_Engine, "_candidates", checked_candidates)
+    search_fractional(net, k, n, p, SearchConfig(node_budget=3000))
+    assert True in seen and False in seen
 
 
 # ---------------------------------------------------------------------------
