@@ -19,11 +19,20 @@ every terminal can recover its demand is turned back into an explicit
 ``FractionalCode`` witness; exhausting the canonical space without one
 proves unsolvability at that (k, n, p).
 
-Two sound prunings keep the space small: terminals are checked as soon
-as their last in-edge is assigned, and explored-and-failed subtrees are
-memoized on the values of the edges still visible to the remaining
-suffix (the live frontier), so assignments differing only in consumed
-edges are never explored twice.
+Three sound prunings keep the space small:
+
+- terminal check: a terminal is checked as soon as its last in-edge is
+  assigned;
+- frontier prune: a value smaller than its parent span is kept only if
+  every pending terminal could still decode were each unassigned edge to
+  carry its parents' full span, which is one cached join per terminal
+  over the assigned positions feeding it (``_Engine._optimistic_ok``);
+- dominance: each edge takes only subspaces of maximal dimension,
+  min(n, dim of its parent span) (``_Algebra._subspace_ids``).
+
+Explored-and-failed subtrees are also memoized on the values of the
+edges still visible to the remaining suffix (the live frontier), so
+assignments differing only in consumed edges are never explored twice.
 """
 
 from __future__ import annotations
@@ -110,35 +119,36 @@ def _in_span(basis: tuple[tuple[int, ...], ...], v: tuple[int, ...], p: int) -> 
 def _subspaces(
     basis: tuple[tuple[int, ...], ...], p: int, maxdim: int
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All subspaces of the span with 1 <= dim <= maxdim, larger dims first.
+    """All subspaces of the span with dim exactly min(maxdim, dim span).
 
     Subspaces are enumerated as reduced-echelon matrices over the basis
     coordinates (one per subspace), then re-reduced in global coordinates
     so equal subspaces reached from different parent sets share one key.
+    The zero span has one such subspace, itself.
     """
     r = len(basis)
+    d = min(maxdim, r)
     columns = list(zip(*basis))
     out: list[tuple[tuple[int, ...], ...]] = []
-    for d in range(min(maxdim, r), 0, -1):
-        for pivots in itertools.combinations(range(r), d):
-            pivot_set = set(pivots)
-            free = [
-                (i, j)
-                for i in range(d)
-                for j in range(pivots[i] + 1, r)
-                if j not in pivot_set
+    for pivots in itertools.combinations(range(r), d):
+        pivot_set = set(pivots)
+        free = [
+            (i, j)
+            for i in range(d)
+            for j in range(pivots[i] + 1, r)
+            if j not in pivot_set
+        ]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            coord = [[0] * r for _ in range(d)]
+            for i in range(d):
+                coord[i][pivots[i]] = 1
+            for (i, j), val in zip(free, vals):
+                coord[i][j] = val
+            rows = [
+                tuple(sum(c * x for c, x in zip(crow, col)) % p for col in columns)
+                for crow in coord
             ]
-            for vals in itertools.product(range(p), repeat=len(free)):
-                coord = [[0] * r for _ in range(d)]
-                for i in range(d):
-                    coord[i][pivots[i]] = 1
-                for (i, j), val in zip(free, vals):
-                    coord[i][j] = val
-                rows = [
-                    tuple(sum(c * x for c, x in zip(crow, col)) % p for col in columns)
-                    for crow in coord
-                ]
-                out.append(_echelon(rows, p))
+            out.append(_echelon(rows, p))
     return out
 
 
@@ -362,8 +372,23 @@ class _Algebra:
         return sid
 
     def _subspace_ids(self, sid: int, maxdim: int) -> tuple:
-        subs = _subspaces(self.basis[sid], self.p, maxdim)
-        return tuple(self.intern(b) for b in subs) + (self.zero,)
+        """Candidates inside span ``sid``: its subspaces of dimension
+        exactly min(maxdim, dim), so zero only when the span is zero.
+
+        Maximal-subspace dominance makes this sound.  Every constraint is
+        monotone in edge spans: an edge may carry any subspace of its
+        parents' join, and a terminal needs its demand inside the join of
+        its in-edges, so enlarging spans never breaks either.  Take any
+        solution and walk the edges in topological order.  An edge's
+        parents have only grown, so its old subspace still lies in its
+        parent span P; enlarge it to a subspace of P of dimension
+        min(n, dim P) that contains it (source edges: P is the message's
+        unit block, of dimension k).  Edges into a one-in-edge terminal are
+        instead set to the demand's unit block, which the old span held.
+        The result is again a solution, and every edge in it has maximal
+        dimension, so searching those candidates alone loses no decision.
+        """
+        return tuple(self.intern(b) for b in _subspaces(self.basis[sid], self.p, maxdim))
 
     def src_candidates(self, t: int) -> tuple:
         cands = self._src_cache.get(t)

@@ -121,13 +121,23 @@ def test_budget_yields_inconclusive():
 
 
 @pytest.mark.parametrize(
-    "k, n, p, workers", [(1, 1, 3, 1), (1, 1, 3, 2), (2, 2, 2, 4)]
+    "budget, k, n, p, workers",
+    [
+        (50, 1, 1, 3, 1),
+        (50, 1, 1, 3, 2),
+        (50, 2, 2, 2, 4),
+        # Fano/GF(3) is certified in 175 states, so the larger budget runs
+        # at (1,2) on n1(2,2), which no budget here decides
+        (1000, 1, 2, 3, 1),
+        (1000, 1, 2, 3, 2),
+        (1000, 2, 2, 2, 4),
+    ],
 )
-@pytest.mark.parametrize("budget", [50, 1000])
-def test_budget_holds_for_every_worker_count(k, n, p, workers, budget):
-    # (2,2) gives edge 0 five candidates over GF(2), so four workers run
+def test_budget_holds_for_every_worker_count(budget, k, n, p, workers):
+    # with k <= n edge 0 has one candidate, so the pool starts one worker
+    net = gen_n1(2, 2) if (k, n) == (1, 2) else gen_fano()
     out = search_fractional(
-        gen_fano(), k, n, p, SearchConfig(node_budget=budget, worker_count=workers)
+        net, k, n, p, SearchConfig(node_budget=budget, worker_count=workers)
     )
     assert out.status == INCONCLUSIVE
     assert out.states_explored <= budget
@@ -185,7 +195,7 @@ def test_fractional_1x1_reduces_to_scalar():
     scalar = search_scalar(net, 2, SearchConfig())
     frac = search_fractional(net, 1, 1, 2, SearchConfig())
     assert frac.status == scalar.status == SOLVABLE
-    assert frac.states_explored == scalar.states_explored == 155
+    assert frac.states_explored == scalar.states_explored == 67
     assert save_code(frac.code) == save_code(scalar.code)
 
 
@@ -194,21 +204,21 @@ def test_fractional_1x1_unsolvable_matches_scalar():
     scalar = search_scalar(net, 3, SearchConfig())
     frac = search_fractional(net, 1, 1, 3, SearchConfig())
     assert frac.status == scalar.status == UNSOLVABLE
-    assert frac.states_explored == scalar.states_explored == 2106
+    assert frac.states_explored == scalar.states_explored == 175
 
 
 def test_scalar_search_matches_reference_runs():
-    # Decisions, state counts and witness bytes recorded when scalar search
-    # still had its own vector algebra; the (1,1) subspace search must
-    # reproduce them exactly.
+    # Decisions and witness bytes recorded when scalar search still had its
+    # own vector algebra; state counts re-recorded under maximal-subspace
+    # dominance, which left every decision and witness byte unchanged.
     cases = [
-        (gen_fano(), 3, UNSOLVABLE, 2106, None),
-        (gen_fano(), 5, UNSOLVABLE, 6446, None),
-        (gen_nonfano(), 2, UNSOLVABLE, 1825, None),
-        (gadget_transform(gen_fano(), 1), 3, UNSOLVABLE, 4178, None),
-        (gen_fano(), 2, SOLVABLE, 155,
+        (gen_fano(), 3, UNSOLVABLE, 175, None),
+        (gen_fano(), 5, UNSOLVABLE, 701, None),
+        (gen_nonfano(), 2, UNSOLVABLE, 126, None),
+        (gadget_transform(gen_fano(), 1), 3, UNSOLVABLE, 239, None),
+        (gen_fano(), 2, SOLVABLE, 67,
          "f3ff4b121c6d16a3c20c3ffeb364168be62ca876f1c68d87133ffc3dd2446360"),
-        (gen_nonfano(), 3, SOLVABLE, 1599,
+        (gen_nonfano(), 3, SOLVABLE, 132,
          "c7310cfccfa6217f6843c3d2c7078b91e5e2d2f1734da21db77ef1c53ea194ab"),
     ]
     for net, p, status, states, digest in cases:
@@ -219,15 +229,16 @@ def test_scalar_search_matches_reference_runs():
 
 
 def test_fractional_search_matches_reference_runs():
-    # Decisions, state counts and witness bytes recorded when search states
-    # were still echelon bases rather than interned ids.
+    # Decisions and witness bytes recorded when search states were still
+    # echelon bases rather than interned ids; state counts re-recorded under
+    # maximal-subspace dominance.
     cases = [
         (gen_fano(), 1, 2, 2, SOLVABLE, 38,
          "53783f9a2abba7464d252e26cb65157dcf98ab95931649ce71d01e78acee6933"),
         (gen_nonfano(), 1, 2, 2, SOLVABLE, 35,
          "4185e7e97eac68a8a1fe1db4b242c8921661350e15ae364c08986c6d72700482"),
-        (gen_fano(), 2, 1, 2, UNSOLVABLE, 340, None),
-        (gen_fano(), 2, 1, 3, UNSOLVABLE, 780, None),
+        (gen_fano(), 2, 1, 2, UNSOLVABLE, 120, None),
+        (gen_fano(), 2, 1, 3, UNSOLVABLE, 340, None),
     ]
     for net, k, n, p, status, states, digest in cases:
         out = search_fractional(net, k, n, p, SearchConfig())
@@ -237,14 +248,30 @@ def test_fractional_search_matches_reference_runs():
             assert hashlib.sha256(save_code(out.code)).hexdigest() == digest
     # two workers: states cross the process boundary as bases, not ids
     pooled = [
-        (gen_fano(), 2, 1, 2, 340),
-        (gen_fano(), 2, 1, 3, 780),
-        (gen_nonfano(), 1, 1, 2, 2113),
+        (gen_fano(), 2, 1, 2, 120),
+        (gen_fano(), 2, 1, 3, 340),
+        (gen_nonfano(), 1, 1, 2, 126),
     ]
     for net, k, n, p, states in pooled:
         out = search_fractional(net, k, n, p, SearchConfig(worker_count=2))
         got = (out.status, out.states_explored)
         assert got == (UNSOLVABLE, states), (net.name, k, n, p)
+
+
+def test_dominance_reach():
+    # Before maximal-subspace dominance the first two were still undecided
+    # at a million states and the last two took 190,224 and 145,246.
+    cases = [
+        (gen_n1(3, 1), 1, 1, 5, UNSOLVABLE, 13578),
+        (gen_n2(3, 1), 1, 1, 3, UNSOLVABLE, 94944),
+        (gadget_transform(gen_n1(3, 1), 1), 1, 1, 2, UNSOLVABLE, 792),
+        (gen_n1(2, 2), 1, 2, 2, SOLVABLE, 4468),
+    ]
+    for net, k, n, p, status, states in cases:
+        out = search_fractional(net, k, n, p, SearchConfig())
+        assert (out.status, out.states_explored) == (status, states), (net.name, k, n, p)
+        if status == SOLVABLE:
+            assert verify(net, out.code).passed
 
 
 def test_fractional_trivial_network():
