@@ -83,9 +83,9 @@ def _emit_json(doc: object) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from exc
 
@@ -93,7 +93,7 @@ def _read_text(path: str) -> str:
 def _read_network(path: str, check: bool = True) -> CodedNetwork:
     """Load a network file; unless ``check`` is off, reject invalid ones."""
     try:
-        net = load(_read_text(path))
+        net = load(_read_bytes(path))
     except NetworkFormatError as exc:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
     report = validate(net) if check else None
@@ -105,7 +105,7 @@ def _read_network(path: str, check: bool = True) -> CodedNetwork:
 
 def _read_code(path: str, net: CodedNetwork | None):
     try:
-        return load_code(_read_text(path), net)
+        return load_code(_read_bytes(path), net)
     except (CodeFormatError, CodeError) as exc:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
 

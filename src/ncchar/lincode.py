@@ -463,7 +463,10 @@ def load_code(
 ) -> FractionalCode | SymbolicCode:
     """Parse a code document; pass the network to cross-check references."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodeFormatError(f"byte {exc.start}: not UTF-8") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -292,7 +292,10 @@ def _req(doc: Mapping, key: str, where: str) -> object:
 
 def load(data: bytes | str) -> CodedNetwork:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NetworkFormatError(f"byte {exc.start}: not UTF-8") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -445,6 +445,17 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         assert out == ""
 
 
+def test_non_utf8_files_exit_64_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "\xff"}')
+    net_path = write_net(tmp_path, gen_n1(2, 1))
+    for argv in (("info", str(bad)), ("verify", str(net_path), str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "not UTF-8" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and out == ""
+
+
 def test_search_rejects_non_list_nodes_and_edges(tmp_path, capsys):
     doc = json.loads(save(gen_n1(2, 1)))
     empty = tmp_path / "empty.json"
