@@ -85,7 +85,7 @@ def mutated(doc):
         _replace,
         st.just(doc),
         st.sampled_from(list(_paths(doc))),
-        st.just(_DELETE) | json_values | st.sampled_from(list(_paths(doc))).map(str),
+        st.just(_DELETE) | json_values,
     )
 
 
