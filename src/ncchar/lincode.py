@@ -18,6 +18,11 @@ A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
 construction parameter q.  ``instantiate`` maps it onto GF(p), which
 fails precisely when an inverse of q is used but p divides q.
+
+``save_code`` writes either kind as a canonical file: the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, produced by
+a direct formatter for the one document shape, because ``json.dumps``
+with any ``indent`` gives up its C encoder for a pure-Python one.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, as_modulus
-from .network import CodedNetwork, topological_order
+from .network import CodedNetwork, _json_array, _json_object, topological_order
 
 SRC_PREFIX = "src:"
 
@@ -388,13 +394,14 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
 _INV_Q_RE = re.compile(r"^(-?\d+)\*INV_Q$")
 
 
-def _entry_to_json(entry: SymEntry) -> object:
+def _entry_to_json(entry: SymEntry) -> str:
+    """A symbolic entry as JSON text: the integer, or a quoted INV_Q token."""
     coeff, inv = entry
     if not inv:
-        return coeff
+        return str(coeff)
     if coeff == 1:
-        return "INV_Q"
-    return f"{coeff}*INV_Q"
+        return '"INV_Q"'
+    return f'"{coeff}*INV_Q"'
 
 
 def _entry_from_json(value: object, where: str) -> SymEntry:
@@ -411,41 +418,43 @@ def _entry_from_json(value: object, where: str) -> SymEntry:
     raise CodeFormatError(f"{where}: bad entry {value!r}")
 
 
-def _rules_to_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> list:
+def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> str:
+    """A rule map as the code document's list; each matrix fills a ``%s``
+    template made once per shape, in one pass over its entries."""
+    templates: dict[tuple[int, int], str] = {}
     out = []
     for key in sorted(rules):
         inputs = []
         for inp in sorted(rules[key], key=lambda i: i.ref):
-            if symbolic:
-                mat = [
-                    [
-                        _entry_to_json(inp.matrix.entries[r * inp.matrix.cols + c])
-                        for c in range(inp.matrix.cols)
-                    ]
-                    for r in range(inp.matrix.rows)
-                ]
-            else:
-                mat = inp.matrix.to_rows()
-            inputs.append({"ref": inp.ref, "matrix": mat})
-        out.append({key_name: key, "inputs": inputs})
-    return out
+            m = inp.matrix
+            shape = (m.rows, m.cols)
+            if shape not in templates:
+                row = _json_array(["%s"] * m.cols, 6)
+                templates[shape] = _json_array([row] * m.rows, 5)
+            cells = tuple(map(_entry_to_json, m.entries)) if symbolic else m.entries
+            matrix = templates[shape] % cells
+            inputs.append(_json_object({"matrix": matrix, "ref": _quote(inp.ref)}, 4))
+        rule = {key_name: _quote(key), "inputs": _json_array(inputs, 3)}
+        out.append(_json_object(rule, 2))
+    return _json_array(out, 1)
 
 
 def save_code(code: FractionalCode | SymbolicCode) -> bytes:
+    """The canonical bytes of ``code`` (see the module docstring)."""
     symbolic = isinstance(code, SymbolicCode)
-    doc: dict[str, object] = {
-        "k": code.k,
-        "n": code.n,
-        "edge_rules": _rules_to_json(code.edge_rules, "edge", symbolic),
-        "decode_rules": _rules_to_json(code.decode_rules, "terminal", symbolic),
+    doc = {
+        "k": json.dumps(code.k),
+        "n": json.dumps(code.n),
+        "edge_rules": _rules_json(code.edge_rules, "edge", symbolic),
+        "decode_rules": _rules_json(code.decode_rules, "terminal", symbolic),
     }
     if symbolic:
-        doc["q"] = code.q
+        doc["q"] = json.dumps(code.q)
     else:
-        doc["p"] = code.modulus.p
+        doc["p"] = json.dumps(code.modulus.p)
         if code.q is not None:
-            doc["q"] = code.q
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+            doc["q"] = json.dumps(code.q)
+    return (_json_object(doc, 0) + "\n").encode("utf-8")
 
 
 def _load_matrix(raw: object, where: str) -> list[list[object]]:

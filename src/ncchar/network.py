@@ -3,7 +3,11 @@
 A network is a DAG whose source nodes each generate one message and whose
 terminal nodes each demand one message.  Serialization is canonical: keys
 sorted, two-space indent, LF newlines, node and edge lists sorted by id,
-so saving the same network twice yields byte-identical files.
+so saving the same network twice yields byte-identical files.  The bytes
+are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline,
+but a direct formatter for the one document shape writes them: with any
+``indent``, ``json.dumps`` gives up its C encoder for a slower pure-Python
+one.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Sequence
 
 ROLE_SOURCE = "source"
@@ -260,28 +265,48 @@ def is_multiple_unicast(net: CodedNetwork) -> UnicastCheck:
 
 
 # -- canonical JSON ---------------------------------------------------------
+#
+# ``_json_array`` and ``_json_object`` lay out already formatted values as
+# json.dumps(indent=2, sort_keys=True) does at nesting ``depth``; ``_quote``
+# is json.dumps' own string encoder.  A code's matrix entries nest deepest.
+_PAD = tuple("\n" + "  " * depth for depth in range(8))
 
 
-def _canonical_bytes(doc: object) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _json_array(items: Sequence[str], depth: int) -> str:
+    if not items:
+        return "[]"
+    pad = _PAD[depth + 1]
+    return "[" + pad + ("," + pad).join(items) + _PAD[depth] + "]"
+
+
+def _json_object(fields: Mapping[str, str], depth: int) -> str:
+    """``fields`` maps plain keys (nothing to escape) to formatted values."""
+    pad = _PAD[depth + 1]
+    body = ("," + pad).join(f'"{key}": {fields[key]}' for key in sorted(fields))
+    return "{" + pad + body + _PAD[depth] + "}"
 
 
 def save(net: CodedNetwork) -> bytes:
+    """The canonical bytes of ``net`` (see the module docstring)."""
     nodes = []
     for n in net.nodes:
-        entry: dict[str, object] = {"id": n.id, "role": n.role}
+        entry = {"id": _quote(n.id), "role": _quote(n.role)}
         if n.generates is not None:
-            entry["generates"] = n.generates
+            entry["generates"] = _quote(n.generates)
         if n.demands is not None:
-            entry["demands"] = n.demands
-        nodes.append(entry)
+            entry["demands"] = _quote(n.demands)
+        nodes.append(_json_object(entry, 2))
+    edges = []
+    for e in net.edges:
+        entry = {"id": _quote(e.id), "from": _quote(e.tail), "to": _quote(e.head)}
+        edges.append(_json_object(entry, 2))
     doc = {
-        "name": net.name,
-        "messages": list(net.messages),
-        "nodes": nodes,
-        "edges": [{"id": e.id, "from": e.tail, "to": e.head} for e in net.edges],
+        "name": _quote(net.name),
+        "messages": _json_array([_quote(m) for m in net.messages], 1),
+        "nodes": _json_array(nodes, 1),
+        "edges": _json_array(edges, 1),
     }
-    return _canonical_bytes(doc)
+    return (_json_object(doc, 0) + "\n").encode("utf-8")
 
 
 def _req(doc: Mapping, key: str, where: str) -> object:

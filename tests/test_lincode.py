@@ -1,5 +1,6 @@
 """Fractional code representation, transfer evaluation, and verification."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -470,10 +471,11 @@ def test_symbolic_round_trip_keeps_inv_q():
 
 def test_load_rejects_entry_outside_field():
     code = instantiate(solve_n1(2, 1), 2)
-    doc = save_code(code).replace(b'"p": 2', b'"p": 2', 1)
-    tampered = doc.replace(b"1", b"7", 1)
-    with pytest.raises(CodeFormatError):
-        load_code(tampered)
+    doc = json.loads(save_code(code))
+    assert doc["p"] == 2
+    doc["edge_rules"][0]["inputs"][0]["matrix"][0][0] = 7
+    with pytest.raises(CodeFormatError, match=r"outside \[0, 2\)"):
+        load_code(json.dumps(doc))
 
 
 def test_load_rejects_unknown_edge_against_network():
