@@ -169,11 +169,8 @@ def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]
                         lift_union(base_sym, value),
                         fam,
                     )
-                return (
-                    gadget_transform(base_net, value),
-                    lift_gadget(base_sym, base_net, gadget_transform(base_net, value)),
-                    fam,
-                )
+                net = gadget_transform(base_net, value)
+                return net, lift_gadget(base_sym, base_net, net), fam
             except ValueError as exc:
                 raise _CliError(
                     EXIT_USAGE, f"cannot solve {name!r}: {exc}"
@@ -305,22 +302,25 @@ def cmd_search(args) -> int:
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, str(exc)) from exc
     try:
-        cfg = SearchConfig(node_budget=budget, worker_count=args.workers)
-        outcome = search_fractional(net, args.k, args.n, mod, cfg)
+        outcome = search_fractional(
+            net, args.k, args.n, mod, SearchConfig(node_budget=budget)
+        )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
 
-    written = None
-    if outcome.code is not None and args.out is not None:
+    data = written = None
+    if outcome.code is not None and (args.out is not None or args.json):
+        data = save_code(outcome.code)  # serialized once for --out and --json
+    if data is not None and args.out is not None:
         try:
-            Path(args.out).write_bytes(save_code(outcome.code))
+            Path(args.out).write_bytes(data)
         except OSError as exc:
             raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
         written = args.out
     if args.json:
         doc: dict = {"outcome": outcome.status, "states": outcome.states_explored}
-        if outcome.code is not None:
-            doc["code"] = json.loads(save_code(outcome.code).decode("utf-8"))
+        if data is not None:
+            doc["code"] = json.loads(data.decode("utf-8"))
         if written:
             doc["written"] = written
         _emit_json(doc)
@@ -446,7 +446,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -76,7 +76,7 @@ class FieldMatrix:
             )
         p = self.modulus.p
         for x in self.entries:
-            if not isinstance(x, int) or not (0 <= x < p):
+            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < p):
                 raise ValueError(f"entry {x!r} is not a residue in [0, {p})")
 
     # -- construction helpers -------------------------------------------

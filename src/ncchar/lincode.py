@@ -457,6 +457,11 @@ def save_code(code: FractionalCode | SymbolicCode) -> bytes:
     return (_json_object(doc, 0) + "\n").encode("utf-8")
 
 
+def _positive_int(value: object) -> bool:
+    """A JSON integer >= 1; ``bool`` is an ``int`` subclass and is refused."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _load_matrix(raw: object, where: str) -> list[list[object]]:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise CodeFormatError(f"{where}: 'matrix' must be a non-empty list of rows")
@@ -488,7 +493,7 @@ def load_code(
         if field_name not in doc:
             raise CodeFormatError(f"missing field {field_name!r}")
     k, n = doc["k"], doc["n"]
-    if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < 1:
+    if not (_positive_int(k) and _positive_int(n)):
         raise CodeFormatError("'k' and 'n' must be positive integers")
     symbolic = "p" not in doc
     if symbolic and "q" not in doc:
@@ -564,7 +569,7 @@ def load_code(
     edge_rules = parse_rules(doc["edge_rules"], "edge", decode=False)
     decode_rules = parse_rules(doc["decode_rules"], "decode", decode=True)
     q = doc.get("q")
-    if q is not None and (not isinstance(q, int) or q < 1):
+    if (q is not None or symbolic) and not _positive_int(q):
         raise CodeFormatError("'q' must be a positive integer")
 
     if net is not None:
@@ -590,7 +595,7 @@ def load_code(
                     )
 
     if symbolic:
-        return SymbolicCode(k, n, int(doc["q"]), edge_rules, decode_rules)
+        return SymbolicCode(k, n, q, edge_rules, decode_rules)
     assert mod is not None
     try:
         return FractionalCode(k, n, mod, edge_rules, decode_rules, q=q)

@@ -9,8 +9,7 @@ coding vector: empty, or one vector whose first nonzero coordinate is 1.
 
 That basis is unique, so each distinct one is interned as a small int:
 states, candidates, joins, decoding tests and memo keys are all ids.
-Bases come back only to rebuild a witness and to cross the process
-boundary of a parallel search, since ids are private to one process.
+Bases come back only to rebuild a witness.
 
 Each edge is restricted to subspaces of what its parents carry, and
 invertible recombinations are factored out, which is exactly the
@@ -28,7 +27,7 @@ Three sound prunings keep the space small:
   carry its parents' full span, which is one cached join per terminal
   over the assigned positions feeding it (``_Engine._optimistic_ok``);
 - dominance: each edge takes only subspaces of maximal dimension,
-  min(n, dim of its parent span) (``_Algebra._subspace_ids``).
+  min(n, dim of its parent span) (``_Algebra.enumerate``).
 
 Explored-and-failed subtrees are also memoized on the values of the
 edges still visible to the remaining suffix (the live frontier), so
@@ -39,10 +38,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
 from .lincode import CodeInput, FractionalCode
@@ -54,19 +52,15 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_BUDGET = 10**9
 _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
-_LEASE = 0x1000  # states a worker claims at a time; also its stop-flag poll period
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     node_budget: int = DEFAULT_BUDGET
-    worker_count: int = 1
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise ValueError("node_budget must be positive")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,6 @@ class _Algebra:
         self.unit_ids = tuple(self.intern(u) for u in self.unit_rows)
         self._join_cache: dict = {}
         self._enum_cache: dict = {}
-        self._src_cache: dict = {}
         self._decode_cache: dict = {}
 
     def intern(self, basis: tuple) -> int:
@@ -371,9 +364,17 @@ class _Algebra:
             self.dim.append(len(basis))
         return sid
 
-    def _subspace_ids(self, sid: int, maxdim: int) -> tuple:
+    def join(self, ids: tuple[int, ...]) -> int:
+        """The id of the span of the given states; cached on the id tuple."""
+        sid = self._join_cache.get(ids)
+        if sid is None:
+            rows = [row for i in ids for row in self.basis[i]]
+            sid = self._join_cache[ids] = self.intern(_echelon(rows, self.p))
+        return sid
+
+    def enumerate(self, sid: int) -> tuple:
         """Candidates inside span ``sid``: its subspaces of dimension
-        exactly min(maxdim, dim), so zero only when the span is zero.
+        exactly min(n, dim), so zero only when the span is zero; cached.
 
         Maximal-subspace dominance makes this sound.  Every constraint is
         monotone in edge spans: an edge may carry any subspace of its
@@ -388,33 +389,11 @@ class _Algebra:
         The result is again a solution, and every edge in it has maximal
         dimension, so searching those candidates alone loses no decision.
         """
-        return tuple(self.intern(b) for b in _subspaces(self.basis[sid], self.p, maxdim))
-
-    def src_candidates(self, t: int) -> tuple:
-        cands = self._src_cache.get(t)
-        if cands is None:
-            cands = self._src_cache[t] = self._subspace_ids(
-                self.unit_ids[t], min(self.n, self.k)
-            )
-        return cands
-
-    def forced_src(self, src_idx: int, demand_idx: int) -> tuple:
-        if src_idx == demand_idx and self.k <= self.n:
-            return (self.unit_ids[demand_idx],)
-        return ()
-
-    def join(self, ids: tuple[int, ...]) -> int:
-        """The id of the span of the given states; cached on the id tuple."""
-        sid = self._join_cache.get(ids)
-        if sid is None:
-            rows = [row for i in ids for row in self.basis[i]]
-            sid = self._join_cache[ids] = self.intern(_echelon(rows, self.p))
-        return sid
-
-    def enumerate(self, sid: int) -> tuple:
         cands = self._enum_cache.get(sid)
         if cands is None:
-            cands = self._enum_cache[sid] = self._subspace_ids(sid, self.n)
+            cands = self._enum_cache[sid] = tuple(
+                self.intern(b) for b in _subspaces(self.basis[sid], self.p, self.n)
+            )
         return cands
 
     def forced(self, sid: int, demand_idx: int) -> tuple:
@@ -437,21 +416,10 @@ class _Algebra:
 
 
 class _Engine:
-    def __init__(
-        self,
-        plan: _Plan,
-        algebra: _Algebra,
-        budget: int,
-        first_candidates: frozenset | None = None,
-        refill: Callable[[_Engine], bool] | None = None,
-    ):
+    def __init__(self, plan: _Plan, algebra: _Algebra, budget: int):
         self.plan = plan
         self.alg = algebra
         self.budget = budget
-        self.first_candidates = first_candidates
-        # Called when the budget runs out; it may raise self.budget and
-        # returns False when the search should stop.
-        self.refill = refill
         self.states = 0
         self._memo_full = False
         # plan.frontier_after with each check's source messages folded into
@@ -471,20 +439,13 @@ class _Engine:
         info = self.plan.edges[i]
         alg = self.alg
         if info.src_msg_index is not None:
+            # a source edge's parent span is its message's unit block
             span = alg.unit_ids[info.src_msg_index]
-            if info.forced_demand is not None:
-                cands = alg.forced_src(info.src_msg_index, info.forced_demand)
-            else:
-                cands = alg.src_candidates(info.src_msg_index)
         else:
             span = alg.join(tuple([values[j] for j in info.parents]))
-            if info.forced_demand is not None:
-                cands = alg.forced(span, info.forced_demand)
-            else:
-                cands = alg.enumerate(span)
-        if i == 0 and self.first_candidates is not None:
-            cands = tuple(c for c in cands if c in self.first_candidates)
-        return cands, span
+        if info.forced_demand is not None:
+            return alg.forced(span, info.forced_demand), span
+        return alg.enumerate(span), span
 
     def _optimistic_ok(self, i: int, values: list) -> bool:
         """Can every pending terminal still be covered if all unassigned
@@ -548,9 +509,7 @@ class _Engine:
             while ci < ncs:
                 cand = cs[ci]
                 ci += 1
-                if self.states >= self.budget and not (
-                    self.refill is not None and self.refill(self)
-                ):
+                if self.states >= self.budget:
                     return ("budget", None)
                 self.states += 1
                 values[i] = cand
@@ -664,76 +623,6 @@ def _prepare(net: CodedNetwork) -> _Plan:
     return _build_plan(net)
 
 
-def _worker_main(args) -> None:
-    idx, net, k, n, p, budget, workers, subset, queue, claimed, stop_flag = args
-    plan = _build_plan(net)
-
-    def refill(engine: _Engine) -> bool:
-        """Claim the next lease of states from what is left of the shared
-        budget, so the workers together never explore more than it."""
-        if stop_flag.value:
-            return False
-        with claimed.get_lock():
-            left = budget - claimed.value
-            if left <= 0:
-                return False
-            grant = min(_LEASE, -(-left // workers))
-            claimed.value += grant
-        engine.budget += grant
-        return True
-
-    # ids are private to this process's algebra: bases cross the boundary
-    algebra = _Algebra(len(plan.messages), k, n, p)
-    first = frozenset(algebra.intern(b) for b in subset)
-    engine = _Engine(plan, algebra, 0, first_candidates=first, refill=refill)
-    status, values = engine.run()
-    with claimed.get_lock():
-        claimed.value -= engine.budget - engine.states  # hand back the unused lease
-    if status == "sat":
-        values = [algebra.basis[v] for v in values]
-        with stop_flag.get_lock():
-            stop_flag.value = 1
-    queue.put((idx, status, engine.states, values))
-
-
-def _run_parallel(
-    net: CodedNetwork, plan: _Plan, k: int, n: int, p: int, cfg: SearchConfig
-) -> tuple[str, int, list | None]:
-    """Split edge 0's candidates over worker processes; (status, states, bases)."""
-    algebra = _Algebra(len(plan.messages), k, n, p)
-    first, _ = _Engine(plan, algebra, 0)._candidates(0, [])
-    if not first:
-        return ("unsat", 0, None)
-    workers = min(cfg.worker_count, len(first))
-    subsets = [tuple(algebra.basis[c] for c in first[w::workers]) for w in range(workers)]
-    ctx = multiprocessing.get_context()
-    queue = ctx.Queue()
-    claimed = ctx.Value("q", 0)
-    stop_flag = ctx.Value("b", 0)
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(
-                (w, net, k, n, p, cfg.node_budget, workers, subsets[w], queue,
-                 claimed, stop_flag),
-            ),
-        )
-        for w in range(workers)
-    ]
-    for proc in procs:
-        proc.start()
-    results = [queue.get() for _ in procs]
-    for proc in procs:
-        proc.join()
-    states = sum(r[2] for r in results)
-    sat = sorted(r for r in results if r[1] == "sat")
-    if sat:
-        return ("sat", states, sat[0][3])
-    if any(r[1] == "budget" for r in results):
-        return ("budget", states, None)
-    return ("unsat", states, None)
-
-
 def search_scalar(
     net: CodedNetwork, p: PrimeModulus | int, cfg: SearchConfig | None = None
 ) -> SearchOutcome:
@@ -756,16 +645,12 @@ def search_fractional(
     plan = _prepare(net)
     if plan.dead_terminal:
         return SearchOutcome(UNSOLVABLE, 0)
-    if cfg.worker_count == 1:
-        algebra = _Algebra(len(plan.messages), k, n, mod.p)
-        engine = _Engine(plan, algebra, cfg.node_budget)
-        status, values = engine.run()
-        states = engine.states
-        if status == "sat":
-            values = [algebra.basis[v] for v in values]
-    else:
-        status, states, values = _run_parallel(net, plan, k, n, mod.p, cfg)
+    algebra = _Algebra(len(plan.messages), k, n, mod.p)
+    engine = _Engine(plan, algebra, cfg.node_budget)
+    status, values = engine.run()
+    states = engine.states
     if status == "sat":
+        values = [algebra.basis[v] for v in values]
         return SearchOutcome(SOLVABLE, states, _witness(plan, values, k, n, mod))
     if status == "unsat":
         return SearchOutcome(UNSOLVABLE, states)

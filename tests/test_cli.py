@@ -312,9 +312,11 @@ def test_search_fractional_flags(tmp_path, capsys):
 
 
 def test_search_bad_workers(tmp_path, capsys):
+    # search runs in one process; --workers is an unknown flag like any other
     net_path = write_net(tmp_path, gen_n1(2, 1))
-    code, _, _ = run(capsys, "search", str(net_path), "--p", "2", "--workers", "0")
+    code, _, err = run(capsys, "search", str(net_path), "--p", "2", "--workers", "2")
     assert code == 64
+    assert "unrecognized arguments" in err
 
 
 def test_search_bad_rate(tmp_path, capsys):
@@ -430,12 +432,19 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         r for r in code_doc["edge_rules"] if r["edge"] != "a1->u1"
     ]
     no_rule.write_text(json.dumps(code_doc))
+    # JSON true is a Python bool; a symbolic "q": null used to exit 70
+    k_true = tmp_path / "k_true.json"
+    k_true.write_text(json.dumps({**json.loads(code_path.read_bytes()), "k": True}))
+    q_null = tmp_path / "q_null.json"
+    q_null.write_text(json.dumps({**json.loads(save_code(solve_n1(2, 1))), "q": None}))
     net_path = write_net(tmp_path, gen_n1(2, 1))
 
     cases = [
         (("info", str(nodes_int)), "field 'nodes' must be a list"),
         (("verify", str(dangling), str(code_path)), "unknown node 'nowhere'"),
         (("verify", str(net_path), str(no_rule)), "no rule for edge 'a1->u1'"),
+        (("verify", str(net_path), str(k_true)), "must be positive integers"),
+        (("verify", str(net_path), str(q_null)), "'q' must be a positive integer"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

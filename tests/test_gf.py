@@ -50,6 +50,10 @@ def test_entries_outside_field_rejected():
         FieldMatrix(1, 1, (5,), PrimeModulus(3))
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, (0, 0, 0), PrimeModulus(2))
+    # bool is an int subclass, but True is not a field entry
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            FieldMatrix(1, 1, (flag,), PrimeModulus(2))
 
 
 # ---------------------------------------------------------------------------

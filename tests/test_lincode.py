@@ -478,6 +478,28 @@ def test_load_rejects_entry_outside_field():
         load_code(json.dumps(doc))
 
 
+def test_load_rejects_bool_or_null_where_an_int_is_expected():
+    # JSON true is a Python bool, an int subclass: it must not pass for 1;
+    # a symbolic code needs an actual q
+    field = json.loads(save_code(instantiate(solve_n1(2, 1), 2)))
+    symbolic = json.loads(save_code(solve_n1(2, 1)))
+    entry = json.loads(json.dumps(field))
+    entry["edge_rules"][0]["inputs"][0]["matrix"][0][0] = True
+    cases = [
+        {**field, "k": True},
+        {**field, "n": True},
+        {**field, "q": True},
+        {**field, "p": True},
+        entry,
+        {**symbolic, "k": True},
+        {**symbolic, "q": True},
+        {**symbolic, "q": None},
+    ]
+    for doc in cases:
+        with pytest.raises(CodeFormatError):
+            load_code(json.dumps(doc))
+
+
 def test_load_rejects_unknown_edge_against_network():
     net = gen_n1(2, 1)
     code = instantiate(solve_n1(2, 1), 2)

@@ -1,4 +1,4 @@
-"""Exhaustive canonical search: certificates, witnesses, budgets, workers."""
+"""Exhaustive canonical search: certificates, witnesses, budgets."""
 
 import hashlib
 import random
@@ -22,6 +22,7 @@ from ncchar import (
     search_scalar,
     verify,
 )
+from ncchar import solver
 from ncchar.solver import (
     INCONCLUSIVE,
     SOLVABLE,
@@ -121,24 +122,19 @@ def test_budget_yields_inconclusive():
 
 
 @pytest.mark.parametrize(
-    "budget, k, n, p, workers",
+    "budget, k, n, p",
     [
-        (50, 1, 1, 3, 1),
-        (50, 1, 1, 3, 2),
-        (50, 2, 2, 2, 4),
+        (50, 1, 1, 3),
+        (50, 2, 2, 2),
         # Fano/GF(3) is certified in 175 states, so the larger budget runs
         # at (1,2) on n1(2,2), which no budget here decides
-        (1000, 1, 2, 3, 1),
-        (1000, 1, 2, 3, 2),
-        (1000, 2, 2, 2, 4),
+        (1000, 1, 2, 3),
+        (1000, 2, 2, 2),
     ],
 )
-def test_budget_holds_for_every_worker_count(budget, k, n, p, workers):
-    # with k <= n edge 0 has one candidate, so the pool starts one worker
+def test_budget_holds(budget, k, n, p):
     net = gen_n1(2, 2) if (k, n) == (1, 2) else gen_fano()
-    out = search_fractional(
-        net, k, n, p, SearchConfig(node_budget=budget, worker_count=workers)
-    )
+    out = search_fractional(net, k, n, p, SearchConfig(node_budget=budget))
     assert out.status == INCONCLUSIVE
     assert out.states_explored <= budget
 
@@ -149,19 +145,10 @@ def test_exact_budget_accounting():
     assert out.states_explored == 1
 
 
-def test_worker_count_does_not_change_decision():
-    for net, p in ((gen_fano(), 3), (gen_nonfano(), 3)):
-        single = search_scalar(net, p, SearchConfig(worker_count=1))
-        multi = search_scalar(net, p, SearchConfig(worker_count=3))
-        assert single.status == multi.status
-        if multi.status == SOLVABLE:
-            assert verify(net, multi.code).passed
-
-
-def test_single_worker_is_fully_deterministic():
+def test_search_is_fully_deterministic():
     net = gen_nonfano()
-    a = search_scalar(net, 3, SearchConfig(worker_count=1))
-    b = search_scalar(net, 3, SearchConfig(worker_count=1))
+    a = search_scalar(net, 3, SearchConfig())
+    b = search_scalar(net, 3, SearchConfig())
     assert a.status == b.status == SOLVABLE
     assert a.states_explored == b.states_explored
     assert a.code == b.code
@@ -170,8 +157,6 @@ def test_single_worker_is_fully_deterministic():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(node_budget=0)
-    with pytest.raises(ValueError):
-        SearchConfig(worker_count=0)
 
 
 def test_budget_env_parsing(monkeypatch):
@@ -207,21 +192,32 @@ def test_fractional_1x1_unsolvable_matches_scalar():
     assert frac.states_explored == scalar.states_explored == 175
 
 
+# Decisions and witness bytes recorded when scalar search still had its own
+# vector algebra; state counts re-recorded under maximal-subspace dominance,
+# which left every decision and witness byte unchanged.
+SCALAR_REFERENCE_RUNS = [
+    (gen_fano(), 3, UNSOLVABLE, 175, None),
+    (gen_fano(), 5, UNSOLVABLE, 701, None),
+    (gen_nonfano(), 2, UNSOLVABLE, 126, None),
+    (gadget_transform(gen_fano(), 1), 3, UNSOLVABLE, 239, None),
+    (gen_fano(), 2, SOLVABLE, 67,
+     "f3ff4b121c6d16a3c20c3ffeb364168be62ca876f1c68d87133ffc3dd2446360"),
+    (gen_nonfano(), 3, SOLVABLE, 132,
+     "c7310cfccfa6217f6843c3d2c7078b91e5e2d2f1734da21db77ef1c53ea194ab"),
+]
+
+# Before maximal-subspace dominance the first two were still undecided at a
+# million states and the last two took 190,224 and 145,246.
+DOMINANCE_REACH_RUNS = [
+    (gen_n1(3, 1), 1, 1, 5, UNSOLVABLE, 13578),
+    (gen_n2(3, 1), 1, 1, 3, UNSOLVABLE, 94944),
+    (gadget_transform(gen_n1(3, 1), 1), 1, 1, 2, UNSOLVABLE, 792),
+    (gen_n1(2, 2), 1, 2, 2, SOLVABLE, 4468),
+]
+
+
 def test_scalar_search_matches_reference_runs():
-    # Decisions and witness bytes recorded when scalar search still had its
-    # own vector algebra; state counts re-recorded under maximal-subspace
-    # dominance, which left every decision and witness byte unchanged.
-    cases = [
-        (gen_fano(), 3, UNSOLVABLE, 175, None),
-        (gen_fano(), 5, UNSOLVABLE, 701, None),
-        (gen_nonfano(), 2, UNSOLVABLE, 126, None),
-        (gadget_transform(gen_fano(), 1), 3, UNSOLVABLE, 239, None),
-        (gen_fano(), 2, SOLVABLE, 67,
-         "f3ff4b121c6d16a3c20c3ffeb364168be62ca876f1c68d87133ffc3dd2446360"),
-        (gen_nonfano(), 3, SOLVABLE, 132,
-         "c7310cfccfa6217f6843c3d2c7078b91e5e2d2f1734da21db77ef1c53ea194ab"),
-    ]
-    for net, p, status, states, digest in cases:
+    for net, p, status, states, digest in SCALAR_REFERENCE_RUNS:
         out = search_scalar(net, p, SearchConfig())
         assert (out.status, out.states_explored) == (status, states), (net.name, p)
         if digest is not None:
@@ -246,32 +242,36 @@ def test_fractional_search_matches_reference_runs():
         assert got == (status, states), (net.name, k, n, p)
         if digest is not None:
             assert hashlib.sha256(save_code(out.code)).hexdigest() == digest
-    # two workers: states cross the process boundary as bases, not ids
-    pooled = [
-        (gen_fano(), 2, 1, 2, 120),
-        (gen_fano(), 2, 1, 3, 340),
-        (gen_nonfano(), 1, 1, 2, 126),
-    ]
-    for net, k, n, p, states in pooled:
-        out = search_fractional(net, k, n, p, SearchConfig(worker_count=2))
-        got = (out.status, out.states_explored)
-        assert got == (UNSOLVABLE, states), (net.name, k, n, p)
 
 
 def test_dominance_reach():
-    # Before maximal-subspace dominance the first two were still undecided
-    # at a million states and the last two took 190,224 and 145,246.
-    cases = [
-        (gen_n1(3, 1), 1, 1, 5, UNSOLVABLE, 13578),
-        (gen_n2(3, 1), 1, 1, 3, UNSOLVABLE, 94944),
-        (gadget_transform(gen_n1(3, 1), 1), 1, 1, 2, UNSOLVABLE, 792),
-        (gen_n1(2, 2), 1, 2, 2, SOLVABLE, 4468),
-    ]
-    for net, k, n, p, status, states in cases:
+    for net, k, n, p, status, states in DOMINANCE_REACH_RUNS:
         out = search_fractional(net, k, n, p, SearchConfig())
         assert (out.status, out.states_explored) == (status, states), (net.name, k, n, p)
         if status == SOLVABLE:
             assert verify(net, out.code).passed
+
+
+def test_memo_cap_changes_no_decision(monkeypatch):
+    # Past _MEMO_CAP entries the failed-state memo stops growing; at 0 it
+    # stops after its first entry.  The memo only skips subtrees already
+    # seen to fail, so every decision and the first witness found must stay
+    # the same, at no fewer states.
+    monkeypatch.setattr(solver, "_MEMO_CAP", 0)
+    runs = [(net, 1, 1, *rest) for net, *rest in SCALAR_REFERENCE_RUNS]
+    runs += [(*run, None) for run in DOMINANCE_REACH_RUNS]
+    grew = []
+    for net, k, n, p, status, states, digest in runs:
+        out = search_fractional(net, k, n, p, SearchConfig())
+        assert out.status == status, (net.name, k, n, p)
+        assert out.states_explored >= states, (net.name, k, n, p)
+        if status == SOLVABLE:
+            assert verify(net, out.code).passed
+        if digest is not None:
+            assert hashlib.sha256(save_code(out.code)).hexdigest() == digest
+        grew.append(out.states_explored > states)
+    # the valve was reached: without the memo some search does more work
+    assert any(grew)
 
 
 def test_fractional_trivial_network():
