@@ -139,6 +139,21 @@ def test_budget_holds(budget, k, n, p):
     assert out.states_explored <= budget
 
 
+@pytest.mark.parametrize(
+    "budget, k, n, p",
+    [(50, 1, 1, 3), (1000, 1, 2, 3)],
+)
+def test_budget_holds_on_repeated_search(budget, k, n, p):
+    # every search runs in the calling process, so a second search must
+    # start from a fresh budget and nothing left over from the first
+    net = gen_n1(2, 2) if (k, n) == (1, 2) else gen_fano()
+    cfg = SearchConfig(node_budget=budget)
+    first = search_fractional(net, k, n, p, cfg)
+    second = search_fractional(net, k, n, p, cfg)
+    assert first.status == second.status == INCONCLUSIVE
+    assert first.states_explored == second.states_explored <= budget
+
+
 def test_exact_budget_accounting():
     out = search_scalar(gen_fano(), 3, SearchConfig(node_budget=1))
     assert out.status == INCONCLUSIVE
