@@ -19,6 +19,7 @@ from ncchar import (
 from ncchar import cli
 from ncchar.cli import main
 from ncchar.gf import rank
+from util_oracles import off_unicast
 
 
 def run(capsys, *argv):
@@ -369,6 +370,18 @@ def test_gadget_application_count_scales(tmp_path, capsys):
     assert code == 0
     assert "applications: 2" in err
     assert load(out.encode()) == load(out_path.read_bytes())
+
+
+def test_gadget_preconditions_exit_64(tmp_path, capsys):
+    cases = [
+        (off_unicast(2, "x"), "message 'x' generated by 2 sources"),
+        (off_unicast(1, "y"), "message 'x' is demanded by no terminal"),
+    ]
+    for net, message in cases:
+        net_path = write_net(tmp_path, net)
+        code, out, err = run(capsys, "gadget", str(net_path), "--n", "1")
+        assert code == 64
+        assert err == message + "\n" and out == ""
 
 
 def test_union_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ from ncchar import (
     validate,
 )
 from ncchar.constructions import bmsg, edge_id
+from util_oracles import off_unicast
 
 
 def demand_counts(net):
@@ -185,6 +186,24 @@ def test_gadget_leaves_unicast_networks_alone():
     again, apps = gadget_transform_traced(uni, 1)
     assert apps == []
     assert again == uni
+
+
+@pytest.mark.parametrize(
+    "generators, demanded, message",
+    [
+        (2, "x", "message 'x' generated by 2 sources"),
+        (1, "y", "message 'x' is demanded by no terminal"),
+        # both faults on one message: the source count is reported first
+        (2, "y", "message 'x' generated by 2 sources"),
+    ],
+)
+def test_gadget_rejects_networks_it_cannot_rewrite(generators, demanded, message):
+    net = off_unicast(generators, demanded)
+    assert validate(net).ok
+    for transform in (gadget_transform, gadget_transform_traced):
+        with pytest.raises(ValueError) as info:
+            transform(net, 1)
+        assert str(info.value) == message
 
 
 def test_gadget_single_application_deltas():

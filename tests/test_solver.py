@@ -37,6 +37,7 @@ from util_oracles import (
     brute_force_scalar,
     fractional_slots,
     random_network,
+    rank_mod_p,
 )
 
 
@@ -81,6 +82,40 @@ def test_decodable_accepts_message_names():
 def test_decodable_scaling_is_free():
     # 2*(b) over GF(3) still decodes b
     assert decodable([(0, 2)], 1, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_decoding_tests_agree_with_rank_oracle(p, k):
+    """``_Algebra.demand_in`` and ``decodable`` against ``rank_mod_p``,
+    which shares no elimination code with the library: unit vectors lie
+    in a span iff adding them leaves its rank unchanged."""
+    rng = random.Random(100 * p + k)
+    m = 3
+    width = m * k
+    alg = _Algebra(m, k, width, p)
+    units = [[1 if c == i else 0 for c in range(width)] for i in range(width)]
+
+    def in_span(rows, extra):
+        return rank_mod_p(rows + extra, p) == rank_mod_p(rows, p)
+
+    partial = 0
+    for _ in range(300):
+        # sparse rows, so that a span often holds some unit vectors only
+        rows = [
+            [rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(width)]
+            for _ in range(rng.randint(0, width))
+        ]
+        sid = alg.intern(_echelon([tuple(r) for r in rows], p))
+        for t in range(m):
+            block = units[t * k : (t + 1) * k]
+            assert alg.demand_in(sid, t) == in_span(rows, block), (rows, t)
+            hits = sum(in_span(rows, [u]) for u in block)
+            partial += 0 < hits < k
+        for c in range(width):
+            assert decodable(rows, c, p) == in_span(rows, [units[c]]), (rows, c)
+    # with k = 2, blocks only half inside the span must have come up
+    assert partial > 0 or k == 1
 
 
 # ---------------------------------------------------------------------------

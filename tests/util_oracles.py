@@ -138,6 +138,18 @@ def random_network(
             return net
 
 
+def off_unicast(generators, demanded):
+    """Messages x and y; x comes from ``generators`` sources and y from one,
+    and one terminal demands ``demanded``."""
+    sources = tuple(NetNode(f"s{i}", "source", generates="x") for i in range(generators))
+    nodes = sources + (
+        NetNode("sy", "source", generates="y"),
+        NetNode("t", "terminal", demands=demanded),
+    )
+    edges = tuple(NetEdge(f"{n.id}->t", n.id, "t") for n in nodes[:-1])
+    return CodedNetwork("off", ("x", "y"), nodes, edges)
+
+
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank over GF(p) by forward elimination with Fermat inverses."""
     rows = [[x % p for x in r] for r in rows]
