@@ -49,10 +49,10 @@ from .network import (
 )
 from .solutions import lift_gadget, lift_union, solve_n1, solve_n2
 from .solver import (
+    DEFAULT_BUDGET,
     SOLVABLE,
     UNSOLVABLE,
     SearchConfig,
-    budget_from_env,
     search_fractional,
 )
 
@@ -292,18 +292,11 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     net = _read_network(args.network)
     mod = _prime(args.p)
-    if args.budget is not None:
-        budget = args.budget
-        if budget < 1:
-            raise _CliError(EXIT_USAGE, "--budget must be positive")
-    else:
-        try:
-            budget = budget_from_env()
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from exc
+    if args.budget < 1:
+        raise _CliError(EXIT_USAGE, "--budget must be positive")
     try:
         outcome = search_fractional(
-            net, args.k, args.n, mod, SearchConfig(node_budget=budget)
+            net, args.k, args.n, mod, SearchConfig(node_budget=args.budget)
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
@@ -445,7 +438,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
-from .lincode import CodeInput, FractionalCode
+from .lincode import SRC_PREFIX, CodeInput, FractionalCode
 from .network import CodedNetwork, topological_order, validate
 
 SOLVABLE = "solvable"
@@ -70,20 +69,6 @@ class SearchOutcome:
     code: FractionalCode | None = None
 
 
-def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
-    """Search budget, overridable through the NCCHAR_BUDGET variable."""
-    raw = os.environ.get("NCCHAR_BUDGET")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NCCHAR_BUDGET must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("NCCHAR_BUDGET must be positive")
-    return value
-
-
 # -- tuple-based subspace helpers (hot path, kept free of FieldMatrix) --------
 
 
@@ -91,23 +76,6 @@ def _echelon(rows: Sequence[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], 
     """The reduced-echelon basis of the row span, as a hashable key."""
     mat, pivots = _rref(list(rows), p)
     return tuple(tuple(row) for row in mat[: len(pivots)])
-
-
-def _pivot(row: tuple[int, ...]) -> int:
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return -1
-
-
-def _in_span(basis: tuple[tuple[int, ...], ...], v: tuple[int, ...], p: int) -> bool:
-    res = list(v)
-    for row in basis:
-        piv = _pivot(row)
-        f = res[piv]
-        if f:
-            res = [(x - f * y) % p for x, y in zip(res, row)]
-    return not any(res)
 
 
 def _subspaces(
@@ -152,7 +120,8 @@ def decodable(
     p: PrimeModulus | int,
     messages: Sequence[str] | None = None,
 ) -> bool:
-    """True iff the demand's unit vector lies in the row span of vectors.
+    """True iff the demand's unit vector lies in the row span of vectors,
+    that is, is a row of its reduced-echelon basis (``_Algebra.demand_in``).
 
     ``demand`` is a coordinate index, or a message id resolved against
     ``messages`` (the coordinate order of the vectors).
@@ -174,7 +143,7 @@ def decodable(
     if not (0 <= demand < width):
         raise ValueError("demand index out of range")
     unit = tuple(1 if i == demand else 0 for i in range(width))
-    return _in_span(_echelon(vecs, mod.p), unit, mod.p)
+    return unit in _echelon(vecs, mod.p)
 
 
 # -- search planning ----------------------------------------------------------
@@ -185,7 +154,6 @@ class _EdgeInfo:
     edge_id: str
     parents: tuple[int, ...]
     src_msg_index: int | None
-    src_msg: str | None
     forced_demand: int | None
 
 
@@ -197,7 +165,6 @@ class _Plan:
     frontier_after: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...], ...]
     live_at: tuple[tuple[int, ...], ...]
     terminals: tuple[tuple[str, int, tuple[int, ...]], ...]
-    dead_terminal: bool
 
 
 def _edge_order(net: CodedNetwork) -> list:
@@ -253,28 +220,23 @@ def _build_plan(net: CodedNetwork) -> _Plan:
         head = node_map[e.head]
         parents: tuple[int, ...] = ()
         src_idx = None
-        src_msg = None
         if tail.role == "source":
-            src_msg = tail.generates
-            src_idx = msg_index[src_msg]
+            src_idx = msg_index[tail.generates]
         else:
             parents = tuple(sorted(pos[pe.id] for pe in in_edges[e.tail]))
         forced = None
         if head.role == "terminal" and len(in_edges[e.head]) == 1:
             forced = msg_index[head.demands]
-        infos.append(_EdgeInfo(e.id, parents, src_idx, src_msg, forced))
+        infos.append(_EdgeInfo(e.id, parents, src_idx, forced))
 
     checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
     terminals: list[tuple[str, int, tuple[int, ...]]] = []
-    dead = False
     for term in net.terminals():
         positions = tuple(sorted(pos[e.id] for e in in_edges[term.id]))
         didx = msg_index[term.demands]
         terminals.append((term.id, didx, positions))
-        if not positions:
-            dead = True
-            continue
-        checks[max(positions)].append((didx, positions))
+        if positions:
+            checks[max(positions)].append((didx, positions))
 
     last_use = list(range(len(order)))
     for i, info in enumerate(infos):
@@ -320,7 +282,6 @@ def _build_plan(net: CodedNetwork) -> _Plan:
         tuple(frontier),
         tuple(live),
         tuple(sorted(terminals)),
-        dead,
     )
 
 
@@ -402,12 +363,19 @@ class _Algebra:
         return ()
 
     def demand_in(self, sid: int, demand_idx: int) -> bool:
+        """Whether span ``sid`` holds the demand's unit block; cached.
+
+        A unit vector lies in a span exactly when it is a row of the
+        span's reduced-echelon basis: its coefficient on each basis row is
+        its entry in that row's pivot column, which is zero in every other
+        row, so it equals the row whose pivot it holds (or zero).
+        """
         key = (sid, demand_idx)
         ok = self._decode_cache.get(key)
         if ok is None:
             basis = self.basis[sid]
             ok = self._decode_cache[key] = all(
-                _in_span(basis, u, self.p) for u in self.unit_rows[demand_idx]
+                u in basis for u in self.unit_rows[demand_idx]
             )
         return ok
 
@@ -588,7 +556,7 @@ def _witness(
             block = [[rows[r][t * k + j] for j in range(k)] for r in range(n)]
             mat = FieldMatrix.from_rows(block, mod)
             er[info.edge_id] = (
-                (CodeInput(f"src:{info.src_msg}", mat),) if not mat.is_zero else ()
+                () if mat.is_zero else (CodeInput(SRC_PREFIX + plan.messages[t], mat),)
             )
         elif not info.parents:
             er[info.edge_id] = ()
@@ -643,8 +611,8 @@ def search_fractional(
     cfg = cfg or SearchConfig()
     mod = as_modulus(p)
     plan = _prepare(net)
-    if plan.dead_terminal:
-        return SearchOutcome(UNSOLVABLE, 0)
+    if any(not positions for _, _, positions in plan.terminals):
+        return SearchOutcome(UNSOLVABLE, 0)  # a terminal with no in-edge
     algebra = _Algebra(len(plan.messages), k, n, mod.p)
     engine = _Engine(plan, algebra, cfg.node_budget)
     status, values = engine.run()

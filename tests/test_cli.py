@@ -289,16 +289,6 @@ def test_search_budget_inconclusive(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "inconclusive"
 
 
-def test_search_budget_env_fallback(tmp_path, capsys, monkeypatch):
-    net_path = write_net(tmp_path, gen_n1(2, 1))
-    monkeypatch.setenv("NCCHAR_BUDGET", "10")
-    code, out, _ = run(capsys, "search", "--json", str(net_path), "--p", "3")
-    assert code == 3
-    # explicit flag wins over the environment
-    code, _, _ = run(capsys, "search", str(net_path), "--p", "3", "--budget", "100000")
-    assert code == 2
-
-
 def test_search_fractional_flags(tmp_path, capsys):
     net_path = write_net(tmp_path, gen_n1(2, 2))
     out = tmp_path / "w.json"

@@ -30,7 +30,6 @@ from ncchar.solver import (
     _Algebra,
     _Engine,
     _echelon,
-    budget_from_env,
 )
 from util_oracles import (
     brute_force_fractional,
@@ -207,18 +206,6 @@ def test_search_is_fully_deterministic():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(node_budget=0)
-
-
-def test_budget_env_parsing(monkeypatch):
-    monkeypatch.delenv("NCCHAR_BUDGET", raising=False)
-    assert budget_from_env() == 10**9
-    assert budget_from_env(default=7) == 7
-    monkeypatch.setenv("NCCHAR_BUDGET", "12345")
-    assert budget_from_env() == 12345
-    for bad in ("junk", "0", "-3"):
-        monkeypatch.setenv("NCCHAR_BUDGET", bad)
-        with pytest.raises(ValueError):
-            budget_from_env()
 
 
 # ---------------------------------------------------------------------------
