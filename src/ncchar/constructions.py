@@ -293,18 +293,12 @@ def gadget_transform_traced(
     report = validate(net)
     if not report.ok:
         raise ValueError(f"network is invalid: {report.violations[0].detail}")
-    gen_count: dict[str, int] = {m: 0 for m in net.messages}
-    dem_count: dict[str, int] = {m: 0 for m in net.messages}
-    for node in net.nodes:
-        if node.role == ROLE_SOURCE and node.generates in gen_count:
-            gen_count[node.generates] += 1
-        if node.role == ROLE_TERMINAL and node.demands in dem_count:
-            dem_count[node.demands] += 1
-    for m in net.messages:
-        if gen_count[m] != 1:
-            raise ValueError(f"message {m!r} generated by {gen_count[m]} sources")
-        if dem_count[m] < 1:
-            raise ValueError(f"message {m!r} is demanded by no terminal")
+    # repeated demands are what the gadget removes; anything else is fatal
+    for v in is_multiple_unicast(net).violations:
+        if v.kind == "generated":
+            raise ValueError(f"message {v.message!r} generated by {v.count} sources")
+        if v.count == 0:
+            raise ValueError(f"message {v.message!r} is demanded by no terminal")
 
     if _duplicated_demand(net.nodes) is None:
         return net, []

@@ -198,14 +198,6 @@ class FieldMatrix:
                 flat[base + j] = s % p
         return FieldMatrix._trusted(n, k, tuple(flat), self.modulus)
 
-    def transpose(self) -> "FieldMatrix":
-        flat = tuple(
-            self.entries[r * self.cols + c]
-            for c in range(self.cols)
-            for r in range(self.rows)
-        )
-        return FieldMatrix._trusted(self.cols, self.rows, flat, self.modulus)
-
 
 # -- elimination core -----------------------------------------------------
 

@@ -35,7 +35,13 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, as_modulus
-from .network import CodedNetwork, _json_array, _json_object, topological_order
+from .network import (
+    CodedNetwork,
+    _json_array,
+    _json_object,
+    _read_object,
+    topological_order,
+)
 
 SRC_PREFIX = "src:"
 
@@ -279,25 +285,14 @@ def _combine(
     return TransferBlocks(nonzero, messages, zero)
 
 
-def eval_transfer(
-    net: CodedNetwork,
-    code: FractionalCode,
-    node_order: Sequence[str] | None = None,
-) -> TransferMap:
+def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
     """Global transfer blocks: for each edge, an n x k matrix per message.
 
     Each edge's ``TransferBlocks`` stores only its nonzero blocks, built
     from the stored blocks of its parent edges and its ``src:`` input;
-    any other message of the network reads as the zero n x k block.  The
-    result is a function of the rules alone, so any valid topological
-    node order yields the same map.
+    any other message of the network reads as the zero n x k block.
     """
     node_by_id = net.node_map()
-    if node_order is None:
-        node_order = topological_order(net)
-    else:
-        if sorted(node_order) != sorted(node_by_id):
-            raise CodeError("node_order must be a permutation of the nodes")
     in_edge_ids: dict[str, set[str]] = {nid: set() for nid in node_by_id}
     for e in net.edges:
         in_edge_ids[e.head].add(e.id)
@@ -311,7 +306,7 @@ def eval_transfer(
     for e in net.edges:
         edges_from[e.tail].append(e)
 
-    for nid in node_order:
+    for nid in topological_order(net):
         node = node_by_id[nid]
         for e in edges_from[nid]:
             if e.id not in code.edge_rules:
@@ -476,19 +471,7 @@ def load_code(
     data: bytes | str, net: CodedNetwork | None = None
 ) -> FractionalCode | SymbolicCode:
     """Parse a code document; pass the network to cross-check references."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodeFormatError(f"byte {exc.start}: not UTF-8") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CodeFormatError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise CodeFormatError("top level must be an object")
+    doc = _read_object(data, CodeFormatError)
     for field_name in ("k", "n", "edge_rules", "decode_rules"):
         if field_name not in doc:
             raise CodeFormatError(f"missing field {field_name!r}")

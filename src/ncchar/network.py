@@ -124,21 +124,16 @@ def validate(net: CodedNetwork) -> ValidationReport:
     """Structural checks; violations are returned as data, never raised."""
     out: list[Violation] = []
 
-    seen_nodes: set[str] = set()
-    for n in net.nodes:
-        if n.id in seen_nodes:
-            out.append(Violation("duplicate-id", f"node {n.id!r} declared twice"))
-        seen_nodes.add(n.id)
-    seen_edges: set[str] = set()
-    for e in net.edges:
-        if e.id in seen_edges:
-            out.append(Violation("duplicate-id", f"edge {e.id!r} declared twice"))
-        seen_edges.add(e.id)
-    seen_msgs: set[str] = set()
-    for m in net.messages:
-        if m in seen_msgs:
-            out.append(Violation("duplicate-id", f"message {m!r} declared twice"))
-        seen_msgs.add(m)
+    for kind, ids in (
+        ("node", [n.id for n in net.nodes]),
+        ("edge", [e.id for e in net.edges]),
+        ("message", net.messages),
+    ):
+        seen: set[str] = set()
+        for i in ids:
+            if i in seen:
+                out.append(Violation("duplicate-id", f"{kind} {i!r} declared twice"))
+            seen.add(i)
     pairs: set[tuple[str, str]] = set()
     for e in net.edges:
         if (e.tail, e.head) in pairs:
@@ -187,9 +182,10 @@ def validate(net: CodedNetwork) -> ValidationReport:
                 Violation("nonterminal-demands", f"node {n.id!r} demands a message")
             )
 
+    node_by_id = net.node_map()
     for e in net.edges:
         for end, label in ((e.tail, "tail"), (e.head, "head")):
-            if end not in seen_nodes:
+            if end not in node_by_id:
                 out.append(
                     Violation(
                         "dangling-node-ref",
@@ -197,7 +193,6 @@ def validate(net: CodedNetwork) -> ValidationReport:
                     )
                 )
 
-    node_by_id = net.node_map()
     for e in net.edges:
         head = node_by_id.get(e.head)
         tail = node_by_id.get(e.tail)
@@ -315,20 +310,26 @@ def _req(doc: Mapping, key: str, where: str) -> object:
     return doc[key]
 
 
-def load(data: bytes | str) -> CodedNetwork:
+def _read_object(data: bytes | str, error_cls: type[ValueError]) -> dict:
+    """The JSON object in ``data`` (UTF-8 if bytes); raises ``error_cls``
+    for undecodable bytes, malformed JSON or a top level that is not an
+    object."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise NetworkFormatError(f"byte {exc.start}: not UTF-8") from exc
+            raise error_cls(f"byte {exc.start}: not UTF-8") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
-        raise NetworkFormatError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise error_cls(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise NetworkFormatError("top level must be an object")
+        raise error_cls("top level must be an object")
+    return doc
+
+
+def load(data: bytes | str) -> CodedNetwork:
+    doc = _read_object(data, NetworkFormatError)
     name = _req(doc, "name", "network")
     messages = _req(doc, "messages", "network")
     raw_nodes = _req(doc, "nodes", "network")

@@ -19,7 +19,7 @@ out with differences.
 from __future__ import annotations
 
 from .constructions import _check_params, bmsg, gadget_transform_traced
-from .lincode import SymInput, SymMatrix, SymbolicCode
+from .lincode import SRC_PREFIX, SymInput, SymMatrix, SymbolicCode
 from .network import CodedNetwork
 
 Rules = dict[str, tuple[SymInput, ...]]
@@ -35,7 +35,7 @@ def solve_n1(q: int, n: int) -> SymbolicCode:
 
     def src_edge(msg: str, head: str, slot: int) -> None:
         er[f"{msg}->{head}"] = (
-            SymInput(f"src:{msg}", SymMatrix.unit_column(n, slot)),
+            SymInput(SRC_PREFIX + msg, SymMatrix.unit_column(n, slot)),
         )
 
     a = [f"a{i}" for i in range(1, n + 1)]
@@ -138,7 +138,7 @@ def solve_n2(q: int, n: int) -> SymbolicCode:
 
     def src_edge(msg: str, head: str, slot: int) -> None:
         er[f"{msg}->{head}"] = (
-            SymInput(f"src:{msg}", SymMatrix.unit_column(n, slot)),
+            SymInput(SRC_PREFIX + msg, SymMatrix.unit_column(n, slot)),
         )
 
     a = [f"a{j}" for j in range(1, n + 1)]
@@ -206,20 +206,15 @@ def solve_n2(q: int, n: int) -> SymbolicCode:
 # -- lifting to unions ---------------------------------------------------------
 
 
-def _embed_column(col: SymMatrix, k: int, copy: int) -> SymMatrix:
-    """Place an n x 1 source column into column copy-1 of an n x k matrix."""
-    flat = [(0, False)] * (col.rows * k)
-    for r in range(col.rows):
-        flat[r * k + (copy - 1)] = col.entries[r]
-    return SymMatrix(col.rows, k, tuple(flat))
-
-
-def _embed_row(row: SymMatrix, k: int, copy: int) -> SymMatrix:
-    """Place a 1 x n decode row into row copy-1 of a k x n matrix."""
-    flat = [(0, False)] * (k * row.cols)
-    for c in range(row.cols):
-        flat[(copy - 1) * row.cols + c] = row.entries[c]
-    return SymMatrix(k, row.cols, tuple(flat))
+def _place(block: SymMatrix, rows: int, cols: int, top: int, left: int) -> SymMatrix:
+    """A rows x cols zero matrix holding ``block`` from row ``top``,
+    column ``left``."""
+    flat = [(0, False)] * (rows * cols)
+    w = block.cols
+    for r in range(block.rows):
+        start = (top + r) * cols + left
+        flat[start : start + w] = block.entries[r * w : (r + 1) * w]
+    return SymMatrix(rows, cols, tuple(flat))
 
 
 def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
@@ -237,10 +232,10 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
         for eid, inputs in sym.edge_rules.items():
             lifted = []
             for inp in inputs:
-                if inp.ref.startswith("src:"):
-                    lifted.append(
-                        SymInput(inp.ref, _embed_column(inp.matrix, copies, c))
-                    )
+                if inp.ref.startswith(SRC_PREFIX):
+                    # an n x 1 source column becomes column c of n x k
+                    block = _place(inp.matrix, inp.matrix.rows, copies, 0, c - 1)
+                    lifted.append(SymInput(inp.ref, block))
                 else:
                     lifted.append(SymInput(f"{inp.ref}#{c}", inp.matrix))
             er[f"{eid}#{c}"] = tuple(lifted)
@@ -248,25 +243,14 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
         rows = []
         for c in range(1, copies + 1):
             for inp in inputs:
-                rows.append(
-                    SymInput(f"{inp.ref}#{c}", _embed_row(inp.matrix, copies, c))
-                )
+                # a 1 x n decode row becomes row c of k x n
+                block = _place(inp.matrix, copies, inp.matrix.cols, c - 1, 0)
+                rows.append(SymInput(f"{inp.ref}#{c}", block))
         dr[tid] = tuple(rows)
     return SymbolicCode(copies, sym.n, sym.q, er, dr)
 
 
 # -- lifting across the gadget -------------------------------------------------
-
-
-def _first_row_embed(row_inputs: tuple[SymInput, ...], n: int) -> list[SymInput]:
-    """Turn a scalar decode rule into edge inputs writing slot 1 of a block."""
-    out = []
-    for inp in row_inputs:
-        flat = [(0, False)] * (n * n)
-        for c in range(n):
-            flat[c] = inp.matrix.entries[c]
-        out.append(SymInput(inp.ref, SymMatrix(n, n, tuple(flat))))
-    return out
 
 
 def lift_gadget(
@@ -295,18 +279,23 @@ def lift_gadget(
         x1, x2, x3, x4, x5 = app.x_nodes
         rule_n1 = dr.pop(app.n1)
         rule_n2 = dr.pop(app.n2)
-        # demoted terminals forward the decoded demand in slot 1
-        er[f"{app.n1}->{x2}"] = tuple(_first_row_embed(rule_n1, n))
-        er[f"{app.n2}->{x5}"] = tuple(_first_row_embed(rule_n2, n))
+        # demoted terminals forward the decoded demand in slot 1: each
+        # 1 x n decode row becomes the first row of an n x n edge input
+        er[f"{app.n1}->{x2}"] = tuple(
+            SymInput(inp.ref, _place(inp.matrix, n, n, 0, 0)) for inp in rule_n1
+        )
+        er[f"{app.n2}->{x5}"] = tuple(
+            SymInput(inp.ref, _place(inp.matrix, n, n, 0, 0)) for inp in rule_n2
+        )
         er[f"{x1}->{x2}"] = (
-            SymInput(f"src:{app.z_message}", SymMatrix.unit_column(n, 1)),
+            SymInput(SRC_PREFIX + app.z_message, SymMatrix.unit_column(n, 1)),
         )
         er[f"{x1}->{x4}"] = (
-            SymInput(f"src:{app.z_message}", SymMatrix.unit_column(n, 1)),
+            SymInput(SRC_PREFIX + app.z_message, SymMatrix.unit_column(n, 1)),
         )
         for slot, (sid, ym) in enumerate(zip(app.s_nodes, app.y_messages), start=2):
             er[f"{sid}->{x2}"] = (
-                SymInput(f"src:{ym}", SymMatrix.unit_column(n, slot)),
+                SymInput(SRC_PREFIX + ym, SymMatrix.unit_column(n, slot)),
             )
         # bottleneck: [b+z, y_1, ..., y_{n-1}]
         bottleneck_inputs = [SymInput(f"{app.n1}->{x2}", ident), SymInput(f"{x1}->{x2}", ident)]

@@ -165,37 +165,6 @@ def test_eval_rejects_missing_rule():
         eval_transfer(net, code)
 
 
-def test_eval_is_order_independent():
-    net = gen_n1(2, 1)
-    code = instantiate(solve_n1(2, 1), 2)
-    baseline = eval_transfer(net, code)
-    # any topological order must give the same map; use a reversed tie-break
-    from ncchar.network import topological_order
-
-    order = topological_order(net)
-    pos = {nid: i for i, nid in enumerate(order)}
-    alt = sorted(
-        order,
-        key=lambda nid: (
-            max((pos[e.tail] for e in net.in_edges(nid)), default=-1),
-            nid,
-        ),
-    )
-    # stable resort by longest-parent keeps validity but changes tie order
-    fixed = []
-    placed = set()
-    for nid in alt:
-        if all(e.tail in placed for e in net.in_edges(nid)):
-            fixed.append(nid)
-            placed.add(nid)
-        else:
-            fixed = None
-            break
-    if fixed is None:
-        fixed = order
-    assert eval_transfer(net, code, node_order=fixed) == baseline
-
-
 def test_eval_unreachable_messages_have_zero_blocks():
     net = gen_n1(2, 2)
     code = instantiate(solve_n1(2, 2), 2)
