@@ -143,39 +143,36 @@ def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]
 
     Understands n1(q=..,n=..), n2(q=..,n=..) and the union(...,k=..) /
     gadget(...,n=..) wrappers those transforms stamp on their results.
+    Wrappers are peeled in a loop, not by recursion, then applied inside out.
     Returns (network, symbolic code, base family).
     """
-    m = _FAMILY_RE.match(name)
-    if m:
-        fam, q, n = m.group(1), int(m.group(2)), int(m.group(3))
+    wrappers: list[tuple[str, int, str]] = []  # (prefix, argument, full name)
+    while not _FAMILY_RE.match(name):
+        for prefix, param in (("union(", ",k="), ("gadget(", ",n=")):
+            if name.startswith(prefix) and name.endswith(")"):
+                base_name, sep, arg = name[len(prefix) : -1].rpartition(param)
+                if sep and arg.isdecimal():
+                    wrappers.append((prefix, int(arg), name))
+                    name = base_name
+                    break
+        else:
+            raise _CliError(EXIT_USAGE, f"unrecognized construction name: {name!r}")
+    fam, q, n = _FAMILY_RE.match(name).groups()
+    gen, solve = (gen_n1, solve_n1) if fam == "1" else (gen_n2, solve_n2)
+    try:
+        net, sym = gen(int(q), int(n)), solve(int(q), int(n))
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, f"bad construction name {name!r}: {exc}") from exc
+    for prefix, value, wrapped in reversed(wrappers):
         try:
-            if fam == "1":
-                return gen_n1(q, n), solve_n1(q, n), "n1"
-            return gen_n2(q, n), solve_n2(q, n), "n2"
+            if prefix == "union(":
+                net, sym = union_copies(net, value), lift_union(sym, value)
+            else:
+                gadget = gadget_transform(net, value)
+                net, sym = gadget, lift_gadget(sym, net, gadget)
         except ValueError as exc:
-            raise _CliError(EXIT_USAGE, f"bad construction name {name!r}: {exc}") from exc
-    for prefix, param in (("union(", ",k="), ("gadget(", ",n=")):
-        if name.startswith(prefix) and name.endswith(")"):
-            inner = name[len(prefix) : -1]
-            base_name, sep, arg = inner.rpartition(param)
-            if not sep or not arg.isdigit():
-                break
-            value = int(arg)
-            base_net, base_sym, fam = _construction_from_name(base_name)
-            try:
-                if prefix == "union(":
-                    return (
-                        union_copies(base_net, value),
-                        lift_union(base_sym, value),
-                        fam,
-                    )
-                net = gadget_transform(base_net, value)
-                return net, lift_gadget(base_sym, base_net, net), fam
-            except ValueError as exc:
-                raise _CliError(
-                    EXIT_USAGE, f"cannot solve {name!r}: {exc}"
-                ) from exc
-    raise _CliError(EXIT_USAGE, f"unrecognized construction name: {name!r}")
+            raise _CliError(EXIT_USAGE, f"cannot solve {wrapped!r}: {exc}") from exc
+    return net, sym, "n" + fam
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -146,6 +146,23 @@ def test_solve_unknown_family_name(tmp_path, capsys):
     assert code == 64
 
 
+def test_solve_malformed_construction_names_exit_64(tmp_path, capsys):
+    net = gen_n1(2, 1)
+    depth = 3000  # used to overflow the stack: exit 70, RecursionError
+    cases = [
+        ("union(" * depth + net.name + ",k=1)" * depth, "does not match"),
+        # a superscript two passes str.isdigit but not int()
+        ("union(n1(q=2,n=1),k=\u00b2)", "unrecognized construction name"),
+    ]
+    for name, message in cases:
+        renamed = type(net)(name, net.messages, net.nodes, net.edges)
+        net_path = write_net(tmp_path, renamed)
+        code, out, err = run(capsys, "solve", str(net_path), "--p", "2")
+        assert code == 64
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and out == ""
+
+
 def test_solve_tampered_network_rejected(tmp_path, capsys):
     # name says n1(q=2,n=1) but an edge was removed
     net = gen_n1(2, 1)
