@@ -147,7 +147,7 @@ def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]
     Returns (network, symbolic code, base family).
     """
     wrappers: list[tuple[str, int, str]] = []  # (prefix, argument, full name)
-    while not _FAMILY_RE.match(name):
+    while (m := _FAMILY_RE.match(name)) is None:
         for prefix, param in (("union(", ",k="), ("gadget(", ",n=")):
             if name.startswith(prefix) and name.endswith(")"):
                 base_name, sep, arg = name[len(prefix) : -1].rpartition(param)
@@ -157,7 +157,7 @@ def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]
                     break
         else:
             raise _CliError(EXIT_USAGE, f"unrecognized construction name: {name!r}")
-    fam, q, n = _FAMILY_RE.match(name).groups()
+    fam, q, n = m.groups()
     gen, solve = (gen_n1, solve_n1) if fam == "1" else (gen_n2, solve_n2)
     try:
         net, sym = gen(int(q), int(n)), solve(int(q), int(n))
