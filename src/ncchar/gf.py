@@ -76,8 +76,10 @@ class FieldMatrix:
             )
         p = self.modulus.p
         for x in self.entries:
-            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < p):
-                raise ValueError(f"entry {x!r} is not a residue in [0, {p})")
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"entry {x!r} not an int")
+            if not 0 <= x < p:
+                raise ValueError(f"entry {x} outside [0, {p})")
 
     # -- construction helpers -------------------------------------------
 

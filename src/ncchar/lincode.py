@@ -66,19 +66,45 @@ class CodeInput:
     matrix: FieldMatrix
 
 
-def _normalize_rules(code: object, attr: str) -> None:
-    """Store each rule's inputs sorted by ref.  Inputs are summed during
-    evaluation, so the order carries no meaning; fixing it makes equality
-    and serialization agree."""
-    rules = getattr(code, attr)
-    object.__setattr__(
-        code,
-        attr,
-        {
+def _check_rules(
+    code: FractionalCode | SymbolicCode, modulus: PrimeModulus | None
+) -> None:
+    """The rule check both code kinds run on construction.
+
+    Each rule's inputs are stored sorted by ref: inputs are summed during
+    evaluation, so the order carries no meaning, and fixing it makes
+    equality and serialization agree.  An edge reads an n x k matrix from
+    ``src:<message>`` and an n x n one from a parent edge; a decode rule
+    reads a k x n matrix from an in-edge and never reads ``src:``.  A
+    field code (``modulus`` given) uses that one modulus throughout.
+    """
+    k, n = code.k, code.n
+    if k < 1 or n < 1:
+        raise CodeError("k and n must be positive")
+    for attr, decode in (("edge_rules", False), ("decode_rules", True)):
+        rules = {
             key: tuple(sorted(inputs, key=lambda inp: inp.ref))
-            for key, inputs in rules.items()
-        },
-    )
+            for key, inputs in getattr(code, attr).items()
+        }
+        object.__setattr__(code, attr, rules)
+        for key, inputs in rules.items():
+            for inp in inputs:
+                m = inp.matrix
+                src = inp.ref.startswith(SRC_PREFIX)
+                rows, cols = (k, n) if decode else (n, k if src else n)
+                if decode and src:
+                    fault = f" may not read source messages directly ({inp.ref!r})"
+                elif m.rows != rows or m.cols != cols:
+                    fault = (
+                        f": input {inp.ref!r} must be {rows}x{cols}, "
+                        f"got {m.rows}x{m.cols}"
+                    )
+                elif modulus is not None and m.modulus != modulus:
+                    fault = ": mixed moduli"
+                else:
+                    continue
+                rule = f"decode rule for {key!r}" if decode else f"rule for edge {key!r}"
+                raise CodeError(rule + fault)
 
 
 @dataclass(frozen=True)
@@ -91,36 +117,7 @@ class FractionalCode:
     q: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
-            raise CodeError("k and n must be positive")
-        _normalize_rules(self, "edge_rules")
-        _normalize_rules(self, "decode_rules")
-        for edge, inputs in self.edge_rules.items():
-            for inp in inputs:
-                want_cols = self.k if inp.ref.startswith(SRC_PREFIX) else self.n
-                if inp.matrix.rows != self.n or inp.matrix.cols != want_cols:
-                    raise CodeError(
-                        f"rule for edge {edge!r}: input {inp.ref!r} must be "
-                        f"{self.n}x{want_cols}, got "
-                        f"{inp.matrix.rows}x{inp.matrix.cols}"
-                    )
-                if inp.matrix.modulus != self.modulus:
-                    raise CodeError(f"rule for edge {edge!r}: mixed moduli")
-        for term, inputs in self.decode_rules.items():
-            for inp in inputs:
-                if inp.ref.startswith(SRC_PREFIX):
-                    raise CodeError(
-                        f"decode rule for {term!r} may not read source "
-                        f"messages directly ({inp.ref!r})"
-                    )
-                if inp.matrix.rows != self.k or inp.matrix.cols != self.n:
-                    raise CodeError(
-                        f"decode rule for {term!r}: input {inp.ref!r} must be "
-                        f"{self.k}x{self.n}, got "
-                        f"{inp.matrix.rows}x{inp.matrix.cols}"
-                    )
-                if inp.matrix.modulus != self.modulus:
-                    raise CodeError(f"decode rule for {term!r}: mixed moduli")
+        _check_rules(self, self.modulus)
 
 
 SymEntry = tuple[int, bool]  # (coefficient, times 1/q?)
@@ -137,17 +134,6 @@ class SymMatrix:
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows * self.cols:
             raise CodeError("symbolic entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[SymEntry]]) -> "SymMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[SymEntry] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise CodeError("ragged symbolic rows")
-            flat.extend(r)
-        return cls(nrows, ncols, tuple(flat))
 
     @classmethod
     def scaled_identity(cls, size: int, coeff: int = 1, inv_q: bool = False) -> "SymMatrix":
@@ -187,8 +173,7 @@ class SymbolicCode:
     decode_rules: Mapping[str, tuple[SymInput, ...]]
 
     def __post_init__(self) -> None:
-        _normalize_rules(self, "edge_rules")
-        _normalize_rules(self, "decode_rules")
+        _check_rules(self, None)
 
 
 def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
@@ -399,9 +384,9 @@ def _entry_to_json(entry: SymEntry) -> str:
     return f'"{coeff}*INV_Q"'
 
 
-def _entry_from_json(value: object, where: str) -> SymEntry:
+def _entry_from_json(value: object) -> SymEntry:
     if isinstance(value, bool):
-        raise CodeFormatError(f"{where}: entry must be an int or INV_Q token")
+        raise CodeFormatError("entry must be an int or INV_Q token")
     if isinstance(value, int):
         return (value, False)
     if isinstance(value, str):
@@ -410,7 +395,7 @@ def _entry_from_json(value: object, where: str) -> SymEntry:
         m = _INV_Q_RE.match(value)
         if m:
             return (int(m.group(1)), True)
-    raise CodeFormatError(f"{where}: bad entry {value!r}")
+    raise CodeFormatError(f"bad entry {value!r}")
 
 
 def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> str:
@@ -457,20 +442,14 @@ def _positive_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _load_matrix(raw: object, where: str) -> list[list[object]]:
-    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-        raise CodeFormatError(f"{where}: 'matrix' must be a non-empty list of rows")
-    width = len(raw[0])
-    for r in raw:
-        if len(r) != width:
-            raise CodeFormatError(f"{where}: ragged matrix")
-    return raw
-
-
 def load_code(
     data: bytes | str, net: CodedNetwork | None = None
 ) -> FractionalCode | SymbolicCode:
-    """Parse a code document; pass the network to cross-check references."""
+    """Parse a code document; pass the network to cross-check references.
+
+    Shapes and entries are checked by the classes built from the
+    document; their errors come back as ``CodeFormatError``.
+    """
     doc = _read_object(data, CodeFormatError)
     for field_name in ("k", "n", "edge_rules", "decode_rules"):
         if field_name not in doc:
@@ -479,16 +458,23 @@ def load_code(
     if not (_positive_int(k) and _positive_int(n)):
         raise CodeFormatError("'k' and 'n' must be positive integers")
     symbolic = "p" not in doc
-    if symbolic and "q" not in doc:
-        raise CodeFormatError("symbolic code needs 'q'")
-    mod: PrimeModulus | None = None
-    if not symbolic:
-        if not isinstance(doc["p"], int):
-            raise CodeFormatError("'p' must be an integer")
+    if symbolic:
+        if "q" not in doc:
+            raise CodeFormatError("symbolic code needs 'q'")
+        make_input = SymInput
+
+        def matrix(rows: int, cols: int, flat: tuple) -> SymMatrix:
+            return SymMatrix(rows, cols, tuple(map(_entry_from_json, flat)))
+
+    else:
         try:
             mod = PrimeModulus(doc["p"])
         except ValueError as exc:
             raise CodeFormatError(str(exc)) from exc
+        make_input = CodeInput
+
+        def matrix(rows: int, cols: int, flat: tuple) -> FieldMatrix:
+            return FieldMatrix(rows, cols, flat, mod)
 
     def parse_rules(raw: object, key_name: str, decode: bool):
         if not isinstance(raw, list):
@@ -514,38 +500,22 @@ def load_code(
                 iw = f"{where}.inputs[{j}]"
                 if not isinstance(rin, dict) or "ref" not in rin or "matrix" not in rin:
                     raise CodeFormatError(f"{iw}: needs 'ref' and 'matrix'")
-                ref = rin["ref"]
+                ref, rows = rin["ref"], rin["matrix"]
                 if not isinstance(ref, str):
                     raise CodeFormatError(f"{iw}: 'ref' must be a string")
-                rows = _load_matrix(rin["matrix"], iw)
-                if decode:
-                    want = (k, n)
-                elif ref.startswith(SRC_PREFIX):
-                    want = (n, k)
-                else:
-                    want = (n, n)
-                if (len(rows), len(rows[0])) != want:
+                if not (
+                    isinstance(rows, list)
+                    and rows
+                    and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
+                ):
                     raise CodeFormatError(
-                        f"{iw}: matrix must be {want[0]}x{want[1]}, got "
-                        f"{len(rows)}x{len(rows[0])}"
+                        f"{iw}: 'matrix' must be a non-empty list of equal-length rows"
                     )
-                if symbolic:
-                    sym_rows = [
-                        [_entry_from_json(v, iw) for v in row] for row in rows
-                    ]
-                    inputs.append(SymInput(ref, SymMatrix.from_rows(sym_rows)))
-                else:
-                    assert mod is not None
-                    flat = tuple(v for row in rows for v in row)
-                    for v in flat:
-                        if not isinstance(v, int) or isinstance(v, bool):
-                            raise CodeFormatError(f"{iw}: entry {v!r} not an int")
-                        if not (0 <= v < mod.p):
-                            raise CodeFormatError(
-                                f"{iw}: entry {v} outside [0, {mod.p})"
-                            )
-                    matrix = FieldMatrix._trusted(want[0], want[1], flat, mod)
-                    inputs.append(CodeInput(ref, matrix))
+                flat = tuple([v for row in rows for v in row])
+                try:
+                    inputs.append(make_input(ref, matrix(len(rows), len(rows[0]), flat)))
+                except ValueError as exc:
+                    raise CodeFormatError(f"{iw}: {exc}") from exc
             rules[key] = tuple(inputs)
         return rules
 
@@ -577,10 +547,9 @@ def load_code(
                         f"decode rule reads unknown edge {inp.ref!r}"
                     )
 
-    if symbolic:
-        return SymbolicCode(k, n, q, edge_rules, decode_rules)
-    assert mod is not None
     try:
+        if symbolic:
+            return SymbolicCode(k, n, q, edge_rules, decode_rules)
         return FractionalCode(k, n, mod, edge_rules, decode_rules, q=q)
     except CodeError as exc:
         raise CodeFormatError(str(exc)) from exc

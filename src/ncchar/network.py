@@ -312,8 +312,8 @@ def _req(doc: Mapping, key: str, where: str) -> object:
 
 def _read_object(data: bytes | str, error_cls: type[ValueError]) -> dict:
     """The JSON object in ``data`` (UTF-8 if bytes); raises ``error_cls``
-    for undecodable bytes, malformed JSON or a top level that is not an
-    object."""
+    for undecodable bytes, malformed JSON, nesting deeper than the
+    interpreter's recursion limit or a top level that is not an object."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -323,6 +323,8 @@ def _read_object(data: bytes | str, error_cls: type[ValueError]) -> dict:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise error_cls(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error_cls("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise error_cls("top level must be an object")
     return doc

@@ -153,7 +153,6 @@ def decodable(
 class _EdgeInfo:
     edge_id: str
     parents: tuple[int, ...]
-    src_msg_index: int | None
     forced_demand: int | None
 
 
@@ -162,7 +161,7 @@ class _Plan:
     messages: tuple[str, ...]
     edges: tuple[_EdgeInfo, ...]
     checks_at: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    frontier_after: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...], ...]
+    frontier_after: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     live_at: tuple[tuple[int, ...], ...]
     terminals: tuple[tuple[str, int, tuple[int, ...]], ...]
 
@@ -213,21 +212,21 @@ def _build_plan(net: CodedNetwork) -> _Plan:
     for e in net.edges:
         in_edges[e.head].append(e)
     msg_index = {m: i for i, m in enumerate(net.messages)}
+    E = len(order)
 
     infos: list[_EdgeInfo] = []
     for e in order:
         tail = node_map[e.tail]
         head = node_map[e.head]
-        parents: tuple[int, ...] = ()
-        src_idx = None
         if tail.role == "source":
-            src_idx = msg_index[tail.generates]
+            # message t's slot E + t always holds its unit block
+            parents = (E + msg_index[tail.generates],)
         else:
             parents = tuple(sorted(pos[pe.id] for pe in in_edges[e.tail]))
         forced = None
         if head.role == "terminal" and len(in_edges[e.head]) == 1:
             forced = msg_index[head.demands]
-        infos.append(_EdgeInfo(e.id, parents, src_idx, forced))
+        infos.append(_EdgeInfo(e.id, parents, forced))
 
     checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
     terminals: list[tuple[str, int, tuple[int, ...]]] = []
@@ -238,7 +237,7 @@ def _build_plan(net: CodedNetwork) -> _Plan:
         if positions:
             checks[max(positions)].append((didx, positions))
 
-    last_use = list(range(len(order)))
+    last_use = list(range(E + len(net.messages)))
     for i, info in enumerate(infos):
         for par in info.parents:
             last_use[par] = max(last_use[par], i)
@@ -246,34 +245,28 @@ def _build_plan(net: CodedNetwork) -> _Plan:
         for _, positions in check_list:
             for j in positions:
                 last_use[j] = max(last_use[j], i)
-    live = [
-        tuple(j for j in range(i) if last_use[j] >= i) for i in range(len(order))
-    ]
+    live = [tuple(j for j in range(i) if last_use[j] >= i) for i in range(E)]
 
     # The optimistic prune at position i lets every unassigned edge carry
     # its parents' full span.  A pending terminal then sees the join of the
-    # assigned positions that feed its in-edges or their unassigned cone,
-    # plus the unit blocks of the source edges in that cone: per check,
-    # (demand, frontier positions, source message indices).  Walking i
+    # assigned positions and message slots that feed its in-edges or their
+    # unassigned cone: per check, (demand, frontier positions).  Walking i
     # downward turns one position at a time from assigned to unassigned,
     # which replaces it in every frontier holding it by its parents.
-    frontier: list[tuple] = [()] * len(order)
-    active: list[tuple[int, set[int], set[int]]] = []
-    for i in range(len(order) - 1, -1, -1):
+    frontier: list[tuple] = [()] * E
+    active: list[tuple[int, set[int]]] = []
+    for i in range(E - 1, -1, -1):
         # checks that read position i first: they are the ones a new value
         # at i can break
         frontier[i] = tuple(
-            (didx, tuple(sorted(fr)), tuple(sorted(srcs)))
-            for didx, fr, srcs in sorted(active, key=lambda c: i not in c[1])
+            (didx, tuple(sorted(fr)))
+            for didx, fr in sorted(active, key=lambda c: i not in c[1])
         )
-        active[:0] = [(didx, set(positions), set()) for didx, positions in checks[i]]
-        info = infos[i]
-        for _, fr, srcs in active:
+        active[:0] = [(didx, set(positions)) for didx, positions in checks[i]]
+        for _, fr in active:
             if i in fr:
                 fr.discard(i)
-                fr.update(info.parents)
-                if info.src_msg_index is not None:
-                    srcs.add(info.src_msg_index)
+                fr.update(infos[i].parents)
 
     return _Plan(
         net.messages,
@@ -390,30 +383,26 @@ class _Engine:
         self.budget = budget
         self.states = 0
         self._memo_full = False
-        # plan.frontier_after with each check's source messages folded into
-        # one trailing id: the join of their unit blocks (none if no source)
-        self._frontier = tuple(
-            tuple(
-                (didx, fr, (algebra.join(tuple(algebra.unit_ids[t] for t in srcs)),)
-                 if srcs else ())
-                for didx, fr, srcs in checks
-            )
-            for checks in plan.frontier_after
-        )
 
     def _candidates(self, i: int, values: list) -> tuple[tuple, int]:
         """Candidate state ids for position i plus the id of the parent
         span they live in."""
         info = self.plan.edges[i]
         alg = self.alg
-        if info.src_msg_index is not None:
-            # a source edge's parent span is its message's unit block
-            span = alg.unit_ids[info.src_msg_index]
-        else:
-            span = alg.join(tuple([values[j] for j in info.parents]))
+        span = alg.join(tuple([values[j] for j in info.parents]))
         if info.forced_demand is not None:
             return alg.forced(span, info.forced_demand), span
         return alg.enumerate(span), span
+
+    def _decodes(self, checks: tuple, values: list) -> bool:
+        """Whether, for every (demand, positions) check, the join of the
+        values at those positions holds the demand's unit block."""
+        join = self.alg.join
+        demand_in = self.alg.demand_in
+        for didx, positions in checks:
+            if not demand_in(join(tuple([values[j] for j in positions])), didx):
+                return False
+        return True
 
     def _optimistic_ok(self, i: int, values: list) -> bool:
         """Can every pending terminal still be covered if all unassigned
@@ -425,12 +414,7 @@ class _Engine:
         terminal's closure span is one cached join over its frontier (see
         ``_build_plan``), the same subspace the whole closure would give.
         """
-        join = self.alg.join
-        demand_in = self.alg.demand_in
-        for didx, frontier, src in self._frontier[i]:
-            if not demand_in(join(tuple([values[j] for j in frontier]) + src), didx):
-                return False
-        return True
+        return self._decodes(self.plan.frontier_after[i], values)
 
     def run(self) -> tuple[str, list | None]:
         plan = self.plan
@@ -439,13 +423,14 @@ class _Engine:
         if E == 0:
             return ("sat", [])
         failed: list[set] = [set() for _ in range(E)]
-        values: list = [None] * E
+        # edge positions, then one fixed slot per message (see _build_plan)
+        values: list = [None] * E + list(alg.unit_ids)
         keys: list = [None] * E
         cands: list = [None] * E
         pdims: list = [0] * E
         idxs: list = [0] * E
         checks_at = plan.checks_at
-        frontier_after = self._frontier
+        frontier_after = plan.frontier_after
         live_at = plan.live_at
         dim = alg.dim
         memo_entries = 0
@@ -481,12 +466,7 @@ class _Engine:
                     return ("budget", None)
                 self.states += 1
                 values[i] = cand
-                ok = True
-                for didx, positions in checks_at[i]:
-                    joined = alg.join(tuple([values[j] for j in positions]))
-                    if not alg.demand_in(joined, didx):
-                        ok = False
-                        break
+                ok = self._decodes(checks_at[i], values)
                 if ok and pending and dim[cand] < pdim:
                     ok = self._optimistic_ok(i, values)
                 if ok:
@@ -522,16 +502,18 @@ def _pad_state(state: tuple, n: int, cols: int) -> list[list[int]]:
 def _witness(
     plan: _Plan, values: list, k: int, n: int, mod: PrimeModulus
 ) -> FractionalCode:
-    m = len(plan.messages)
-    cols = m * k
-    er: dict[str, tuple[CodeInput, ...]] = {}
-    dr: dict[str, tuple[CodeInput, ...]] = {}
+    E = len(plan.edges)
+    cols = len(plan.messages) * k
+    refs = [info.edge_id for info in plan.edges]
+    refs += [SRC_PREFIX + msg for msg in plan.messages]
 
-    def solve_blocks(parent_positions, target_rows, out_rows):
-        """Coefficients X with X . vstack(parents) = target, split per parent."""
+    def inputs(parents, target_rows, out_rows):
+        """The nonzero blocks of X with X . vstack(parents) = target, one
+        input per parent: an edge stacks n rows, a message slot k."""
+        sizes = [n if j < E else k for j in parents]
         stacked: list[list[int]] = []
-        for j in parent_positions:
-            stacked.extend(_pad_state(values[j], n, cols))
+        for j, size in zip(parents, sizes):
+            stacked.extend(_pad_state(values[j], size, cols))
         a = FieldMatrix.from_rows(
             [[stacked[r][c] for r in range(len(stacked))] for c in range(cols)], mod
         )
@@ -540,44 +522,28 @@ def _witness(
         )
         xt = solve_right(a, b)
         assert xt is not None, "witness state escaped its parent span"
-        blocks = []
-        for bi in range(len(parent_positions)):
-            block = [
-                [xt.at(bi * n + r, c) for r in range(n)] for c in range(out_rows)
-            ]
-            blocks.append(FieldMatrix.from_rows(block, mod))
-        return blocks
-
-    for i, info in enumerate(plan.edges):
-        state = values[i]
-        if info.src_msg_index is not None:
-            t = info.src_msg_index
-            rows = _pad_state(state, n, cols)
-            block = [[rows[r][t * k + j] for j in range(k)] for r in range(n)]
+        out = []
+        top = 0
+        for j, size in zip(parents, sizes):
+            block = [[xt.at(top + r, c) for r in range(size)] for c in range(out_rows)]
+            top += size
             mat = FieldMatrix.from_rows(block, mod)
-            er[info.edge_id] = (
-                () if mat.is_zero else (CodeInput(SRC_PREFIX + plan.messages[t], mat),)
-            )
-        elif not info.parents:
-            er[info.edge_id] = ()
-        else:
-            target = _pad_state(state, n, cols)
-            blocks = solve_blocks(info.parents, target, n)
-            er[info.edge_id] = tuple(
-                CodeInput(plan.edges[j].edge_id, blk)
-                for j, blk in zip(info.parents, blocks)
-                if not blk.is_zero
-            )
-    for term_id, didx, positions in plan.terminals:
-        target = [
-            [1 if c == didx * k + j else 0 for c in range(cols)] for j in range(k)
-        ]
-        blocks = solve_blocks(positions, target, k)
-        dr[term_id] = tuple(
-            CodeInput(plan.edges[j].edge_id, blk)
-            for j, blk in zip(positions, blocks)
-            if not blk.is_zero
+            if not mat.is_zero:
+                out.append(CodeInput(refs[j], mat))
+        return tuple(out)
+
+    er = {
+        info.edge_id: inputs(info.parents, _pad_state(values[i], n, cols), n)
+        for i, info in enumerate(plan.edges)
+    }
+    dr = {
+        term_id: inputs(
+            positions,
+            [[1 if c == didx * k + j else 0 for c in range(cols)] for j in range(k)],
+            k,
         )
+        for term_id, didx, positions in plan.terminals
+    }
     return FractionalCode(k, n, mod, er, dr)
 
 

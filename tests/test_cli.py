@@ -457,10 +457,22 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     k_true.write_text(json.dumps({**json.loads(code_path.read_bytes()), "k": True}))
     q_null = tmp_path / "q_null.json"
     q_null.write_text(json.dumps({**json.loads(save_code(solve_n1(2, 1))), "q": None}))
+    # nesting past the recursion limit used to exit 70 (RecursionError)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    # a symbolic decode rule may not read a message; against the network
+    # the cross-check of references refuses it first
+    src_decode = tmp_path / "src_decode.json"
+    sym_doc = json.loads(save_code(solve_n1(2, 1)))
+    sym_doc["decode_rules"][0]["inputs"][0]["ref"] = "src:a1"
+    src_decode.write_text(json.dumps(sym_doc))
     net_path = write_net(tmp_path, gen_n1(2, 1))
 
     cases = [
         (("info", str(nodes_int)), "field 'nodes' must be a list"),
+        (("info", str(deep)), "JSON nested too deeply"),
+        (("verify", str(net_path), str(deep)), "JSON nested too deeply"),
+        (("verify", str(net_path), str(src_decode)), "reads unknown edge 'src:a1'"),
         (("verify", str(dangling), str(code_path)), "unknown node 'nowhere'"),
         (("verify", str(net_path), str(no_rule)), "no rule for edge 'a1->u1'"),
         (("verify", str(net_path), str(k_true)), "must be positive integers"),

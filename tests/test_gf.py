@@ -46,13 +46,15 @@ def test_from_rows_reduces_entries_mod_p():
 
 
 def test_entries_outside_field_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry 5 outside \[0, 3\)$"):
         FieldMatrix(1, 1, (5,), PrimeModulus(3))
+    with pytest.raises(ValueError, match=r"^entry 7 outside \[0, 2\)$"):
+        FieldMatrix(1, 1, (7,), PrimeModulus(2))
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, (0, 0, 0), PrimeModulus(2))
     # bool is an int subclass, but True is not a field entry
     for flag in (True, False):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^entry {flag} not an int$"):
             FieldMatrix(1, 1, (flag,), PrimeModulus(2))
 
 

@@ -33,6 +33,7 @@ from ncchar import (
     verify,
 )
 from ncchar.gf import FieldMatrix
+from ncchar.lincode import SymbolicCode, SymInput, SymMatrix
 from util_oracles import dense_transfer, dense_verify
 
 
@@ -469,6 +470,24 @@ def test_load_rejects_bool_or_null_where_an_int_is_expected():
             load_code(json.dumps(doc))
 
 
+def test_load_rejects_nesting_deeper_than_recursion_limit():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(CodeFormatError, match="^JSON nested too deeply$"):
+        load_code(deep)
+
+
+def test_load_rejects_malformed_symbolic_code():
+    # the shape and src: rules hold for symbolic codes as for field codes
+    doc = json.loads(save_code(solve_n1(2, 1)))
+    doc["decode_rules"][0]["inputs"][0]["ref"] = "src:a1"
+    with pytest.raises(CodeFormatError, match="may not read source messages"):
+        load_code(json.dumps(doc))
+    doc = json.loads(save_code(solve_n1(2, 1)))
+    doc["edge_rules"][0]["inputs"][0]["matrix"] = [[1, 0], [0, 1]]
+    with pytest.raises(CodeFormatError, match="must be 1x1, got 2x2"):
+        load_code(json.dumps(doc))
+
+
 def test_load_rejects_unknown_edge_against_network():
     net = gen_n1(2, 1)
     code = instantiate(solve_n1(2, 1), 2)
@@ -490,3 +509,9 @@ def test_code_shape_validation():
         FractionalCode(1, 1, mod, {"e": (CodeInput("src:a1", wide),)}, {})
     with pytest.raises(CodeError):
         FractionalCode(1, 1, mod, {}, {"t": (CodeInput("src:a1", FieldMatrix.zeros(1, 1, 2)),)})
+    # a symbolic code obeys the same rules
+    one, two = SymMatrix.scaled_identity(1), SymMatrix.scaled_identity(2)
+    with pytest.raises(CodeError, match="must be 1x1, got 2x2"):
+        SymbolicCode(1, 1, 2, {"e": (SymInput("src:a1", two),)}, {})
+    with pytest.raises(CodeError, match="may not read source messages"):
+        SymbolicCode(1, 1, 2, {}, {"t": (SymInput("src:a1", one),)})

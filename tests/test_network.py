@@ -251,6 +251,12 @@ def test_load_bad_json_reports_position():
     assert "line" in str(exc.value)
 
 
+def test_load_rejects_nesting_deeper_than_recursion_limit():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(NetworkFormatError, match="^JSON nested too deeply$"):
+        load(deep)
+
+
 def test_load_rejects_unknown_role():
     doc = (
         b'{"edges": [], "messages": ["a1"], "name": "x", '

@@ -388,21 +388,31 @@ def test_join_matches_echelon_of_stacked_bases(p):
 # the optimistic prune
 # ---------------------------------------------------------------------------
 
-def closure_ok(engine, i, values):
-    """The optimistic prune written as the whole forward closure: every
-    edge after position i carries its parents' join (a source edge its
-    unit block), then every terminal checked after i must decode."""
-    plan, alg = engine.plan, engine.alg
-    spans = list(values[: i + 1])
-    for info in plan.edges[i + 1 :]:
-        if info.src_msg_index is not None:
-            spans.append(alg.unit_ids[info.src_msg_index])
+def closure_ok(net, engine, i, values):
+    """The optimistic prune written as the whole forward closure, read off
+    the network: every edge after position i carries its message's unit
+    block if its tail is a source, else the join of its tail's in-edges;
+    then every terminal whose last in-edge comes after i must decode."""
+    alg = engine.alg
+    order = [info.edge_id for info in engine.plan.edges]
+    pos = {eid: j for j, eid in enumerate(order)}
+    node_map, edge_map = net.node_map(), net.edge_map()
+    msg_index = {m: t for t, m in enumerate(net.messages)}
+    in_edges = {nid: [e.id for e in net.edges if e.head == nid] for nid in node_map}
+    span = {eid: values[j] for j, eid in enumerate(order[: i + 1])}
+    for eid in order[i + 1 :]:
+        tail = node_map[edge_map[eid].tail]
+        if tail.role == "source":
+            span[eid] = alg.unit_ids[msg_index[tail.generates]]
         else:
-            spans.append(alg.join(tuple(spans[j] for j in info.parents)))
+            span[eid] = alg.join(tuple(span[f] for f in in_edges[tail.id]))
     return all(
-        alg.demand_in(alg.join(tuple(spans[j] for j in positions)), didx)
-        for checks in plan.checks_at[i + 1 :]
-        for didx, positions in checks
+        alg.demand_in(
+            alg.join(tuple(span[f] for f in in_edges[term.id])),
+            msg_index[term.demands],
+        )
+        for term in net.terminals()
+        if in_edges[term.id] and max(pos[f] for f in in_edges[term.id]) > i
     )
 
 
@@ -424,13 +434,13 @@ def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
 
     def checked_prune(self, i, values):
         got = prune(self, i, values)
-        assert got == closure_ok(self, i, values), (i, values[: i + 1])
+        assert got == closure_ok(net, self, i, values), (i, values[: i + 1])
         seen.append(got)
         return got
 
     def checked_candidates(self, i, values):
         if i > 0:
-            assert prune(self, i - 1, values) == closure_ok(self, i - 1, values)
+            assert prune(self, i - 1, values) == closure_ok(net, self, i - 1, values)
         return candidates(self, i, values)
 
     monkeypatch.setattr(_Engine, "_optimistic_ok", checked_prune)
