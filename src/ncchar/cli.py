@@ -138,13 +138,16 @@ def _write_or_print(data: bytes, out: str | None, as_json: bool, summary: dict) 
 _FAMILY_RE = re.compile(r"^n([12])\(q=(\d+),n=(\d+)\)$")
 
 
-def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]:
+def _construction_from_name(
+    name: str, edge_count: int
+) -> tuple[CodedNetwork, SymbolicCode, str] | None:
     """Rebuild a generated network and its symbolic solution from its name.
 
     Understands n1(q=..,n=..), n2(q=..,n=..) and the union(...,k=..) /
     gadget(...,n=..) wrappers those transforms stamp on their results.
     Wrappers are peeled in a loop, not by recursion, then applied inside out.
-    Returns (network, symbolic code, base family).
+    Returns (network, symbolic code, base family), or None once a level
+    has more than ``edge_count`` edges (a union of k copies has k times).
     """
     wrappers: list[tuple[str, int, str]] = []  # (prefix, argument, full name)
     while (m := _FAMILY_RE.match(name)) is None:
@@ -164,6 +167,8 @@ def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"bad construction name {name!r}: {exc}") from exc
     for prefix, value, wrapped in reversed(wrappers):
+        if len(net.edges) * (value if prefix == "union(" else 1) > edge_count:
+            return None
         try:
             if prefix == "union(":
                 net, sym = union_copies(net, value), lift_union(sym, value)
@@ -172,7 +177,7 @@ def _construction_from_name(name: str) -> tuple[CodedNetwork, SymbolicCode, str]
                 net, sym = gadget, lift_gadget(sym, net, gadget)
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, f"cannot solve {wrapped!r}: {exc}") from exc
-    return net, sym, "n" + fam
+    return (net, sym, "n" + fam) if len(net.edges) <= edge_count else None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -201,24 +206,21 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     net = _read_network(args.network)
-    expected, sym, family = _construction_from_name(net.name)
-    if expected != net:
+    built = _construction_from_name(net.name, len(net.edges))
+    if built is None or built[0] != net:
         raise _CliError(
             EXIT_USAGE,
             f"{args.network}: network does not match its construction name {net.name!r}",
         )
+    _, sym, family = built
     mod = _prime(args.p)
-    if family == "n1" and sym.q % mod.p != 0:
+    if (sym.q % mod.p == 0) != (family == "n1"):
+        need, got = "divides", "does not divide"
+        if family == "n2":
+            need, got = got, need
         print(
             f"{net.name} is unsolvable over GF({mod.p}): it requires that the "
-            f"characteristic divides q, but {mod.p} does not divide {sym.q}",
-            file=sys.stderr,
-        )
-        return EXIT_IMPOSSIBLE
-    if family == "n2" and sym.q % mod.p == 0:
-        print(
-            f"{net.name} is unsolvable over GF({mod.p}): it requires that the "
-            f"characteristic does not divide q, but {mod.p} divides {sym.q}",
+            f"characteristic {need} q, but {mod.p} {got} {sym.q}",
             file=sys.stderr,
         )
         return EXIT_IMPOSSIBLE

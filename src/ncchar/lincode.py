@@ -542,10 +542,9 @@ def load_code(
             if tid not in term_ids:
                 raise CodeFormatError(f"decode rule for unknown terminal {tid!r}")
             for inp in inputs:
-                if inp.ref not in edge_ids:
-                    raise CodeFormatError(
-                        f"decode rule reads unknown edge {inp.ref!r}"
-                    )
+                # a message read is left to the rule check, which names it
+                if inp.ref not in edge_ids and not inp.ref.startswith(SRC_PREFIX):
+                    raise CodeFormatError(f"decode rule reads unknown edge {inp.ref!r}")
 
     try:
         if symbolic:

@@ -24,10 +24,12 @@ Three sound prunings keep the space small:
   assigned;
 - frontier prune: a value smaller than its parent span is kept only if
   every pending terminal could still decode were each unassigned edge to
-  carry its parents' full span, which is one cached join per terminal
-  over the assigned positions feeding it (``_Engine._optimistic_ok``);
+  carry its parents' full span (``_Engine._optimistic_ok``);
 - dominance: each edge takes only subspaces of maximal dimension,
   min(n, dim of its parent span) (``_Algebra.enumerate``).
+
+A loop over many candidates hoists both checks out of the loop, exactly:
+each becomes a span the candidate must hold (``_Engine._hoist``).
 
 Explored-and-failed subtrees are also memoized on the values of the
 edges still visible to the remaining suffix (the live frontier), so
@@ -51,6 +53,7 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_BUDGET = 10**9
 _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
+_HOIST_MIN = 16  # loops over more candidates than this hoist their checks
 
 
 @dataclass(frozen=True)
@@ -308,6 +311,8 @@ class _Algebra:
         self._join_cache: dict = {}
         self._enum_cache: dict = {}
         self._decode_cache: dict = {}
+        self._target_cache: dict = {}
+        self._contains_cache: dict = {}
 
     def intern(self, basis: tuple) -> int:
         """The id of a reduced-echelon basis, assigned on first sight."""
@@ -354,6 +359,54 @@ class _Algebra:
         if self.k <= self.n and self.demand_in(sid, demand_idx):
             return (self.unit_ids[demand_idx],)
         return ()
+
+    def targets(self, pspan: int, rest: int, demand_idx: int) -> int | bool | None:
+        """The span a candidate c inside ``pspan`` must hold for ``rest`` + c
+        to hold the demand's unit block: its id, False when no c can, or
+        None when the spans meet beyond 0 (keep the join test); cached.
+
+        Write P and R for the spans.  If they meet only in 0, each u in
+        P + R is x + r for one x in P and one r in R, and for c inside P, u
+        lies in R + c iff x lies in c (u = y + r' with y in c forces y = x).
+        Reducing the rows [b | b] for b in P's basis and [b | 0] for b in
+        R's keeps each row of the form [v | x(v)]; a pivot in the right half
+        marks a nonzero vector of both.  A unit row u's weight on a reduced
+        row is its entry in that row's pivot column, so u is in P + R iff
+        it is the left half of the row with u's pivot, x(u) its right half.
+        """
+        key = (pspan, rest, demand_idx)
+        if key not in self._target_cache:
+            width, units = len(self.unit_rows[0][0]), self.unit_rows[demand_idx]
+            zero = (0,) * width
+            rows = [b + b for b in self.basis[pspan]] + [b + zero for b in self.basis[rest]]
+            mat, pivots = _rref(rows, self.p)
+            out = None
+            if not pivots or pivots[-1] < width:
+                found = [dict(zip(pivots, mat)).get(u.index(1), zero) for u in units]
+                fits = all(tuple(row[:width]) == u for row, u in zip(found, units))
+                out = fits and self.intern(_echelon([row[width:] for row in found], self.p))
+            self._target_cache[key] = out
+        return self._target_cache[key]
+
+    def contains(self, sid: int, tid: int) -> bool:
+        """Whether span ``sid`` holds span ``tid``; cached.
+
+        A vector x lies in the span of a reduced-echelon basis exactly when
+        it equals the sum of the basis rows weighted by x's entries in their
+        pivot columns (each row's first nonzero entry, a 1): each pivot
+        column is zero in every other row, so no other weights match x there.
+        """
+        ok = self._contains_cache.get((sid, tid))
+        if ok is None:
+            ok = True
+            for x in self.basis[tid]:
+                y = [0] * len(x)
+                for row in self.basis[sid]:
+                    if w := x[row.index(1)]:
+                        y = [a + w * b for a, b in zip(y, row)]
+                ok = ok and tuple([a % self.p for a in y]) == x
+            self._contains_cache[(sid, tid)] = ok
+        return ok
 
     def demand_in(self, sid: int, demand_idx: int) -> bool:
         """Whether span ``sid`` holds the demand's unit block; cached.
@@ -416,6 +469,33 @@ class _Engine:
         """
         return self._decodes(self.plan.frontier_after[i], values)
 
+    def _hoist(self, i: int, pspan: int, values: list):
+        """A trial's decision at position i as a function of its candidate,
+        for a loop over many subspaces of span ``pspan``, none as large as
+        it (``_Algebra.enumerate``): ``_decodes`` over ``checks_at[i]``,
+        then the frontier prune.  Only ``values[i]`` changes in the loop,
+        so a check that does not read i is one boolean, and one that does
+        asks whether its demand lies in rest + c, rest being the join of its
+        other positions; ``_Algebra.targets`` makes that one span c must
+        hold, except where rest meets ``pspan`` and the join test stays.
+        """
+        alg = self.alg
+        need, joined = [], []
+        for didx, positions in self.plan.checks_at[i] + self.plan.frontier_after[i]:
+            rest = alg.join(tuple([values[j] for j in positions if j != i]))
+            if i in positions:
+                t = alg.targets(pspan, rest, didx)
+            else:
+                t = alg.zero if alg.demand_in(rest, didx) else False
+            if t is False:
+                return lambda cand: False
+            if t is None:
+                joined.append((didx, positions))
+            else:
+                need.append(t)
+        target, joined = alg.join(tuple(need)), tuple(joined)
+        return lambda cand: alg.contains(cand, target) and self._decodes(joined, values)
+
     def run(self) -> tuple[str, list | None]:
         plan = self.plan
         alg = self.alg
@@ -429,6 +509,7 @@ class _Engine:
         cands: list = [None] * E
         pdims: list = [0] * E
         idxs: list = [0] * E
+        tests: list = [False] * E
         checks_at = plan.checks_at
         frontier_after = plan.frontier_after
         live_at = plan.live_at
@@ -452,13 +533,14 @@ class _Engine:
                 cands[i], pspan = self._candidates(i, values)
                 pdims[i] = dim[pspan]
                 idxs[i] = 0
+                tests[i] = len(cands[i]) > _HOIST_MIN and self._hoist(i, pspan, values)
 
             advanced = False
             ci = idxs[i]
             cs = cands[i]
             ncs = len(cs)
-            pending = frontier_after[i]
             pdim = pdims[i]
+            test = tests[i]
             while ci < ncs:
                 cand = cs[ci]
                 ci += 1
@@ -466,9 +548,12 @@ class _Engine:
                     return ("budget", None)
                 self.states += 1
                 values[i] = cand
-                ok = self._decodes(checks_at[i], values)
-                if ok and pending and dim[cand] < pdim:
-                    ok = self._optimistic_ok(i, values)
+                if test:
+                    ok = test(cand)
+                else:
+                    ok = self._decodes(checks_at[i], values)
+                    if ok and frontier_after[i] and dim[cand] < pdim:
+                        ok = self._optimistic_ok(i, values)
                 if ok:
                     idxs[i] = ci
                     i += 1

@@ -163,6 +163,22 @@ def test_solve_malformed_construction_names_exit_64(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1 and out == ""
 
 
+def test_solve_refuses_a_name_larger_than_its_file(tmp_path, capsys, monkeypatch):
+    # union_copies gives k * |E| edges, so a k=400 union name on a Fano file
+    # is refused before anything of that size is built
+    built = []
+    monkeypatch.setattr(cli, "union_copies", lambda net, k: built.append(k))
+    net = gen_n1(2, 1)
+    for name in ("union(n1(q=2,n=1),k=400)", "gadget(n1(q=2,n=1),n=1)"):
+        renamed = type(net)(name, net.messages, net.nodes, net.edges)
+        net_path = write_net(tmp_path, renamed)
+        code, out, err = run(capsys, "solve", str(net_path), "--p", "2")
+        assert code == 64 and out == ""
+        assert "does not match its construction name" in err
+        assert len(err.strip().splitlines()) == 1
+    assert built == []
+
+
 def test_solve_tampered_network_rejected(tmp_path, capsys):
     # name says n1(q=2,n=1) but an edge was removed
     net = gen_n1(2, 1)
@@ -461,7 +477,7 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     # a symbolic decode rule may not read a message; against the network
-    # the cross-check of references refuses it first
+    # the error says so rather than calling the message an unknown edge
     src_decode = tmp_path / "src_decode.json"
     sym_doc = json.loads(save_code(solve_n1(2, 1)))
     sym_doc["decode_rules"][0]["inputs"][0]["ref"] = "src:a1"
@@ -472,7 +488,10 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         (("info", str(nodes_int)), "field 'nodes' must be a list"),
         (("info", str(deep)), "JSON nested too deeply"),
         (("verify", str(net_path), str(deep)), "JSON nested too deeply"),
-        (("verify", str(net_path), str(src_decode)), "reads unknown edge 'src:a1'"),
+        (
+            ("verify", str(net_path), str(src_decode)),
+            "decode rule for 'Ta:a1' may not read source messages directly ('src:a1')",
+        ),
         (("verify", str(dangling), str(code_path)), "unknown node 'nowhere'"),
         (("verify", str(net_path), str(no_rule)), "no rule for edge 'a1->u1'"),
         (("verify", str(net_path), str(k_true)), "must be positive integers"),

@@ -416,21 +416,38 @@ def closure_ok(net, engine, i, values):
     )
 
 
-@pytest.mark.parametrize(
-    "net, k, n, p",
-    [
-        (gen_fano(), 1, 1, 3),
-        (gen_n1(2, 2), 1, 2, 3),
-        (union_copies(gen_fano(), 2), 2, 1, 3),
-    ],
-    ids=["fano", "n1(2,2)", "union(fano,2)"],
-)
-def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
-    # compare on every prefix the search asks about, and on every prefix
-    # it extends (each fresh position i has values[:i] assigned)
-    seen = []
+def cut_off():
+    """t1 demands a but hears only b, c and d through v, plus e: no value of
+    v->t1 lets it decode, and over GF(5) that loop has 31 candidates."""
+    msgs = ("a", "b", "c", "d", "e")
+    nodes = tuple(NetNode(f"s{m}", "source", generates=m) for m in msgs) + (
+        NetNode("v", "intermediate"),
+        NetNode("t1", "terminal", demands="a"),
+        NetNode("t2", "terminal", demands="a"),
+    )
+    edges = tuple(NetEdge(f"s{m}->v", f"s{m}", "v") for m in "bcd") + (
+        NetEdge("v->t1", "v", "t1"),
+        NetEdge("se->t1", "se", "t1"),
+        NetEdge("sa->t2", "sa", "t2"),
+    )
+    return CodedNetwork("cut-off", msgs, nodes, edges)
+
+
+def checked_search(monkeypatch, net, k, n, p):
+    """A 3,000-state search whose every prune and every trial of a hoisted
+    loop (``_Engine._hoist``) is checked against ``closure_ok`` and the
+    join-based ``_decodes`` over ``checks_at[i]`` and ``frontier_after[i]``.
+
+    Compares on every prefix the search asks about, and on every prefix it
+    extends (each fresh position i has values[:i] assigned).  Returns the
+    prune decisions, the hoisted trial decisions and the outcomes of
+    ``_Algebra.targets``.
+    """
+    seen, trials, targets = [], [], []
     prune = _Engine._optimistic_ok
     candidates = _Engine._candidates
+    hoist = _Engine._hoist
+    target = _Algebra.targets
 
     def checked_prune(self, i, values):
         got = prune(self, i, values)
@@ -443,10 +460,66 @@ def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
             assert prune(self, i - 1, values) == closure_ok(net, self, i - 1, values)
         return candidates(self, i, values)
 
+    def checked_hoist(self, i, pspan, values):
+        test = hoist(self, i, pspan, values)
+
+        def checked(cand):
+            got = test(cand)
+            assert values[i] == cand
+            want = self._decodes(self.plan.checks_at[i], values)
+            if want and self.alg.dim[cand] < self.alg.dim[pspan]:
+                want = self._decodes(self.plan.frontier_after[i], values)
+                assert want == closure_ok(net, self, i, values), (i, values[: i + 1])
+                seen.append(want)
+            assert got == want, (i, values[: i + 1])
+            trials.append(got)
+            return got
+
+        return checked
+
+    def recorded_targets(self, pspan, rest, demand_idx):
+        out = target(self, pspan, rest, demand_idx)
+        targets.append(out)
+        return out
+
     monkeypatch.setattr(_Engine, "_optimistic_ok", checked_prune)
     monkeypatch.setattr(_Engine, "_candidates", checked_candidates)
+    monkeypatch.setattr(_Engine, "_hoist", checked_hoist)
+    monkeypatch.setattr(_Algebra, "targets", recorded_targets)
     search_fractional(net, k, n, p, SearchConfig(node_budget=3000))
+    monkeypatch.undo()
+    return seen, trials, targets
+
+
+@pytest.mark.parametrize(
+    "net, k, n, p",
+    [
+        (gen_fano(), 1, 1, 3),
+        (gen_fano(), 1, 1, 5),
+        (gen_fano(), 1, 2, 5),
+        (gen_n1(2, 2), 1, 2, 3),
+        (gen_n2(2, 2), 1, 2, 2),
+        (union_copies(gen_fano(), 2), 2, 1, 3),
+    ],
+    ids=["fano", "fano-gf5", "fano-(1,2)-gf5", "n1(2,2)", "n2(2,2)", "union(fano,2)"],
+)
+def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
+    seen, _, _ = checked_search(monkeypatch, net, k, n, p)
     assert True in seen and False in seen
+
+
+def test_hoisted_checks_reach_every_branch(monkeypatch):
+    # n1(2,2) hoists loops of 130 candidates whose parent span meets the
+    # rest of a check (the join-test fallback) and loops where it does not;
+    # in cut_off no candidate of v->t1 can pass
+    trials, targets = [], []
+    for net, k, n, p in ((gen_n1(2, 2), 1, 2, 3), (cut_off(), 1, 1, 5)):
+        _, got, outcomes = checked_search(monkeypatch, net, k, n, p)
+        trials += got
+        targets += outcomes
+    assert True in trials and False in trials
+    assert None in targets and False in targets
+    assert any(type(t) is int for t in targets)
 
 
 # ---------------------------------------------------------------------------
