@@ -9,6 +9,7 @@ of a few rows), so everything here is plain Python integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -108,13 +109,14 @@ class FieldMatrix:
         cls, rows: Sequence[Sequence[int]], p: "PrimeModulus | int"
     ) -> "FieldMatrix":
         mod = as_modulus(p)
+        p = mod.p
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         flat: list[int] = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) % mod.p for x in r)
+            flat += [int(x) % p for x in r]
         return cls._trusted(nrows, ncols, tuple(flat), mod)
 
     @classmethod
@@ -139,6 +141,11 @@ class FieldMatrix:
 
     def row(self, r: int) -> tuple[int, ...]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
+
+    def row_slices(self) -> list[tuple[int, ...]]:
+        """Every row as an entry tuple: the left operand of ``_dot_rows``."""
+        e, c = self.entries, self.cols
+        return [e[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(r)) for r in range(self.rows)]
@@ -187,18 +194,25 @@ class FieldMatrix:
                 f"{other.rows}x{other.cols}"
             )
         p = self.modulus.p
-        a, b = self.entries, other.entries
-        n, m, k = self.rows, self.cols, other.cols
-        flat = [0] * (n * k)
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            base = i * k
-            for j in range(k):
-                s = 0
-                for t in range(m):
-                    s += arow[t] * b[t * k + j]
-                flat[base + j] = s % p
-        return FieldMatrix._trusted(n, k, tuple(flat), self.modulus)
+        flat = _dot_rows(self.row_slices(), other.entries, other.cols)
+        return FieldMatrix._trusted(
+            self.rows, other.cols, tuple([x % p for x in flat]), self.modulus
+        )
+
+
+def _dot_rows(rows: Sequence[Sequence[int]], b: Sequence[int], k: int) -> list[int]:
+    """The row-major entries of A @ B, not yet reduced mod p.
+
+    ``rows`` are the rows of A and ``b`` the row-major entries of B, which
+    has ``k`` columns.  Each entry is one ``sum(map(mul, row, column))``;
+    when k = 1 the only column is ``b`` itself.  This is the one product
+    routine of the package: ``FieldMatrix.__matmul__`` and the transfer
+    evaluation of ``lincode`` both use it.
+    """
+    if k == 1:
+        return [sum(map(mul, r, b)) for r in rows]
+    cols = [b[j::k] for j in range(k)]
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
 # -- elimination core -----------------------------------------------------
@@ -316,14 +330,13 @@ def block_compose(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:
                     f"block ({i},{j}) has shape {blk.rows}x{blk.cols}, "
                     f"expected {heights[i]}x{widths[j]}"
                 )
-    out_rows: list[list[int]] = []
+    # every block holds residues mod one p, so the grid's entries do too
+    flat: list[int] = []
     for i, row in enumerate(blocks):
         for r in range(heights[i]):
-            line: list[int] = []
             for blk in row:
-                line.extend(blk.row(r))
-            out_rows.append(line)
-    return FieldMatrix.from_rows(out_rows, mod)
+                flat += blk.row(r)
+    return FieldMatrix._trusted(sum(heights), sum(widths), tuple(flat), mod)
 
 
 def block_identity_check(

@@ -9,10 +9,14 @@ blocks, an n x k matrix per (edge, message); ``verify`` then checks that
 every terminal reconstructs its demand exactly: identity on the demanded
 block, zero on every other.
 
-Transfer maps are sparse.  Each edge stores only its nonzero blocks, in a
-``TransferBlocks`` map that reads any other message of the network as the
-zero block, and evaluation and decoding multiply only stored blocks, so
-their cost follows the nonzero blocks rather than edges times messages.
+Transfer maps are sparse.  Each edge stores only its nonzero blocks, and
+evaluation and decoding multiply only stored blocks, so their cost
+follows the nonzero blocks rather than edges times messages.  Blocks are
+evaluated as raw row-major residue tuples: an edge's products are added
+unreduced and reduced mod p once.  Only ``eval_transfer`` wraps them, once
+each, as ``FieldMatrix`` blocks of a ``TransferBlocks`` map, which reads
+any other message of the network as the zero block; ``verify`` decodes
+from the raw tuples and builds a matrix only for each demanded block.
 
 A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
@@ -32,9 +36,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 from typing import Mapping, Sequence
 
-from .gf import FieldMatrix, PrimeModulus, as_modulus
+from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
 from .network import (
     CodedNetwork,
     _json_array,
@@ -154,9 +159,6 @@ class SymMatrix:
         flat[pos - 1] = (coeff, False)
         return cls(1, size, tuple(flat))
 
-    def uses_inv_q(self) -> bool:
-        return any(inv for _, inv in self.entries)
-
 
 @dataclass(frozen=True)
 class SymInput:
@@ -178,26 +180,26 @@ class SymbolicCode:
 
 def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
     """Reduce a symbolic code mod p.  Entries carrying 1/q require q to be
-    invertible, i.e. the characteristic must not divide q."""
+    invertible, i.e. the characteristic must not divide q.
+
+    One pass over the entries converts them and meets any 1/q.  The rules
+    were sorted and shape-checked when ``sym`` was built and keep their
+    order and shapes, and every matrix gets the one modulus, so the field
+    code is built without running the rule check again.
+    """
     mod = as_modulus(p)
-    needs_inverse = any(
-        inp.matrix.uses_inv_q()
-        for rules in (sym.edge_rules, sym.decode_rules)
-        for inputs in rules.values()
-        for inp in inputs
-    )
-    q_inv = 1
-    if needs_inverse:
-        if sym.q % mod.p == 0:
+    p = mod.p
+    q_inv = pow(sym.q, -1, p) if sym.q % p else None
+
+    def times_inv_q(coeff: int) -> int:
+        if q_inv is None:
             raise CharacteristicError(
-                f"characteristic divides q: no inverse of q={sym.q} in GF({mod.p})"
+                f"characteristic divides q: no inverse of q={sym.q} in GF({p})"
             )
-        q_inv = pow(sym.q % mod.p, -1, mod.p)
+        return coeff * q_inv % p
 
     def concrete(matrix: SymMatrix) -> FieldMatrix:
-        flat = tuple(
-            (coeff * (q_inv if inv else 1)) % mod.p for coeff, inv in matrix.entries
-        )
+        flat = tuple([times_inv_q(c) if inv else c % p for c, inv in matrix.entries])
         return FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
 
     def convert(rules: Mapping[str, tuple[SymInput, ...]]) -> dict[str, tuple[CodeInput, ...]]:
@@ -206,14 +208,16 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
             for key, inputs in rules.items()
         }
 
-    return FractionalCode(
-        sym.k,
-        sym.n,
-        mod,
-        convert(sym.edge_rules),
-        convert(sym.decode_rules),
+    code = object.__new__(FractionalCode)  # skips __post_init__, see above
+    code.__dict__.update(
+        k=sym.k,
+        n=sym.n,
+        modulus=mod,
+        edge_rules=convert(sym.edge_rules),
+        decode_rules=convert(sym.decode_rules),
         q=sym.q,
     )
+    return code
 
 
 def rate(code: FractionalCode | SymbolicCode) -> Fraction:
@@ -250,47 +254,54 @@ class TransferBlocks(dict):
 TransferMap = dict[str, TransferBlocks]
 
 
-def _combine(
-    terms: Sequence[tuple[FieldMatrix, Mapping[str, FieldMatrix]]],
-    zero: FieldMatrix,
-    messages: frozenset[str],
-) -> TransferBlocks:
-    """The blocks of sum(A @ B[m] for A, B in terms), per message m.
+Blocks = dict[str, tuple[int, ...]]  # message -> row-major residues, nonzero only
 
-    Only the stored blocks of each B are multiplied, and blocks that sum
-    to zero are dropped.  ``zero`` is the zero block of the result's shape.
+
+def _sum_products(
+    terms: Sequence[tuple[list[tuple[int, ...]], Blocks]], k: int, p: int
+) -> Blocks:
+    """The nonzero blocks of sum(A @ B[m] for A, B in terms), per message m.
+
+    Each term pairs the row slices of A with the stored blocks of B, whose
+    blocks have k columns.  Only stored blocks are multiplied, and the
+    products of a message are added unreduced and reduced mod p once.
     """
-    acc: dict[str, FieldMatrix] = {}
-    for a, blocks in terms:
+    acc: dict[str, list[int]] = {}
+    for rows, blocks in terms:
         for m, b in blocks.items():
-            prod = a @ b
+            prod = _dot_rows(rows, b, k)
             old = acc.get(m)
-            acc[m] = prod if old is None else old + prod
-    nonzero = {m: blk for m, blk in acc.items() if not blk.is_zero}
-    return TransferBlocks(nonzero, messages, zero)
+            acc[m] = prod if old is None else list(map(add, old, prod))
+    out = {}
+    for m, total in acc.items():
+        flat = tuple([x % p for x in total])
+        if any(flat):
+            out[m] = flat
+    return out
 
 
-def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
-    """Global transfer blocks: for each edge, an n x k matrix per message.
-
-    Each edge's ``TransferBlocks`` stores only its nonzero blocks, built
-    from the stored blocks of its parent edges and its ``src:`` input;
-    any other message of the network reads as the zero n x k block.
-    """
-    node_by_id = net.node_map()
-    in_edge_ids: dict[str, set[str]] = {nid: set() for nid in node_by_id}
+def _in_edge_ids(net: CodedNetwork) -> dict[str, set[str]]:
+    in_edge_ids: dict[str, set[str]] = {n.id: set() for n in net.nodes}
     for e in net.edges:
         in_edge_ids[e.head].add(e.id)
+    return in_edge_ids
 
-    messages = frozenset(net.messages)
-    zero = FieldMatrix.zeros(code.n, code.k, code.modulus)
-    # a src: input S (n x k) adds S @ I_k to its message's block
-    ident = FieldMatrix.identity(code.k, code.modulus)
-    transfer: TransferMap = {}
+
+def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
+    """Every edge's nonzero transfer blocks as flat row-major residue tuples.
+
+    Edges are evaluated in topological order, so a broken rule is reported
+    at the first edge that has one.
+    """
+    node_by_id = net.node_map()
+    in_edge_ids = _in_edge_ids(net)
     edges_from: dict[str, list] = {nid: [] for nid in node_by_id}
     for e in net.edges:
         edges_from[e.tail].append(e)
-
+    k = code.k
+    # a src: input S (n x k) adds S @ I_k to its message's block
+    ident = FieldMatrix.identity(k, code.modulus).entries
+    transfer: dict[str, Blocks] = {}
     for nid in topological_order(net):
         node = node_by_id[nid]
         for e in edges_from[nid]:
@@ -305,16 +316,36 @@ def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
                             f"rule for edge {e.id!r} reads {inp.ref!r}, but its "
                             f"tail {nid!r} does not generate that message"
                         )
-                    terms.append((inp.matrix, {msg: ident}))
+                    terms.append((inp.matrix.row_slices(), {msg: ident}))
                 else:
                     if inp.ref not in in_edge_ids[nid]:
                         raise CodeError(
                             f"rule for edge {e.id!r} reads {inp.ref!r}, which is "
                             f"not an in-edge of its tail {nid!r}"
                         )
-                    terms.append((inp.matrix, transfer[inp.ref]))
-            transfer[e.id] = _combine(terms, zero, messages)
+                    terms.append((inp.matrix.row_slices(), transfer[inp.ref]))
+            transfer[e.id] = _sum_products(terms, k, code.modulus.p)
     return transfer
+
+
+def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
+    """Global transfer blocks: for each edge, an n x k matrix per message.
+
+    Each edge's ``TransferBlocks`` stores only its nonzero blocks, built
+    from the stored blocks of its parent edges and its ``src:`` input;
+    any other message of the network reads as the zero n x k block.
+    """
+    n, k, mod = code.n, code.k, code.modulus
+    messages = frozenset(net.messages)
+    zero = FieldMatrix.zeros(n, k, mod)
+    return {
+        eid: TransferBlocks(
+            {m: FieldMatrix._trusted(n, k, flat, mod) for m, flat in blocks.items()},
+            messages,
+            zero,
+        )
+        for eid, blocks in _transfer(net, code).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -339,14 +370,16 @@ class VerificationReport:
 
 
 def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
-    """Exact per-terminal check of the decode rules against the transfers."""
-    transfer = eval_transfer(net, code)
-    in_edge_ids: dict[str, set[str]] = {n.id: set() for n in net.nodes}
-    for e in net.edges:
-        in_edge_ids[e.head].add(e.id)
-    messages = frozenset(net.messages)
-    ident = FieldMatrix.identity(code.k, code.modulus)
-    zero = FieldMatrix.zeros(code.k, code.k, code.modulus)
+    """Exact per-terminal check of the decode rules against the transfers.
+
+    Decoding works on the raw blocks of ``_transfer``; only each
+    terminal's demanded block becomes a ``FieldMatrix``.
+    """
+    transfer = _transfer(net, code)
+    in_edge_ids = _in_edge_ids(net)
+    k, mod = code.k, code.modulus
+    ident = FieldMatrix.identity(k, mod)
+    zero = (0,) * (k * k)
 
     reports: list[TerminalReport] = []
     for term in net.terminals():
@@ -359,9 +392,9 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
                     f"decode rule for {term.id!r} reads {inp.ref!r}, which is "
                     f"not one of its in-edges"
                 )
-            terms.append((inp.matrix, transfer[inp.ref]))
-        decoded = _combine(terms, zero, messages)
-        demanded = decoded[term.demands]
+            terms.append((inp.matrix.row_slices(), transfer[inp.ref]))
+        decoded = _sum_products(terms, k, mod.p)
+        demanded = FieldMatrix._trusted(k, k, decoded.get(term.demands, zero), mod)
         # net.messages is sorted, so sorting keeps the message order
         interferers = tuple(sorted(m for m in decoded if m != term.demands))
         good = demanded == ident and not interferers

@@ -32,7 +32,7 @@ from ncchar import (
     union_copies,
     verify,
 )
-from ncchar.gf import FieldMatrix
+from ncchar.gf import FieldMatrix, PrimeModulus
 from ncchar.lincode import SymbolicCode, SymInput, SymMatrix
 from util_oracles import dense_transfer, dense_verify
 
@@ -130,6 +130,17 @@ def test_eval_bottleneck_blocks_on_solved_network():
         assert blocks[m].is_zero
 
 
+def _eval_and_verify_error(net, code):
+    """The CodeError text of ``eval_transfer``, checked to be ``verify``'s too."""
+    texts = []
+    for fn in (eval_transfer, verify):
+        with pytest.raises(CodeError) as exc:
+            fn(net, code)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
 def test_eval_rejects_rule_reading_non_parent():
     net = CodedNetwork(
         "two",
@@ -155,15 +166,15 @@ def test_eval_rejects_rule_reading_non_parent():
         },
         {"t1": (CodeInput("v1->t1", one),)},
     )
-    with pytest.raises(CodeError):
-        eval_transfer(net, code)
+    assert _eval_and_verify_error(net, code) == (
+        "rule for edge 'v1->t1' reads 's1->t1', which is not an in-edge of its tail 'v1'"
+    )
 
 
 def test_eval_rejects_missing_rule():
     net = tiny_net()
     code = FractionalCode(1, 1, FieldMatrix.zeros(1, 1, 2).modulus, {}, {})
-    with pytest.raises(CodeError):
-        eval_transfer(net, code)
+    assert _eval_and_verify_error(net, code) == "no rule for edge 's1->t1'"
 
 
 def test_eval_unreachable_messages_have_zero_blocks():
@@ -236,9 +247,7 @@ def test_eval_rejects_src_input_at_wrong_tail():
     ):
         rules = dict(good, **{edge: (CodeInput(ref, one),)})
         code = FractionalCode(1, 1, one.modulus, rules, decode)
-        with pytest.raises(CodeError) as exc:
-            eval_transfer(net, code)
-        assert str(exc.value) == (
+        assert _eval_and_verify_error(net, code) == (
             f"rule for edge {edge!r} reads {ref!r}, but its tail {tail!r} "
             f"does not generate that message"
         )
@@ -267,11 +276,13 @@ def _random_code(net, k, n, p, rng):
     about a third of the matrices are zero, so zero blocks and
     cancellations occur next to dense ones."""
 
+    mod = PrimeModulus(p)  # checked once, not per matrix: 2**31 - 1 is slow to test
+
     def mat(rows, cols):
         if rng.random() < 0.3:
-            return FieldMatrix.zeros(rows, cols, p)
+            return FieldMatrix.zeros(rows, cols, mod)
         return FieldMatrix.from_rows(
-            [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p
+            [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], mod
         )
 
     node_map = net.node_map()
@@ -286,7 +297,7 @@ def _random_code(net, k, n, p, rng):
         t.id: tuple(CodeInput(pe.id, mat(k, n)) for pe in net.in_edges(t.id))
         for t in net.terminals()
     }
-    return FractionalCode(k, n, FieldMatrix.zeros(1, 1, p).modulus, edge_rules, decode_rules)
+    return FractionalCode(k, n, mod, edge_rules, decode_rules)
 
 
 @pytest.mark.parametrize("case", sorted(_oracle_cases()))
@@ -294,7 +305,9 @@ def test_sparse_transfer_matches_dense_oracle(case):
     net, sym = _oracle_cases()[case]
     rng = random.Random(f"dense-oracle:{case}")
     seen_fail = seen_interference = 0
-    for p in (2, 3, 5):
+    # 2**31 - 1, the largest modulus, is where the unreduced sums of an
+    # edge's products are largest
+    for p in (2, 3, 5, 2_147_483_647):
         codes = [_random_code(net, k, n, p, rng)
                  for k, n in ((sym.k, sym.n), (sym.k, sym.n), (2, 3), (2, 1))]
         try:
