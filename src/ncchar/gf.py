@@ -109,14 +109,13 @@ class FieldMatrix:
         cls, rows: Sequence[Sequence[int]], p: "PrimeModulus | int"
     ) -> "FieldMatrix":
         mod = as_modulus(p)
-        p = mod.p
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         flat: list[int] = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat += [int(x) % p for x in r]
+            flat.extend(int(x) % mod.p for x in r)
         return cls._trusted(nrows, ncols, tuple(flat), mod)
 
     @classmethod
@@ -141,11 +140,6 @@ class FieldMatrix:
 
     def row(self, r: int) -> tuple[int, ...]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def row_slices(self) -> list[tuple[int, ...]]:
-        """Every row as an entry tuple: the left operand of ``_dot_rows``."""
-        e, c = self.entries, self.cols
-        return [e[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(r)) for r in range(self.rows)]
@@ -194,7 +188,8 @@ class FieldMatrix:
                 f"{other.rows}x{other.cols}"
             )
         p = self.modulus.p
-        flat = _dot_rows(self.row_slices(), other.entries, other.cols)
+        rows = [self.row(r) for r in range(self.rows)]
+        flat = _dot_rows(rows, other.entries, other.cols)
         return FieldMatrix._trusted(
             self.rows, other.cols, tuple([x % p for x in flat]), self.modulus
         )
@@ -330,13 +325,14 @@ def block_compose(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:
                     f"block ({i},{j}) has shape {blk.rows}x{blk.cols}, "
                     f"expected {heights[i]}x{widths[j]}"
                 )
-    # every block holds residues mod one p, so the grid's entries do too
-    flat: list[int] = []
+    out_rows: list[list[int]] = []
     for i, row in enumerate(blocks):
         for r in range(heights[i]):
+            line: list[int] = []
             for blk in row:
-                flat += blk.row(r)
-    return FieldMatrix._trusted(sum(heights), sum(widths), tuple(flat), mod)
+                line.extend(blk.row(r))
+            out_rows.append(line)
+    return FieldMatrix.from_rows(out_rows, mod)
 
 
 def block_identity_check(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add
@@ -124,6 +124,20 @@ class FractionalCode:
     def __post_init__(self) -> None:
         _check_rules(self, self.modulus)
 
+    @classmethod
+    def _trusted(cls, *values: object) -> "FractionalCode":
+        """Build from every field's value, in field order, without the rule
+        check of ``__post_init__``.
+
+        Only for rules that already pass it: inputs sorted by ref, every
+        matrix of its rule's shape and over the one modulus, such as the
+        rules of a checked ``SymbolicCode`` converted entry by entry.
+        """
+        code = object.__new__(cls)
+        for f, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(code, f.name, value)
+        return code
+
 
 SymEntry = tuple[int, bool]  # (coefficient, times 1/q?)
 
@@ -185,7 +199,7 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
     One pass over the entries converts them and meets any 1/q.  The rules
     were sorted and shape-checked when ``sym`` was built and keep their
     order and shapes, and every matrix gets the one modulus, so the field
-    code is built without running the rule check again.
+    code is built with ``FractionalCode._trusted``, without the rule check.
     """
     mod = as_modulus(p)
     p = mod.p
@@ -208,16 +222,9 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
             for key, inputs in rules.items()
         }
 
-    code = object.__new__(FractionalCode)  # skips __post_init__, see above
-    code.__dict__.update(
-        k=sym.k,
-        n=sym.n,
-        modulus=mod,
-        edge_rules=convert(sym.edge_rules),
-        decode_rules=convert(sym.decode_rules),
-        q=sym.q,
+    return FractionalCode._trusted(
+        sym.k, sym.n, mod, convert(sym.edge_rules), convert(sym.decode_rules), sym.q
     )
-    return code
 
 
 def rate(code: FractionalCode | SymbolicCode) -> Fraction:
@@ -309,6 +316,8 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
                 raise CodeError(f"no rule for edge {e.id!r}")
             terms = []
             for inp in code.edge_rules[e.id]:
+                m = inp.matrix
+                rows = [m.row(r) for r in range(m.rows)]
                 if inp.ref.startswith(SRC_PREFIX):
                     msg = inp.ref[len(SRC_PREFIX) :]
                     if node.role != "source" or node.generates != msg:
@@ -316,14 +325,14 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
                             f"rule for edge {e.id!r} reads {inp.ref!r}, but its "
                             f"tail {nid!r} does not generate that message"
                         )
-                    terms.append((inp.matrix.row_slices(), {msg: ident}))
+                    terms.append((rows, {msg: ident}))
                 else:
                     if inp.ref not in in_edge_ids[nid]:
                         raise CodeError(
                             f"rule for edge {e.id!r} reads {inp.ref!r}, which is "
                             f"not an in-edge of its tail {nid!r}"
                         )
-                    terms.append((inp.matrix.row_slices(), transfer[inp.ref]))
+                    terms.append((rows, transfer[inp.ref]))
             transfer[e.id] = _sum_products(terms, k, code.modulus.p)
     return transfer
 
@@ -377,6 +386,7 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     """
     transfer = _transfer(net, code)
     in_edge_ids = _in_edge_ids(net)
+    messages = frozenset(net.messages)
     k, mod = code.k, code.modulus
     ident = FieldMatrix.identity(k, mod)
     zero = (0,) * (k * k)
@@ -392,7 +402,12 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
                     f"decode rule for {term.id!r} reads {inp.ref!r}, which is "
                     f"not one of its in-edges"
                 )
-            terms.append((inp.matrix.row_slices(), transfer[inp.ref]))
+            m = inp.matrix
+            terms.append(([m.row(r) for r in range(m.rows)], transfer[inp.ref]))
+        if term.demands not in messages:
+            raise CodeError(
+                f"terminal {term.id!r} demands unknown message {term.demands!r}"
+            )
         decoded = _sum_products(terms, k, mod.p)
         demanded = FieldMatrix._trusted(k, k, decoded.get(term.demands, zero), mod)
         # net.messages is sorted, so sorting keeps the message order

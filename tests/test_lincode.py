@@ -97,6 +97,41 @@ def test_instantiate_without_inv_q_accepts_any_prime():
     instantiate(solve_n1(6, 2), 5)
 
 
+def test_instantiate_equals_the_checked_constructor():
+    # instantiate skips the rule check; the checked FractionalCode built
+    # from the same entries, each rule's inputs handed over in reverse
+    # order, must come out equal to it
+    def checked(sym, p):
+        q_inv = pow(sym.q, -1, p) if sym.q % p else None  # n1 codes never use it
+
+        def field(m):
+            vals = [c * q_inv if inv else c for c, inv in m.entries]
+            return FieldMatrix.from_rows(
+                [vals[r * m.cols : (r + 1) * m.cols] for r in range(m.rows)], p
+            )
+
+        def rules(sym_rules):
+            return {
+                key: tuple(CodeInput(i.ref, field(i.matrix)) for i in reversed(inputs))
+                for key, inputs in sym_rules.items()
+            }
+
+        return FractionalCode(
+            sym.k, sym.n, PrimeModulus(p), rules(sym.edge_rules),
+            rules(sym.decode_rules), sym.q,
+        )
+
+    base = gen_n1(2, 1)
+    for sym, p in (
+        (solve_n1(2, 2), 3),
+        (solve_n2(2, 1), 3),
+        (solve_n2(3, 2), 5),
+        (lift_union(solve_n1(2, 2), 2), 2),
+        (lift_gadget(solve_n1(2, 1), base, gadget_transform(base, 1)), 5),
+    ):
+        assert instantiate(sym, p) == checked(sym, p)
+
+
 # ---------------------------------------------------------------------------
 # transfer evaluation
 # ---------------------------------------------------------------------------
@@ -360,6 +395,29 @@ def test_verify_wrong_characteristic_fails_only_ta():
     assert failing[0].interferers == ("c1",)
     assert failing[1].interferers == ("c2",)
     assert failing[0].demanded_block == FieldMatrix.identity(1, 3)
+
+
+def test_verify_rejects_terminal_without_known_demand():
+    one = FieldMatrix.from_rows([[1]], 2)
+    code = FractionalCode(
+        1, 1, one.modulus, {"s1->t1": (CodeInput("src:a1", one),)}, {}
+    )
+    for demands, fault in (
+        (None, "has no demand"),
+        ("zz", "demands unknown message 'zz'"),
+    ):
+        net = CodedNetwork(
+            "tiny",
+            ("a1",),
+            (
+                NetNode("s1", "source", generates="a1"),
+                NetNode("t1", "terminal", demands=demands),
+            ),
+            (NetEdge("s1->t1", "s1", "t1"),),
+        )
+        with pytest.raises(CodeError) as exc:
+            verify(net, code)
+        assert str(exc.value) == f"terminal 't1' {fault}"
 
 
 def test_verify_no_terminals_is_vacuous():
