@@ -1,15 +1,20 @@
 """Explicit achievability codes and their lifts to unions and gadgets."""
 
+import hashlib
+
 import pytest
 
 from ncchar import (
     CharacteristicError,
+    gadget_transform,
     gadget_transform_traced,
     gen_n1,
     gen_n2,
     instantiate,
     lift_gadget,
     lift_union,
+    save,
+    save_code,
     solve_n1,
     solve_n2,
     union_copies,
@@ -58,6 +63,90 @@ def test_solve_shapes_match_parameters():
         for builder in (solve_n1, solve_n2):
             sym = builder(q, n)
             assert (sym.k, sym.n, sym.q) == (1, n, q)
+
+
+# sha256 of save(gen_*(q, n)) and save_code(solve_*(q, n)), recorded when
+# each family's topology was still written out separately in both modules;
+# q = 11 reaches the b{i}_{j} message names
+FAMILY_DIGESTS = {
+    ("n1", 2, 1): (
+        "8eeb4d4afb28d462b1e285472a7476b47ede1f0e5053dbbde4829478baec4c58",
+        "0112f599977d31a62b6ac10b57b21ebf0eb9d4f64e1d7c14a96c32b3f1ffe2b4",
+    ),
+    ("n1", 2, 3): (
+        "2cb1face572f15d98409e74398bc0f7eb42226624bf8f8a093036b1eeee092fa",
+        "faff55a9176aff6db5822b32d56743205ee7b376369246b0c227d06e809602e0",
+    ),
+    ("n1", 3, 2): (
+        "9f06d24ad91f4b6552799d93c3bef40516ba7a603c559ef9bafa87b022cfd3df",
+        "05048acda6ea3ed09a00c040a0f301fdc21c62563b53c5372be467e110116b08",
+    ),
+    ("n1", 5, 3): (
+        "edbfa31bdf09b4c645a225760cb192b2a529cd2bafc8d246bbe684198bc54789",
+        "823580d76af3b3cf759b8e9efad4426be3ca2ec6b31e86dcab77db2682c1e127",
+    ),
+    ("n1", 11, 2): (
+        "70b7a5d6fa94f50992e959a56c736473643a46c5de1ff2161c26939df35e10ee",
+        "336ded2ab778c99195c374c0f26ea5034c1634249ba3b3d8cd3d31252918499e",
+    ),
+    ("n2", 2, 1): (
+        "e89f19426fc82f844d0df976b4920b3a5764133ffb2262a9d664c8c5e89529bb",
+        "3e224fab1bd078ae158ad6c2fe75c21dc533b12483996dc54f5ee3f42c36944e",
+    ),
+    ("n2", 2, 3): (
+        "d37938762f2ca239b2b345d5e25edc7720912ec4750b6a6082a75080900a5735",
+        "415ca7a7b3ff7b54ec125de737896d27a76cc9237547e1a6fa9fc6bfa8d93a57",
+    ),
+    ("n2", 3, 2): (
+        "aa289f1ca82d449c1a5822d4cd2f6ec44eccdc8d8c4db12e1ee77ed2660ea773",
+        "c27698858b5f714b75da1e604c2f76e142f3dc93f87ae3dca7d49abfddcb3e77",
+    ),
+    ("n2", 5, 3): (
+        "f2bebaf5e06897de9fa76bea3c1dbab44fe261a8cdb50147308924452d5c2614",
+        "346bfe40980e60a3d8f879b6822a8dabbf007f99b6fa99542fe5a1d8ffc16517",
+    ),
+    ("n2", 11, 2): (
+        "a83e7daeaf27db6c60d1475ab00e9f72fb8c481c4dae5fdaefeff7cf31c3ad67",
+        "e43830540c54b357da0514bfd2265c29c5286034ef73cfec8ce1a24ce6fe6ad9",
+    ),
+}
+
+FAMILIES = {"n1": (gen_n1, solve_n1), "n2": (gen_n2, solve_n2)}
+
+
+@pytest.mark.parametrize("family, q, n", sorted(FAMILY_DIGESTS))
+def test_family_bytes_are_pinned(family, q, n):
+    gen, solve = FAMILIES[family]
+    got = (
+        hashlib.sha256(save(gen(q, n))).hexdigest(),
+        hashlib.sha256(save_code(solve(q, n))).hexdigest(),
+    )
+    assert got == FAMILY_DIGESTS[family, q, n]
+
+
+def _code_pairs():
+    """(network, symbolic code) for each family on the pinned grid, and
+    for their union and gadget lifts."""
+    for family, q, n in sorted(FAMILY_DIGESTS):
+        gen, solve = FAMILIES[family]
+        yield pytest.param(gen(q, n), solve(q, n), id=f"{family}({q},{n})")
+    for family in sorted(FAMILIES):
+        gen, solve = FAMILIES[family]
+        for q, n in ((2, 1), (3, 2)):
+            base, sym = gen(q, n), solve(q, n)
+            yield pytest.param(union_copies(base, 2), lift_union(sym, 2),
+                               id=f"union({family}({q},{n}),2)")
+            gadgeted = gadget_transform(base, n)
+            yield pytest.param(gadgeted, lift_gadget(sym, base, gadgeted),
+                               id=f"gadget({family}({q},{n}))")
+
+
+@pytest.mark.parametrize("net, sym", _code_pairs())
+def test_rules_cover_exactly_the_edges_and_terminals(net, sym):
+    # verify ignores rules for edges the network lacks, so only this
+    # check ties the rule set to the topology edge for edge
+    assert set(sym.edge_rules) == {e.id for e in net.edges}
+    assert set(sym.decode_rules) == {t.id for t in net.terminals()}
 
 
 def test_solve_parameter_validation():
