@@ -26,15 +26,16 @@ from .network import (
     CodedNetwork,
     NetEdge,
     NetNode,
+    _int_at_least,
     is_multiple_unicast,
     validate,
 )
 
 
 def _check_params(q: int, n: int) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+    if not _int_at_least(q, 2):
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _int_at_least(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
@@ -223,7 +224,7 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
     suffix; each source and each terminal appears once and connects to
     every copy.
     """
-    if not isinstance(copies, int) or isinstance(copies, bool) or copies < 1:
+    if not _int_at_least(copies, 1):
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
     if copies == 1:
         return net
@@ -288,7 +289,7 @@ def gadget_transform_traced(
     [b+z, y_1, ..., y_{n-1}], which is why the rewrite preserves rate-1/n
     solvability in both directions.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _int_at_least(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     report = validate(net)
     if not report.ok:

@@ -43,6 +43,7 @@ from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
 from .network import (
     CodedNetwork,
     _json_array,
+    _int_at_least,
     _json_object,
     _read_object,
     topological_order,
@@ -81,11 +82,14 @@ def _check_rules(
     equality and serialization agree.  An edge reads an n x k matrix from
     ``src:<message>`` and an n x n one from a parent edge; a decode rule
     reads a k x n matrix from an in-edge and never reads ``src:``.  A
-    field code (``modulus`` given) uses that one modulus throughout.
+    field code (``modulus`` given) uses that one modulus throughout.  As
+    in a code document, k, n and any q are ints >= 1, and not ``bool``.
     """
     k, n = code.k, code.n
-    if k < 1 or n < 1:
+    if not (_int_at_least(k, 1) and _int_at_least(n, 1)):
         raise CodeError("k and n must be positive")
+    if (code.q is not None or modulus is None) and not _int_at_least(code.q, 1):
+        raise CodeError("q must be a positive integer")
     for attr, decode in (("edge_rules", False), ("decode_rules", True)):
         rules = {
             key: tuple(sorted(inputs, key=lambda inp: inp.ref))
@@ -485,11 +489,6 @@ def save_code(code: FractionalCode | SymbolicCode) -> bytes:
     return (_json_object(doc, 0) + "\n").encode("utf-8")
 
 
-def _positive_int(value: object) -> bool:
-    """A JSON integer >= 1; ``bool`` is an ``int`` subclass and is refused."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def load_code(
     data: bytes | str, net: CodedNetwork | None = None
 ) -> FractionalCode | SymbolicCode:
@@ -503,7 +502,7 @@ def load_code(
         if field_name not in doc:
             raise CodeFormatError(f"missing field {field_name!r}")
     k, n = doc["k"], doc["n"]
-    if not (_positive_int(k) and _positive_int(n)):
+    if not (_int_at_least(k, 1) and _int_at_least(n, 1)):
         raise CodeFormatError("'k' and 'n' must be positive integers")
     symbolic = "p" not in doc
     if symbolic:
@@ -570,7 +569,7 @@ def load_code(
     edge_rules = parse_rules(doc["edge_rules"], "edge", decode=False)
     decode_rules = parse_rules(doc["decode_rules"], "decode", decode=True)
     q = doc.get("q")
-    if (q is not None or symbolic) and not _positive_int(q):
+    if (q is not None or symbolic) and not _int_at_least(q, 1):
         raise CodeFormatError("'q' must be a positive integer")
 
     if net is not None:

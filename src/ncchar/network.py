@@ -24,6 +24,11 @@ ROLE_TERMINAL = "terminal"
 _ROLES = (ROLE_SOURCE, ROLE_INTERMEDIATE, ROLE_TERMINAL)
 
 
+def _int_at_least(value: object, least: int) -> bool:
+    """An ``int`` >= ``least``; ``bool`` is an ``int`` subclass and is refused."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 class NetworkFormatError(ValueError):
     """Raised when a network document cannot be parsed."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .constructions import _check_params, bmsg, gadget_transform_traced
 from .lincode import SRC_PREFIX, SymInput, SymMatrix, SymbolicCode
-from .network import CodedNetwork
+from .network import CodedNetwork, _int_at_least
 
 Rules = dict[str, tuple[SymInput, ...]]
 
@@ -222,7 +222,7 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
     the base code's route through copy i, with the same local matrices."""
     if sym.k != 1:
         raise ValueError("lift_union needs a (1, n) base code")
-    if not isinstance(copies, int) or isinstance(copies, bool) or copies < 1:
+    if not _int_at_least(copies, 1):
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
     if copies == 1:
         return sym

@@ -45,7 +45,7 @@ from typing import Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
 from .lincode import SRC_PREFIX, CodeInput, FractionalCode
-from .network import CodedNetwork, topological_order, validate
+from .network import CodedNetwork, _int_at_least, topological_order, validate
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -61,7 +61,7 @@ class SearchConfig:
     node_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        if self.node_budget < 1:
+        if not _int_at_least(self.node_budget, 1):
             raise ValueError("node_budget must be positive")
 
 
@@ -657,7 +657,7 @@ def search_fractional(
     cfg: SearchConfig | None = None,
 ) -> SearchOutcome:
     """Decide (k, n) linear solvability over GF(p) by subspace search."""
-    if k < 1 or n < 1:
+    if not (_int_at_least(k, 1) and _int_at_least(n, 1)):
         raise ValueError("k and n must be positive")
     cfg = cfg or SearchConfig()
     mod = as_modulus(p)

@@ -586,3 +586,12 @@ def test_code_shape_validation():
         SymbolicCode(1, 1, 2, {"e": (SymInput("src:a1", two),)}, {})
     with pytest.raises(CodeError, match="may not read source messages"):
         SymbolicCode(1, 1, 2, {}, {"t": (SymInput("src:a1", one),)})
+    # k, n and q are checked as load_code checks a document's: each an int
+    # >= 1 and not a bool, q of a field code only when it is given
+    for k, n, q in ((0, 1, 2), (True, 1, 2), (1, 1.0, 2), (1, 1, 0), (1, 1, True), (1, 1, 2.0)):
+        with pytest.raises(CodeError, match="positive"):
+            SymbolicCode(k, n, q, {}, {})
+        with pytest.raises(CodeError, match="positive"):
+            FractionalCode(k, n, mod, {}, {}, q=q)
+    with pytest.raises(CodeError, match="k and n must be positive"):
+        FractionalCode(True, 1, mod, {}, {})

@@ -204,8 +204,10 @@ def test_search_is_fully_deterministic():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(node_budget=0)
+    # a fractional budget was once accepted, and the count rounded it up
+    for budget in (0, 2.5, "5", True):
+        with pytest.raises(ValueError, match="node_budget must be positive"):
+            SearchConfig(node_budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,13 @@ def test_fractional_finds_rate_half_witness():
     report = verify(net, out.code)
     assert report.passed
     assert out.code.k == 1 and out.code.n == 2
+
+
+@pytest.mark.parametrize("k, n", [(0, 1), (1, 0), (True, True), (1.5, 1), (1, 2.0)])
+def test_fractional_rejects_bad_rate(k, n):
+    # a bool rate once gave a witness whose file load_code refuses
+    with pytest.raises(ValueError, match="k and n must be positive"):
+        search_fractional(gen_fano(), k, n, 2)
 
 
 def test_fractional_rejects_invalid_network():
