@@ -8,6 +8,10 @@ Two parameterized families are built here:
 * ``gen_n2(q, n)`` is rate-1/n solvable exactly when the characteristic
   does NOT divide q.  At (2, 1) it reduces to the non-Fano network.
 
+Each family's messages, source edges and terminals are listed once, by
+``_n1_family``/``_n2_family``; ``gen_*`` builds them into the network and
+``solutions.solve_*`` derives its source-edge and decode rules from them.
+
 ``union_copies`` glues k disjoint copies of a network along shared
 sources and terminals, and ``gadget_transform`` rewrites a network with
 repeated demands into a multiple-unicast network with the same
@@ -66,6 +70,84 @@ def _edge(tail: str, head: str) -> NetEdge:
     return NetEdge(edge_id(tail, head), tail, head)
 
 
+_Source = tuple[str, str, int]
+_Terminal = tuple[str, str, int, str, str]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What a family's network and its closed-form code both read; the
+    ``branches`` are the indices i of the message sets b_i."""
+
+    messages: tuple[str, ...]
+    branches: range
+    sources: tuple[_Source, ...]
+    terminals: tuple[_Terminal, ...]
+
+    def network(self, name: str, mids: list[str], edges: list[NetEdge]) -> CodedNetwork:
+        """The sources, the given intermediates and edges, then the terminals."""
+        nodes = [_src(m) for m in self.messages] + [_mid(v) for v in mids]
+        for tid, demand, _, tail, _ in self.terminals:
+            nodes.append(_term(tid, demand))
+            edges.append(_edge(tail, tid))
+        return CodedNetwork(name, self.messages, tuple(nodes), tuple(edges))
+
+
+def _fan(msgs: Iterable[str], *heads: str) -> list[_Source]:
+    """Source edges (message, head, slot) from each message to each head:
+    edge ``message->head`` carries the message in coordinate ``slot``."""
+    return [(m, h, j) for j, m in enumerate(msgs, start=1) for h in heads]
+
+
+def _sink(label: str, msgs: Iterable[str], tail: str, feed: str) -> list[_Terminal]:
+    """Terminals (id, demand, slot, tail, feed), one per message: each hangs
+    off ``tail`` by one edge, which forwards ``feed``, the tail's one
+    in-edge, and decodes coordinate ``slot`` of that block."""
+    return [(f"{label}:{m}", m, j, tail, feed) for j, m in enumerate(msgs, start=1)]
+
+
+def _n1_family(q: int, n: int) -> _Family:
+    _check_params(q, n)
+    a = tuple(f"a{j}" for j in range(1, n + 1))
+    c = tuple(f"c{j}" for j in range(1, n + 1))
+    b = {i: tuple(bmsg(i, j) for j in range(1, n + 1)) for i in range(1, q)}
+    sources = _fan(a, "u1")
+    for i in b:
+        sources += _fan(b[i], "u1", "u2")
+    sources += _fan(c, "u2", "u6") + _fan(a, "u11")
+    for i in b:
+        for k in b:
+            if k != i:
+                sources += _fan(b[i], f"e{k}t", f"v{k}")
+        sources += _fan(b[i], f"w{i}")
+    terminals = _sink("Tc", c, "u12", "u11->u12") + _sink("Ta", a, "u14", "u13->u14")
+    for i in b:
+        terminals += _sink(f"Tb{i}", b[i], f"v{i}p", f"v{i}->v{i}p")
+        terminals += _sink(f"Tc{i}", c, f"w{i}p", f"w{i}->w{i}p")
+    messages = a + tuple(m for i in b for m in b[i]) + c
+    return _Family(messages, range(1, q), tuple(sources), tuple(terminals))
+
+
+def _n2_family(q: int, n: int) -> _Family:
+    _check_params(q, n)
+    a = tuple(f"a{j}" for j in range(1, n + 1))
+    b = {i: tuple(bmsg(i, j) for j in range(1, n + 1)) for i in range(1, q + 1)}
+    sources = _fan(a, "eat")
+    for i in b:
+        sources += _fan(b[i], "eat")
+    for i in b:
+        sources += _fan(a, f"e{i}t")
+        for k in b:
+            if k != i:
+                sources += _fan(b[k], f"e{i}t")
+        sources += _fan(b[i], "ebt")
+    terminals = _sink("Ta1", a, "eaph", "eap") + _sink("Ta2", a, "ebph", "ebp")
+    for i in b:
+        terminals += _sink(f"Tb{i}", b[i], f"e{i}ph", f"e{i}p")
+    messages = a + tuple(m for i in b for m in b[i])
+    return _Family(messages, range(1, q + 1), tuple(sources), tuple(terminals))
+
+
 def gen_n1(q: int, n: int) -> CodedNetwork:
     """First family: solvable at rate 1/n iff the characteristic divides q.
 
@@ -73,40 +155,8 @@ def gen_n1(q: int, n: int) -> CodedNetwork:
     sets of n.  The c messages are each demanded by q terminals, which is
     what the gadget transform later untangles.
     """
-    _check_params(q, n)
-    a = [f"a{i}" for i in range(1, n + 1)]
-    c = [f"c{i}" for i in range(1, n + 1)]
-    b = {i: [bmsg(i, j) for j in range(1, n + 1)] for i in range(1, q)}
-
-    messages = list(a) + [m for i in sorted(b) for m in b[i]] + list(c)
-    nodes: list[NetNode] = [_src(m) for m in messages]
-    nodes += [_mid(f"u{i}") for i in range(1, 15)]
-    for i in range(1, q):
-        nodes += [_mid(f"e{i}t"), _mid(f"e{i}h"), _mid(f"v{i}"), _mid(f"v{i}p")]
-        nodes += [_mid(f"w{i}"), _mid(f"w{i}p")]
-
-    edges: list[NetEdge] = []
-    # source fan-outs
-    for m in a:
-        edges.append(_edge(m, "u1"))
-    for i in sorted(b):
-        for m in b[i]:
-            edges.append(_edge(m, "u1"))
-            edges.append(_edge(m, "u2"))
-    for m in c:
-        edges.append(_edge(m, "u2"))
-        edges.append(_edge(m, "u6"))
-    for m in a:
-        edges.append(_edge(m, "u11"))
-    for i in sorted(b):
-        for k in range(1, q):
-            if k == i:
-                continue
-            for m in b[i]:
-                edges.append(_edge(m, f"e{k}t"))
-                edges.append(_edge(m, f"v{k}"))
-        for m in b[i]:
-            edges.append(_edge(m, f"w{i}"))
+    fam = _n1_family(q, n)
+    edges = [_edge(m, head) for m, head, _ in fam.sources]
     # the u-backbone
     for i in (1, 2, 3, 5, 6, 7):
         edges.append(_edge(f"u{i}", f"u{i + 2}"))
@@ -114,7 +164,9 @@ def gen_n1(q: int, n: int) -> CodedNetwork:
         edges.append(_edge(f"u{i}", f"u{i + 1}"))
     edges += [_edge("u3", "u6"), _edge("u7", "u11"), _edge("u8", "u13")]
     # the q-1 parallel branches and their fan-in/fan-out
-    for i in range(1, q):
+    mids = [f"u{i}" for i in range(1, 15)]
+    for i in fam.branches:
+        mids += [f"e{i}t", f"e{i}h", f"v{i}", f"v{i}p", f"w{i}", f"w{i}p"]
         edges.append(NetEdge(f"e{i}", f"e{i}t", f"e{i}h"))
         edges.append(_edge("u4", f"e{i}t"))
         edges.append(_edge(f"e{i}h", "u13"))
@@ -122,86 +174,29 @@ def gen_n1(q: int, n: int) -> CodedNetwork:
         edges.append(_edge("u10", f"v{i}"))
         edges.append(_edge(f"v{i}", f"v{i}p"))
         edges.append(_edge(f"w{i}", f"w{i}p"))
-
-    # terminal sets
-    for i, m in enumerate(c, start=1):
-        t = f"Tc:{m}"
-        nodes.append(_term(t, m))
-        edges.append(_edge("u12", t))
-    for i, m in enumerate(a, start=1):
-        t = f"Ta:{m}"
-        nodes.append(_term(t, m))
-        edges.append(_edge("u14", t))
-    for i in sorted(b):
-        for m in b[i]:
-            t = f"Tb{i}:{m}"
-            nodes.append(_term(t, m))
-            edges.append(_edge(f"v{i}p", t))
-        for m in c:
-            t = f"Tc{i}:{m}"
-            nodes.append(_term(t, m))
-            edges.append(_edge(f"w{i}p", t))
-
-    return CodedNetwork(
-        f"n1(q={q},n={n})", tuple(messages), tuple(nodes), tuple(edges)
-    )
+    return fam.network(f"n1(q={q},n={n})", mids, edges)
 
 
 def gen_n2(q: int, n: int) -> CodedNetwork:
     """Second family: solvable at rate 1/n iff the characteristic does
-    not divide q (the construction needs an inverse of q)."""
-    _check_params(q, n)
-    a = [f"a{j}" for j in range(1, n + 1)]
-    b = {i: [bmsg(i, j) for j in range(1, n + 1)] for i in range(1, q + 1)}
-    messages = list(a) + [m for i in sorted(b) for m in b[i]]
-
-    nodes: list[NetNode] = [_src(m) for m in messages]
+    not divide q (the construction needs an inverse of q).  Sources come in
+    q+1 sets of n (a, b_1..b_q); terminals in q+2 sets of n."""
+    fam = _n2_family(q, n)
+    mids, edges = [], []
     for stem in ("ea", "eb", "eap", "ebp"):
-        nodes += [_mid(f"{stem}t"), _mid(f"{stem}h")]
-    for i in sorted(b):
-        nodes += [_mid(f"e{i}t"), _mid(f"e{i}h"), _mid(f"e{i}pt"), _mid(f"e{i}ph")]
-
-    edges: list[NetEdge] = []
-    for stem in ("ea", "eb", "eap", "ebp"):
+        mids += [f"{stem}t", f"{stem}h"]
         edges.append(NetEdge(stem, f"{stem}t", f"{stem}h"))
-    for i in sorted(b):
+    for i in fam.branches:
+        mids += [f"e{i}t", f"e{i}h", f"e{i}pt", f"e{i}ph"]
         edges.append(NetEdge(f"e{i}", f"e{i}t", f"e{i}h"))
         edges.append(NetEdge(f"e{i}p", f"e{i}pt", f"e{i}ph"))
-    for m in messages:
-        edges.append(_edge(m, "eat"))
-    for i in sorted(b):
-        for m in a:
-            edges.append(_edge(m, f"e{i}t"))
-        for k in sorted(b):
-            if k == i:
-                continue
-            for m in b[k]:
-                edges.append(_edge(m, f"e{i}t"))
-        for m in b[i]:
-            edges.append(_edge(m, "ebt"))
+    edges += [_edge(m, head) for m, head, _ in fam.sources]
     edges += [_edge("eah", "eapt"), _edge("ebh", "eapt"), _edge("ebh", "ebpt")]
-    for i in sorted(b):
+    for i in fam.branches:
         edges.append(_edge(f"e{i}h", f"e{i}pt"))
         edges.append(_edge("eah", f"e{i}pt"))
         edges.append(_edge(f"e{i}h", "ebpt"))
-
-    for m in a:
-        t = f"Ta1:{m}"
-        nodes.append(_term(t, m))
-        edges.append(_edge("eaph", t))
-    for m in a:
-        t = f"Ta2:{m}"
-        nodes.append(_term(t, m))
-        edges.append(_edge("ebph", t))
-    for i in sorted(b):
-        for m in b[i]:
-            t = f"Tb{i}:{m}"
-            nodes.append(_term(t, m))
-            edges.append(_edge(f"e{i}ph", t))
-
-    return CodedNetwork(
-        f"n2(q={q},n={n})", tuple(messages), tuple(nodes), tuple(edges)
-    )
+    return fam.network(f"n2(q={q},n={n})", mids, edges)
 
 
 def gen_fano() -> CodedNetwork:

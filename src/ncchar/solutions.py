@@ -1,12 +1,14 @@
 """Hand-built (1, n) codes for the two network families, plus liftings.
 
 ``solve_n1`` and ``solve_n2`` write down the explicit rate-1/n codes as
-symbolic data.  All entries are 0 or +/-1, except the one place the
-second family genuinely needs the field: the last bottleneck combines
-its q+1 inputs with coefficients 1/q and -(q-1)/q, so instantiation
-requires the characteristic not to divide q.  Conversely, the first
-family's code delivers a_i - q*c_i to the a-terminals, which collapses
-to a_i exactly when the characteristic divides q.
+symbolic data.  The rules of the source and terminal edges and the decode
+rules come from the family's lists in ``constructions``; only the middle
+edges' rules are written here.  All entries are 0 or +/-1, except the one
+place the second family genuinely needs the field: the last bottleneck
+combines its q+1 inputs with coefficients 1/q and -(q-1)/q, so
+instantiation requires the characteristic not to divide q.  Conversely,
+the first family's code delivers a_i - q*c_i to the a-terminals, which
+collapses to a_i exactly when the characteristic divides q.
 
 ``lift_union`` turns a (1, n) code on a base network into a (k, n) code
 on the k-fold union by routing component i of every source through copy
@@ -18,62 +20,58 @@ out with differences.
 
 from __future__ import annotations
 
-from .constructions import _check_params, bmsg, gadget_transform_traced
+from collections import defaultdict
+
+from .constructions import _Family, _n1_family, _n2_family, gadget_transform_traced
 from .lincode import SRC_PREFIX, SymInput, SymMatrix, SymbolicCode
 from .network import CodedNetwork, _int_at_least
 
 Rules = dict[str, tuple[SymInput, ...]]
 
 
-def solve_n1(q: int, n: int) -> SymbolicCode:
-    """The (1, n) code for the first family; verifies iff char divides q."""
-    _check_params(q, n)
+def _family_rules(fam: _Family, n: int) -> tuple[Rules, Rules, dict[str, list[str]]]:
+    """The rules a family's lists fix: each source edge reads its message
+    into its slot, each terminal edge forwards its tail's in-edge, and each
+    terminal decodes its slot of that block.  Also returns, per node, the
+    ids of the source edges into it (none for a node no source feeds)."""
     ident = SymMatrix.scaled_identity(n)
-    neg = SymMatrix.scaled_identity(n, coeff=-1)
+    cols = [SymMatrix.unit_column(n, j) for j in range(1, n + 1)]
+    rows = [SymMatrix.unit_row(n, j) for j in range(1, n + 1)]
     er: Rules = {}
     dr: Rules = {}
+    fed: dict[str, list[str]] = defaultdict(list)
+    for m, head, slot in fam.sources:
+        eid = f"{m}->{head}"
+        er[eid] = (SymInput(SRC_PREFIX + m, cols[slot - 1]),)
+        fed[head].append(eid)
+    for tid, _, slot, tail, feed in fam.terminals:
+        eid = f"{tail}->{tid}"
+        er[eid] = (SymInput(feed, ident),)
+        dr[tid] = (SymInput(eid, rows[slot - 1]),)
+    return er, dr, fed
 
-    def src_edge(msg: str, head: str, slot: int) -> None:
-        er[f"{msg}->{head}"] = (
-            SymInput(SRC_PREFIX + msg, SymMatrix.unit_column(n, slot)),
-        )
 
-    a = [f"a{i}" for i in range(1, n + 1)]
-    c = [f"c{i}" for i in range(1, n + 1)]
-    b = {i: [bmsg(i, j) for j in range(1, n + 1)] for i in range(1, q)}
+def _inputs(refs: list[str], matrix: SymMatrix) -> tuple[SymInput, ...]:
+    return tuple(SymInput(ref, matrix) for ref in refs)
 
-    for j, m in enumerate(a, start=1):
-        src_edge(m, "u1", j)
-        src_edge(m, "u11", j)
-    for j, m in enumerate(c, start=1):
-        src_edge(m, "u2", j)
-        src_edge(m, "u6", j)
-    for i in sorted(b):
-        for j, m in enumerate(b[i], start=1):
-            src_edge(m, "u1", j)
-            src_edge(m, "u2", j)
-            src_edge(m, f"w{i}", j)
-            for k in sorted(b):
-                if k != i:
-                    src_edge(m, f"e{k}t", j)
-                    src_edge(m, f"v{k}", j)
+
+def solve_n1(q: int, n: int) -> SymbolicCode:
+    """The (1, n) code for the first family; verifies iff char divides q."""
+    fam = _n1_family(q, n)
+    ident = SymMatrix.scaled_identity(n)
+    neg = SymMatrix.scaled_identity(n, coeff=-1)
+    er, dr, fed = _family_rules(fam, n)
 
     # u1 carries sum(a) + sum(b); u2 carries sum(b) + sum(c)
-    er["u1->u3"] = tuple(
-        SymInput(f"{m}->u1", ident) for m in a + [m for i in sorted(b) for m in b[i]]
-    )
-    er["u2->u4"] = tuple(
-        SymInput(f"{m}->u2", ident) for m in [m for i in sorted(b) for m in b[i]] + c
-    )
+    er["u1->u3"] = _inputs(fed["u1"], ident)
+    er["u2->u4"] = _inputs(fed["u2"], ident)
     er["u3->u5"] = (SymInput("u1->u3", ident),)
     er["u3->u6"] = (SymInput("u1->u3", ident),)
     er["u4->u5"] = (SymInput("u2->u4", ident),)
     # sum(a) - sum(c): the b-block cancels between the two branches
     er["u5->u7"] = (SymInput("u3->u5", ident), SymInput("u4->u5", neg))
     # sum(a) + sum(b) - sum(c)
-    er["u6->u8"] = (SymInput("u3->u6", ident),) + tuple(
-        SymInput(f"{m}->u6", neg) for m in c
-    )
+    er["u6->u8"] = (SymInput("u3->u6", ident),) + _inputs(fed["u6"], neg)
     er["u7->u9"] = (SymInput("u5->u7", ident),)
     er["u7->u11"] = (SymInput("u5->u7", ident),)
     er["u8->u9"] = (SymInput("u6->u8", ident),)
@@ -81,125 +79,57 @@ def solve_n1(q: int, n: int) -> SymbolicCode:
     # sum(b)
     er["u9->u10"] = (SymInput("u8->u9", ident), SymInput("u7->u9", neg))
     # sum(c): the direct a-taps cancel the a-block of the u7 branch
-    er["u11->u12"] = tuple(SymInput(f"{m}->u11", ident) for m in a) + (
-        SymInput("u7->u11", neg),
-    )
-    for i in sorted(b):
+    er["u11->u12"] = _inputs(fed["u11"], ident) + (SymInput("u7->u11", neg),)
+    for i in fam.branches:
         # branch i carries its own b-row plus sum(c)
         er[f"u4->e{i}t"] = (SymInput("u2->u4", ident),)
-        er[f"e{i}"] = (SymInput(f"u4->e{i}t", ident),) + tuple(
-            SymInput(f"{m}->e{i}t", neg) for k in sorted(b) if k != i for m in b[k]
-        )
+        er[f"e{i}"] = (SymInput(f"u4->e{i}t", ident),) + _inputs(fed[f"e{i}t"], neg)
         er[f"e{i}h->u13"] = (SymInput(f"e{i}", ident),)
         er[f"e{i}h->w{i}"] = (SymInput(f"e{i}", ident),)
         er[f"u10->v{i}"] = (SymInput("u9->u10", ident),)
-        er[f"v{i}->v{i}p"] = (SymInput(f"u10->v{i}", ident),) + tuple(
-            SymInput(f"{m}->v{i}", neg) for k in sorted(b) if k != i for m in b[k]
-        )
-        er[f"w{i}->w{i}p"] = (SymInput(f"e{i}h->w{i}", ident),) + tuple(
-            SymInput(f"{m}->w{i}", neg) for m in b[i]
-        )
+        er[f"v{i}->v{i}p"] = (SymInput(f"u10->v{i}", ident),) + _inputs(fed[f"v{i}"], neg)
+        er[f"w{i}->w{i}p"] = (SymInput(f"e{i}h->w{i}", ident),) + _inputs(fed[f"w{i}"], neg)
     # sum(a) - q*sum(c): equals sum(a) exactly when char divides q
     er["u13->u14"] = (SymInput("u8->u13", ident),) + tuple(
-        SymInput(f"e{i}h->u13", neg) for i in sorted(b)
+        SymInput(f"e{i}h->u13", neg) for i in fam.branches
     )
-
-    for j, m in enumerate(c, start=1):
-        t = f"Tc:{m}"
-        er[f"u12->{t}"] = (SymInput("u11->u12", ident),)
-        dr[t] = (SymInput(f"u12->{t}", SymMatrix.unit_row(n, j)),)
-    for j, m in enumerate(a, start=1):
-        t = f"Ta:{m}"
-        er[f"u14->{t}"] = (SymInput("u13->u14", ident),)
-        dr[t] = (SymInput(f"u14->{t}", SymMatrix.unit_row(n, j)),)
-    for i in sorted(b):
-        for j, m in enumerate(b[i], start=1):
-            t = f"Tb{i}:{m}"
-            er[f"v{i}p->{t}"] = (SymInput(f"v{i}->v{i}p", ident),)
-            dr[t] = (SymInput(f"v{i}p->{t}", SymMatrix.unit_row(n, j)),)
-        for j, m in enumerate(c, start=1):
-            t = f"Tc{i}:{m}"
-            er[f"w{i}p->{t}"] = (SymInput(f"w{i}->w{i}p", ident),)
-            dr[t] = (SymInput(f"w{i}p->{t}", SymMatrix.unit_row(n, j)),)
-
     return SymbolicCode(1, n, q, er, dr)
 
 
 def solve_n2(q: int, n: int) -> SymbolicCode:
     """The (1, n) code for the second family; verifies iff char does not
     divide q (the last bottleneck averages its branches with 1/q)."""
-    _check_params(q, n)
+    fam = _n2_family(q, n)
     ident = SymMatrix.scaled_identity(n)
     neg = SymMatrix.scaled_identity(n, coeff=-1)
     inv_q = SymMatrix.scaled_identity(n, coeff=1, inv_q=True)
     comp = SymMatrix.scaled_identity(n, coeff=-(q - 1), inv_q=True)
-    er: Rules = {}
-    dr: Rules = {}
-
-    def src_edge(msg: str, head: str, slot: int) -> None:
-        er[f"{msg}->{head}"] = (
-            SymInput(SRC_PREFIX + msg, SymMatrix.unit_column(n, slot)),
-        )
-
-    a = [f"a{j}" for j in range(1, n + 1)]
-    b = {i: [bmsg(i, j) for j in range(1, n + 1)] for i in range(1, q + 1)}
-    all_b = [m for i in sorted(b) for m in b[i]]
-
-    for j, m in enumerate(a, start=1):
-        src_edge(m, "eat", j)
-    for i in sorted(b):
-        for j, m in enumerate(b[i], start=1):
-            src_edge(m, "eat", j)
-            src_edge(m, "ebt", j)
-        for j, m in enumerate(a, start=1):
-            src_edge(m, f"e{i}t", j)
-        for k in sorted(b):
-            if k != i:
-                for j, m in enumerate(b[k], start=1):
-                    src_edge(m, f"e{i}t", j)
+    er, dr, fed = _family_rules(fam, n)
 
     # ea: sum(a) + sum(b);  e_i: sum(a) + sum(b without row i);  eb: sum(b)
-    er["ea"] = tuple(SymInput(f"{m}->eat", ident) for m in a + all_b)
-    for i in sorted(b):
-        er[f"e{i}"] = tuple(
-            SymInput(f"{m}->e{i}t", ident)
-            for m in a + [m for k in sorted(b) if k != i for m in b[k]]
-        )
-    er["eb"] = tuple(SymInput(f"{m}->ebt", ident) for m in all_b)
+    er["ea"] = _inputs(fed["eat"], ident)
+    for i in fam.branches:
+        er[f"e{i}"] = _inputs(fed[f"e{i}t"], ident)
+    er["eb"] = _inputs(fed["ebt"], ident)
 
     er["eah->eapt"] = (SymInput("ea", ident),)
     er["ebh->eapt"] = (SymInput("eb", ident),)
     er["ebh->ebpt"] = (SymInput("eb", ident),)
-    for i in sorted(b):
+    for i in fam.branches:
         er[f"e{i}h->e{i}pt"] = (SymInput(f"e{i}", ident),)
         er[f"eah->e{i}pt"] = (SymInput("ea", ident),)
         er[f"e{i}h->ebpt"] = (SymInput(f"e{i}", ident),)
 
     # eap: sum(a);  e_ip: row i of b;  ebp: (sum_i e_i - (q-1) eb)/q = sum(a)
     er["eap"] = (SymInput("eah->eapt", ident), SymInput("ebh->eapt", neg))
-    for i in sorted(b):
+    for i in fam.branches:
         er[f"e{i}p"] = (
             SymInput(f"eah->e{i}pt", ident),
             SymInput(f"e{i}h->e{i}pt", neg),
         )
-    er["ebp"] = tuple(SymInput(f"e{i}h->ebpt", inv_q) for i in sorted(b)) + (
+    er["ebp"] = tuple(SymInput(f"e{i}h->ebpt", inv_q) for i in fam.branches) + (
         SymInput("ebh->ebpt", comp),
     )
-
-    for j, m in enumerate(a, start=1):
-        t = f"Ta1:{m}"
-        er[f"eaph->{t}"] = (SymInput("eap", ident),)
-        dr[t] = (SymInput(f"eaph->{t}", SymMatrix.unit_row(n, j)),)
-    for j, m in enumerate(a, start=1):
-        t = f"Ta2:{m}"
-        er[f"ebph->{t}"] = (SymInput("ebp", ident),)
-        dr[t] = (SymInput(f"ebph->{t}", SymMatrix.unit_row(n, j)),)
-    for i in sorted(b):
-        for j, m in enumerate(b[i], start=1):
-            t = f"Tb{i}:{m}"
-            er[f"e{i}ph->{t}"] = (SymInput(f"e{i}p", ident),)
-            dr[t] = (SymInput(f"e{i}ph->{t}", SymMatrix.unit_row(n, j)),)
-
     return SymbolicCode(1, n, q, er, dr)
 
 
