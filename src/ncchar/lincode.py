@@ -42,8 +42,8 @@ from typing import Mapping, Sequence
 from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
 from .network import (
     CodedNetwork,
-    _json_array,
     _int_at_least,
+    _json_array,
     _json_object,
     _read_object,
     topological_order,
