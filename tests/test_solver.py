@@ -313,6 +313,40 @@ def test_memo_cap_changes_no_decision(monkeypatch):
     assert any(grew)
 
 
+def test_witness_grid_is_pinned():
+    # One sha256 over (status, states, witness bytes), recorded when each
+    # witness rule was still solved through ``gf.solve_right``: the choice
+    # of free variables decides the bytes.  The grid gives witnesses at
+    # (1,1) and (1,2) over GF(2), GF(3) and GF(5), with gadget and union
+    # rules; the random DAGs give witnesses with k = 2.
+    digest = hashlib.sha256()
+    witnesses = 0
+
+    def run(net, k, n, p, budget):
+        nonlocal witnesses
+        out = search_fractional(net, k, n, p, SearchConfig(node_budget=budget))
+        digest.update(f"{out.status} {out.states_explored}\n".encode())
+        if out.code is not None:
+            digest.update(save_code(out.code))
+            witnesses += 1
+
+    grid = [gen_fano(), gen_nonfano(), gen_n1(3, 1), gen_n2(3, 1),
+            gadget_transform(gen_fano(), 1), union_copies(gen_fano(), 2)]
+    for net in grid:
+        for p in (2, 3, 5):
+            for k, n in ((1, 1), (1, 2), (2, 1)):
+                run(net, k, n, p, 3000)
+    rng = random.Random(4242)
+    for _ in range(60):
+        net = random_network(rng)
+        for k, n in ((2, 1), (2, 2)):
+            run(net, k, n, 2, 2000)
+    assert witnesses == 26 + 22
+    assert digest.hexdigest() == (
+        "41fa852a3c647e1469c6dc901c938ed6d1799ff8b64b57cc1cb555fe5c8ebcd4"
+    )
+
+
 def test_fractional_trivial_network():
     for k, n in ((1, 1), (1, 2), (2, 2)):
         out = search_fractional(tiny_unicast(), k, n, 2, SearchConfig())
