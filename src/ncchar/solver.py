@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
+from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus
 from .lincode import SRC_PREFIX, CodeInput, FractionalCode
 from .network import CodedNetwork, _int_at_least, topological_order, validate
 
@@ -124,7 +124,8 @@ def decodable(
     messages: Sequence[str] | None = None,
 ) -> bool:
     """True iff the demand's unit vector lies in the row span of vectors,
-    that is, is a row of its reduced-echelon basis (``_Algebra.demand_in``).
+    that is, is a row of its reduced-echelon basis: by the argument of
+    ``_Algebra.contains``, it can only equal the row whose pivot it holds.
 
     ``demand`` is a coordinate index, or a message id resolved against
     ``messages`` (the coordinate order of the vectors).
@@ -310,7 +311,6 @@ class _Algebra:
         self.unit_ids = tuple(self.intern(u) for u in self.unit_rows)
         self._join_cache: dict = {}
         self._enum_cache: dict = {}
-        self._decode_cache: dict = {}
         self._target_cache: dict = {}
         self._contains_cache: dict = {}
 
@@ -356,9 +356,8 @@ class _Algebra:
         return cands
 
     def forced(self, sid: int, demand_idx: int) -> tuple:
-        if self.k <= self.n and self.demand_in(sid, demand_idx):
-            return (self.unit_ids[demand_idx],)
-        return ()
+        unit = self.unit_ids[demand_idx]
+        return (unit,) if self.k <= self.n and self.contains(sid, unit) else ()
 
     def targets(self, pspan: int, rest: int, demand_idx: int) -> int | bool | None:
         """The span a candidate c inside ``pspan`` must hold for ``rest`` + c
@@ -408,23 +407,6 @@ class _Algebra:
             self._contains_cache[(sid, tid)] = ok
         return ok
 
-    def demand_in(self, sid: int, demand_idx: int) -> bool:
-        """Whether span ``sid`` holds the demand's unit block; cached.
-
-        A unit vector lies in a span exactly when it is a row of the
-        span's reduced-echelon basis: its coefficient on each basis row is
-        its entry in that row's pivot column, which is zero in every other
-        row, so it equals the row whose pivot it holds (or zero).
-        """
-        key = (sid, demand_idx)
-        ok = self._decode_cache.get(key)
-        if ok is None:
-            basis = self.basis[sid]
-            ok = self._decode_cache[key] = all(
-                u in basis for u in self.unit_rows[demand_idx]
-            )
-        return ok
-
 
 # -- backtracking engine -------------------------------------------------------
 
@@ -450,10 +432,9 @@ class _Engine:
     def _decodes(self, checks: tuple, values: list) -> bool:
         """Whether, for every (demand, positions) check, the join of the
         values at those positions holds the demand's unit block."""
-        join = self.alg.join
-        demand_in = self.alg.demand_in
+        join, contains, units = self.alg.join, self.alg.contains, self.alg.unit_ids
         for didx, positions in checks:
-            if not demand_in(join(tuple([values[j] for j in positions])), didx):
+            if not contains(join(tuple([values[j] for j in positions])), units[didx]):
                 return False
         return True
 
@@ -486,7 +467,7 @@ class _Engine:
             if i in positions:
                 t = alg.targets(pspan, rest, didx)
             else:
-                t = alg.zero if alg.demand_in(rest, didx) else False
+                t = alg.zero if alg.contains(rest, alg.unit_ids[didx]) else False
             if t is False:
                 return lambda cand: False
             if t is None:
@@ -577,56 +558,49 @@ class _Engine:
 # -- witness reconstruction ----------------------------------------------------
 
 
-def _pad_state(state: tuple, n: int, cols: int) -> list[list[int]]:
-    rows = [list(r) for r in state]
-    while len(rows) < n:
-        rows.append([0] * cols)
-    return rows
-
-
 def _witness(
     plan: _Plan, values: list, k: int, n: int, mod: PrimeModulus
 ) -> FractionalCode:
+    """The code that gives each edge its found basis padded to n rows and
+    each terminal its demand's unit block, from its parents' padded bases:
+    one ``_rref`` per rule, of the system transposed; free variables are 0."""
     E = len(plan.edges)
     cols = len(plan.messages) * k
+    zero = (0,) * cols
     refs = [info.edge_id for info in plan.edges]
     refs += [SRC_PREFIX + msg for msg in plan.messages]
 
-    def inputs(parents, target_rows, out_rows):
+    def padded(j, size):
+        return values[j] + (zero,) * (size - len(values[j]))
+
+    def inputs(parents, target):
         """The nonzero blocks of X with X . vstack(parents) = target, one
         input per parent: an edge stacks n rows, a message slot k."""
         sizes = [n if j < E else k for j in parents]
-        stacked: list[list[int]] = []
+        stacked = [row for j, size in zip(parents, sizes) for row in padded(j, size)]
+        width, out_rows = len(stacked), len(target)
+        rows = [[s[c] for s in stacked] + [t[c] for t in target] for c in range(cols)]
+        mat, pivots = _rref(rows, mod.p)
+        assert not pivots or pivots[-1] < width, "witness state escaped its parent span"
+        xt = [(0,) * out_rows] * width
+        for r, c in enumerate(pivots):
+            xt[c] = mat[r][width:]
+        out, top = [], 0
         for j, size in zip(parents, sizes):
-            stacked.extend(_pad_state(values[j], size, cols))
-        a = FieldMatrix.from_rows(
-            [[stacked[r][c] for r in range(len(stacked))] for c in range(cols)], mod
-        )
-        b = FieldMatrix.from_rows(
-            [[target_rows[r][c] for r in range(out_rows)] for c in range(cols)], mod
-        )
-        xt = solve_right(a, b)
-        assert xt is not None, "witness state escaped its parent span"
-        out = []
-        top = 0
-        for j, size in zip(parents, sizes):
-            block = [[xt.at(top + r, c) for r in range(size)] for c in range(out_rows)]
+            flat = tuple(xt[top + r][c] for c in range(out_rows) for r in range(size))
             top += size
-            mat = FieldMatrix.from_rows(block, mod)
-            if not mat.is_zero:
-                out.append(CodeInput(refs[j], mat))
+            if any(flat):
+                block = FieldMatrix._trusted(out_rows, size, flat, mod)
+                out.append(CodeInput(refs[j], block))
         return tuple(out)
 
     er = {
-        info.edge_id: inputs(info.parents, _pad_state(values[i], n, cols), n)
+        info.edge_id: inputs(info.parents, padded(i, n))
         for i, info in enumerate(plan.edges)
     }
+    # message slot E + t holds message t's unit block (see _build_plan)
     dr = {
-        term_id: inputs(
-            positions,
-            [[1 if c == didx * k + j else 0 for c in range(cols)] for j in range(k)],
-            k,
-        )
+        term_id: inputs(positions, values[E + didx])
         for term_id, didx, positions in plan.terminals
     }
     return FractionalCode(k, n, mod, er, dr)

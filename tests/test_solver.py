@@ -86,7 +86,7 @@ def test_decodable_scaling_is_free():
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_decoding_tests_agree_with_rank_oracle(p, k):
-    """``_Algebra.demand_in`` and ``decodable`` against ``rank_mod_p``,
+    """``_Algebra.contains`` and ``decodable`` against ``rank_mod_p``,
     which shares no elimination code with the library: unit vectors lie
     in a span iff adding them leaves its rank unchanged."""
     rng = random.Random(100 * p + k)
@@ -108,7 +108,7 @@ def test_decoding_tests_agree_with_rank_oracle(p, k):
         sid = alg.intern(_echelon([tuple(r) for r in rows], p))
         for t in range(m):
             block = units[t * k : (t + 1) * k]
-            assert alg.demand_in(sid, t) == in_span(rows, block), (rows, t)
+            assert alg.contains(sid, alg.unit_ids[t]) == in_span(rows, block), (rows, t)
             hits = sum(in_span(rows, [u]) for u in block)
             partial += 0 < hits < k
         for c in range(width):
@@ -450,9 +450,9 @@ def closure_ok(net, engine, i, values):
         else:
             span[eid] = alg.join(tuple(span[f] for f in in_edges[tail.id]))
     return all(
-        alg.demand_in(
+        alg.contains(
             alg.join(tuple(span[f] for f in in_edges[term.id])),
-            msg_index[term.demands],
+            alg.unit_ids[msg_index[term.demands]],
         )
         for term in net.terminals()
         if in_edges[term.id] and max(pos[f] for f in in_edges[term.id]) > i
