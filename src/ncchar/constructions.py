@@ -223,17 +223,15 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
     if copies == 1:
         return net
-    keep = {
-        n.id for n in net.nodes if n.role in (ROLE_SOURCE, ROLE_TERMINAL)
-    }
-    nodes: list[NetNode] = [
-        n for n in net.nodes if n.role in (ROLE_SOURCE, ROLE_TERMINAL)
-    ]
+    nodes = [n for n in net.nodes if n.role in (ROLE_SOURCE, ROLE_TERMINAL)]
+    keep = {n.id for n in nodes}
     edges: list[NetEdge] = []
     for c in range(1, copies + 1):
         for n in net.nodes:
             if n.role == ROLE_INTERMEDIATE:
-                nodes.append(_mid(f"{n.id}#{c}"))
+                if (name := f"{n.id}#{c}") in keep:
+                    raise ValueError(f"fresh node name {name!r} already in use")
+                nodes.append(_mid(name))
         for e in net.edges:
             tail = e.tail if e.tail in keep else f"{e.tail}#{c}"
             head = e.head if e.head in keep else f"{e.head}#{c}"

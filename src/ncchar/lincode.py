@@ -166,9 +166,9 @@ class SymMatrix:
         return cls(size, size, tuple(flat))
 
     @classmethod
-    def unit_column(cls, size: int, pos: int, coeff: int = 1) -> "SymMatrix":
+    def unit_column(cls, size: int, pos: int) -> "SymMatrix":
         flat = [(0, False)] * size
-        flat[pos - 1] = (coeff, False)
+        flat[pos - 1] = (1, False)
         return cls(size, 1, tuple(flat))
 
     @classmethod
@@ -494,16 +494,14 @@ def load_code(
 ) -> FractionalCode | SymbolicCode:
     """Parse a code document; pass the network to cross-check references.
 
-    Shapes and entries are checked by the classes built from the
-    document; their errors come back as ``CodeFormatError``.
+    Shapes, entries, k, n and q are checked by the classes built from
+    the document; their errors come back as ``CodeFormatError``.
     """
     doc = _read_object(data, CodeFormatError)
     for field_name in ("k", "n", "edge_rules", "decode_rules"):
         if field_name not in doc:
             raise CodeFormatError(f"missing field {field_name!r}")
     k, n = doc["k"], doc["n"]
-    if not (_int_at_least(k, 1) and _int_at_least(n, 1)):
-        raise CodeFormatError("'k' and 'n' must be positive integers")
     symbolic = "p" not in doc
     if symbolic:
         if "q" not in doc:
@@ -569,8 +567,6 @@ def load_code(
     edge_rules = parse_rules(doc["edge_rules"], "edge", decode=False)
     decode_rules = parse_rules(doc["decode_rules"], "decode", decode=True)
     q = doc.get("q")
-    if (q is not None or symbolic) and not _int_at_least(q, 1):
-        raise CodeFormatError("'q' must be a positive integer")
 
     if net is not None:
         edge_ids = set(net.edge_map())

@@ -19,7 +19,7 @@ from ncchar import (
 from ncchar import cli
 from ncchar.cli import main
 from ncchar.gf import rank
-from util_oracles import off_unicast
+from util_oracles import copy_clash, off_unicast
 
 
 def run(capsys, *argv):
@@ -415,6 +415,15 @@ def test_union_command(tmp_path, capsys):
     assert load(out.read_bytes()) == union_copies(gen_n1(2, 1), 2)
 
 
+def test_union_command_refuses_a_copy_name_in_use(tmp_path, capsys):
+    net_path = write_net(tmp_path, copy_clash())
+    out = tmp_path / "u.json"
+    code, stdout, err = run(capsys, "union", str(net_path), "--copies", "2", "--out", str(out))
+    assert code == 64
+    assert err == "fresh node name 'v#1' already in use\n" and stdout == ""
+    assert not out.exists()
+
+
 def test_info_command(tmp_path, capsys):
     net_path = write_net(tmp_path, gen_n1(2, 1))
     code, out, _ = run(capsys, "info", "--json", str(net_path))
@@ -494,8 +503,8 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         ),
         (("verify", str(dangling), str(code_path)), "unknown node 'nowhere'"),
         (("verify", str(net_path), str(no_rule)), "no rule for edge 'a1->u1'"),
-        (("verify", str(net_path), str(k_true)), "must be positive integers"),
-        (("verify", str(net_path), str(q_null)), "'q' must be a positive integer"),
+        (("verify", str(net_path), str(k_true)), "k and n must be positive"),
+        (("verify", str(net_path), str(q_null)), "q must be a positive integer"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -15,7 +15,7 @@ from ncchar import (
     validate,
 )
 from ncchar.constructions import bmsg, edge_id
-from util_oracles import off_unicast
+from util_oracles import copy_clash, off_unicast
 
 
 def demand_counts(net):
@@ -174,6 +174,14 @@ def test_union_merged_source_out_degree():
 def test_union_rejects_bad_count():
     with pytest.raises(ValueError):
         union_copies(gen_fano(), 0)
+
+
+def test_union_rejects_a_copy_name_in_use():
+    # the copy v#1 of intermediate v would merge into terminal v#1
+    net = copy_clash()
+    assert validate(net).ok
+    with pytest.raises(ValueError, match="fresh node name 'v#1' already in use"):
+        union_copies(net, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,18 @@ def random_network(
             return net
 
 
+def copy_clash():
+    """A valid network whose terminal ``v#1`` is the name ``union_copies``
+    gives the first copy of its intermediate ``v``."""
+    nodes = (
+        NetNode("s", "source", generates="a"),
+        NetNode("v", "intermediate"),
+        NetNode("v#1", "terminal", demands="a"),
+    )
+    edges = (NetEdge("s->v", "s", "v"), NetEdge("v->v#1", "v", "v#1"))
+    return CodedNetwork("clash", ("a",), nodes, edges)
+
+
 def off_unicast(generators, demanded):
     """Messages x and y; x comes from ``generators`` sources and y from one,
     and one terminal demands ``demanded``."""
