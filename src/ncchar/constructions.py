@@ -217,7 +217,8 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
 
     Intermediate nodes and all edges are replicated with a ``#<copy>``
     suffix; each source and each terminal appears once and connects to
-    every copy.
+    every copy.  A source or terminal already named like a copy of an
+    intermediate raises ``ValueError``.
     """
     if not _int_at_least(copies, 1):
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")

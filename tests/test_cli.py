@@ -415,15 +415,6 @@ def test_union_command(tmp_path, capsys):
     assert load(out.read_bytes()) == union_copies(gen_n1(2, 1), 2)
 
 
-def test_union_command_refuses_a_copy_name_in_use(tmp_path, capsys):
-    net_path = write_net(tmp_path, copy_clash())
-    out = tmp_path / "u.json"
-    code, stdout, err = run(capsys, "union", str(net_path), "--copies", "2", "--out", str(out))
-    assert code == 64
-    assert err == "fresh node name 'v#1' already in use\n" and stdout == ""
-    assert not out.exists()
-
-
 def test_info_command(tmp_path, capsys):
     net_path = write_net(tmp_path, gen_n1(2, 1))
     code, out, _ = run(capsys, "info", "--json", str(net_path))
@@ -492,9 +483,12 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     sym_doc["decode_rules"][0]["inputs"][0]["ref"] = "src:a1"
     src_decode.write_text(json.dumps(sym_doc))
     net_path = write_net(tmp_path, gen_n1(2, 1))
+    # the union's copy v#1 of intermediate v used to merge into terminal v#1
+    clash = write_net(tmp_path, copy_clash(), "clash.json")
 
     cases = [
         (("info", str(nodes_int)), "field 'nodes' must be a list"),
+        (("union", str(clash), "--copies", "2"), "fresh node name 'v#1' already in use"),
         (("info", str(deep)), "JSON nested too deeply"),
         (("verify", str(net_path), str(deep)), "JSON nested too deeply"),
         (
