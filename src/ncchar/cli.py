@@ -17,28 +17,10 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .constructions import (
-    gadget_transform,
-    gadget_transform_traced,
-    gen_fano,
-    gen_n1,
-    gen_n2,
-    gen_nonfano,
-    union_copies,
-)
-from .gf import PrimeModulus, rank
-from .lincode import (
-    CharacteristicError,
-    CodeError,
-    CodeFormatError,
-    SymbolicCode,
-    instantiate,
-    load_code,
-    save_code,
-    verify,
-)
+# Every command reads or writes a network; each cmd_* imports the rest of
+# what it runs itself, so a command loads only its own modules.
 from .network import (
     CodedNetwork,
     NetworkFormatError,
@@ -47,14 +29,10 @@ from .network import (
     save,
     validate,
 )
-from .solutions import lift_gadget, lift_union, solve_n1, solve_n2
-from .solver import (
-    DEFAULT_BUDGET,
-    SOLVABLE,
-    UNSOLVABLE,
-    SearchConfig,
-    search_fractional,
-)
+
+if TYPE_CHECKING:
+    from .gf import PrimeModulus
+    from .lincode import SymbolicCode
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,6 +82,8 @@ def _read_network(path: str, check: bool = True) -> CodedNetwork:
 
 
 def _read_code(path: str, net: CodedNetwork | None):
+    from .lincode import CodeError, CodeFormatError, load_code
+
     try:
         return load_code(_read_bytes(path), net)
     except (CodeFormatError, CodeError) as exc:
@@ -111,6 +91,8 @@ def _read_code(path: str, net: CodedNetwork | None):
 
 
 def _prime(value: int) -> PrimeModulus:
+    from .gf import PrimeModulus
+
     try:
         return PrimeModulus(value)
     except ValueError as exc:
@@ -149,6 +131,9 @@ def _construction_from_name(
     Returns (network, symbolic code, base family), or None once a level
     has more than ``edge_count`` edges (a union of k copies has k times).
     """
+    from .constructions import gadget_transform, gen_n1, gen_n2, union_copies
+    from .solutions import lift_gadget, lift_union, solve_n1, solve_n2
+
     wrappers: list[tuple[str, int, str]] = []  # (prefix, argument, full name)
     while (m := _FAMILY_RE.match(name)) is None:
         for prefix, param in (("union(", ",k="), ("gadget(", ",n=")):
@@ -184,6 +169,8 @@ def _construction_from_name(
 
 
 def cmd_gen(args) -> int:
+    from .constructions import gen_fano, gen_n1, gen_n2, gen_nonfano, union_copies
+
     family = args.family
     if family in ("fano", "nonfano"):
         if args.q is not None or args.n is not None:
@@ -205,6 +192,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .lincode import CharacteristicError, instantiate, save_code, verify
+
     net = _read_network(args.network)
     built = _construction_from_name(net.name, len(net.edges))
     if built is None or built[0] != net:
@@ -243,6 +232,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .gf import rank
+    from .lincode import CodeError, SymbolicCode, verify
+
     net = _read_network(args.network)
     code = _read_code(args.code, net)
     if isinstance(code, SymbolicCode):
@@ -289,13 +281,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .lincode import save_code
+    from .solver import (
+        DEFAULT_BUDGET,
+        SOLVABLE,
+        UNSOLVABLE,
+        SearchConfig,
+        search_fractional,
+    )
+
     net = _read_network(args.network)
     mod = _prime(args.p)
-    if args.budget < 1:
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    if budget < 1:
         raise _CliError(EXIT_USAGE, "--budget must be positive")
     try:
         outcome = search_fractional(
-            net, args.k, args.n, mod, SearchConfig(node_budget=args.budget)
+            net, args.k, args.n, mod, SearchConfig(node_budget=budget)
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
@@ -329,6 +331,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_gadget(args) -> int:
+    from .constructions import gadget_transform_traced
+
     net = _read_network(args.network)
     try:
         result, applications = gadget_transform_traced(net, args.n)
@@ -347,6 +351,8 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_union(args) -> int:
+    from .constructions import union_copies
+
     net = _read_network(args.network)
     try:
         result = union_copies(net, args.copies)
@@ -437,7 +443,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -34,10 +34,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
 from .network import (
@@ -46,8 +45,12 @@ from .network import (
     _json_array,
     _json_object,
     _read_object,
+    _refuse_surrogates,
     topological_order,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SRC_PREFIX = "src:"
 
@@ -232,6 +235,8 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
 
 
 def rate(code: FractionalCode | SymbolicCode) -> Fraction:
+    from fractions import Fraction  # imported here: only rate needs it
+
     return Fraction(code.k, code.n)
 
 
@@ -486,7 +491,11 @@ def save_code(code: FractionalCode | SymbolicCode) -> bytes:
         doc["p"] = json.dumps(code.modulus.p)
         if code.q is not None:
             doc["q"] = json.dumps(code.q)
-    return (_json_object(doc, 0) + "\n").encode("utf-8")
+    text = _json_object(doc, 0) + "\n"
+    if "\\" in text:  # see _refuse_surrogates
+        rules = [*code.edge_rules.items(), *code.decode_rules.items()]
+        _refuse_surrogates([(key, [inp.ref for inp in inputs]) for key, inputs in rules])
+    return text.encode("utf-8")
 
 
 def load_code(

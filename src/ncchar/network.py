@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Sequence
@@ -286,6 +287,30 @@ def _json_object(fields: Mapping[str, str], depth: int) -> str:
     return "{" + pad + body + _PAD[depth] + "}"
 
 
+# No string in a file may hold a surrogate code point (U+D800 to U+DFFF):
+# ``_quote`` writes each as a \uXXXX escape, and json.loads joins a high and
+# a low escape into one astral character, so an id such as '\ud800\udfff'
+# would not read back.  Any escape needs a backslash, which ids rarely hold,
+# so saving and loading look for one in the text first (a single-character
+# search, far faster than one for "\\ud") and walk the strings only then.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _refuse_surrogates(obj: object, error_cls: type[ValueError] = ValueError) -> None:
+    """Raise ``error_cls`` if a string in ``obj`` (nested lists, tuples and
+    dicts, keys too) holds a surrogate code point."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if _SURROGATE.search(item):
+                raise error_cls(f"string {item!r} holds a surrogate code point")
+        elif isinstance(item, dict):
+            stack += [*item, *item.values()]
+        elif isinstance(item, (list, tuple)):
+            stack += item
+
+
 def save(net: CodedNetwork) -> bytes:
     """The canonical bytes of ``net`` (see the module docstring)."""
     nodes = []
@@ -306,7 +331,10 @@ def save(net: CodedNetwork) -> bytes:
         "nodes": _json_array(nodes, 1),
         "edges": _json_array(edges, 1),
     }
-    return (_json_object(doc, 0) + "\n").encode("utf-8")
+    text = _json_object(doc, 0) + "\n"
+    if "\\" in text:
+        _refuse_surrogates([net.name, net.messages, *map(vars, net.nodes + net.edges)])
+    return text.encode("utf-8")
 
 
 def _req(doc: Mapping, key: str, where: str) -> object:
@@ -318,7 +346,8 @@ def _req(doc: Mapping, key: str, where: str) -> object:
 def _read_object(data: bytes | str, error_cls: type[ValueError]) -> dict:
     """The JSON object in ``data`` (UTF-8 if bytes); raises ``error_cls``
     for undecodable bytes, malformed JSON, nesting deeper than the
-    interpreter's recursion limit or a top level that is not an object."""
+    interpreter's recursion limit, a surrogate code point in a string or
+    a top level that is not an object."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -330,6 +359,9 @@ def _read_object(data: bytes | str, error_cls: type[ValueError]) -> dict:
         raise error_cls(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise error_cls("JSON nested too deeply") from exc
+    # a surrogate comes from a \uD8xx-\uDFxx escape or, in str input, as is
+    if "\\" in data or not data.isascii():
+        _refuse_surrogates(doc, error_cls)
     if not isinstance(doc, dict):
         raise error_cls("top level must be an object")
     return doc

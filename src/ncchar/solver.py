@@ -117,15 +117,32 @@ def _subspaces(
     return out
 
 
+def _in_span(x: tuple[int, ...], basis: Sequence[tuple[int, ...]], p: int) -> bool:
+    """Whether x lies in the row span of a reduced-echelon basis over GF(p).
+
+    It does exactly when it equals the sum of the basis rows weighted by
+    x's entries in their pivot columns (each row's first nonzero entry, a
+    1): each pivot column is zero in every other row, so no other weights
+    match x there.  For a unit vector that sum is the one row whose pivot
+    it holds, if any, so a unit vector lies in the span iff it is a row.
+    """
+    if sum(x) == 1:  # entries are residues >= 0: x is a unit vector
+        return x in basis
+    y = [0] * len(x)
+    for row in basis:
+        if w := x[row.index(1)]:
+            y = [a + w * b for a, b in zip(y, row)]
+    return tuple([a % p for a in y]) == x
+
+
 def decodable(
     vectors: Sequence[Sequence[int]],
     demand: int | str,
     p: PrimeModulus | int,
     messages: Sequence[str] | None = None,
 ) -> bool:
-    """True iff the demand's unit vector lies in the row span of vectors,
-    that is, is a row of its reduced-echelon basis: by the argument of
-    ``_Algebra.contains``, it can only equal the row whose pivot it holds.
+    """True iff the demand's unit vector lies in the row span of vectors
+    (see ``_in_span``).
 
     ``demand`` is a coordinate index, or a message id resolved against
     ``messages`` (the coordinate order of the vectors).
@@ -147,7 +164,7 @@ def decodable(
     if not (0 <= demand < width):
         raise ValueError("demand index out of range")
     unit = tuple(1 if i == demand else 0 for i in range(width))
-    return unit in _echelon(vecs, mod.p)
+    return _in_span(unit, _echelon(vecs, mod.p), mod.p)
 
 
 # -- search planning ----------------------------------------------------------
@@ -388,22 +405,12 @@ class _Algebra:
         return self._target_cache[key]
 
     def contains(self, sid: int, tid: int) -> bool:
-        """Whether span ``sid`` holds span ``tid``; cached.
-
-        A vector x lies in the span of a reduced-echelon basis exactly when
-        it equals the sum of the basis rows weighted by x's entries in their
-        pivot columns (each row's first nonzero entry, a 1): each pivot
-        column is zero in every other row, so no other weights match x there.
-        """
+        """Whether span ``sid`` holds each row of span ``tid`` (``_in_span``);
+        cached."""
         ok = self._contains_cache.get((sid, tid))
         if ok is None:
-            ok = True
-            for x in self.basis[tid]:
-                y = [0] * len(x)
-                for row in self.basis[sid]:
-                    if w := x[row.index(1)]:
-                        y = [a + w * b for a, b in zip(y, row)]
-                ok = ok and tuple([a % self.p for a in y]) == x
+            basis, p = self.basis[sid], self.p
+            ok = all(_in_span(x, basis, p) for x in self.basis[tid])
             self._contains_cache[(sid, tid)] = ok
         return ok
 

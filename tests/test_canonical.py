@@ -5,21 +5,26 @@ here builds the document from the object's fields itself and compares
 the library's bytes with what ``json.dumps`` prints for it: on the
 closed-form codes of the paper's families, on dense random copies of
 them, and on small random codes and networks whose ids hold quotes,
-backslashes, control characters, non-ASCII and lone surrogates.
+backslashes, control characters and non-ASCII; ids with surrogate code
+points are refused both ways, since JSON cannot carry them faithfully.
 """
 
 import json
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncchar import (
     CodedNetwork,
+    CodeFormatError,
     CodeInput,
     FractionalCode,
     NetEdge,
     NetNode,
+    NetworkFormatError,
     gadget_transform,
     gen_n1,
     gen_n2,
@@ -213,19 +218,57 @@ def networks(draw):
     return CodedNetwork(draw(names), messages, nodes, edges)
 
 
+def test_surrogate_ids_are_refused():
+    # '\ud800\udfff' is two code points, but its escapes read back as the
+    # one astral character U+103FF, so saving it would not round-trip
+    net = gen_n1(2, 1)
+    pair, astral = chr(0xD800) + chr(0xDFFF), chr(0x103FF)
+    with pytest.raises(ValueError, match="surrogate"):
+        save(CodedNetwork(pair, net.messages, net.nodes, net.edges))
+    code = instantiate(solve_n1(2, 1), 2)
+    decode = {pair: next(iter(code.decode_rules.values()))}
+    with pytest.raises(ValueError, match="surrogate"):
+        save_code(FractionalCode(code.k, code.n, code.modulus, code.edge_rules, decode))
+    data = save(CodedNetwork(astral, net.messages, net.nodes, net.edges))
+    assert b'"\\ud800\\udfff"' in data and load(data).name == astral
+    with pytest.raises(NetworkFormatError, match="surrogate"):
+        load(data.replace(b"\\udfff", b""))
+
+
+def has_surrogate(doc) -> bool:
+    """Whether a string in ``doc`` holds a code point in U+D800-U+DFFF."""
+    return re.search("[\ud800-\udfff]", json.dumps(doc, ensure_ascii=False)) is not None
+
+
 @PROPERTY
 @given(codes())
 def test_save_code_matches_json_dumps(code):
+    doc = code_doc(code)
+    if has_surrogate(doc):
+        with pytest.raises(ValueError, match="surrogate"):
+            save_code(code)
+        if has_surrogate(json.loads(dumps(doc))):  # not if all form pairs
+            with pytest.raises(CodeFormatError, match="surrogate"):
+                load_code(dumps(doc))
+        return
     data = save_code(code)
-    assert data == dumps(code_doc(code))
-    # bytes, not objects: two lone surrogates that form a pair read back
-    # as one astral character, which is saved as the same escapes
+    assert data == dumps(doc)
+    assert load_code(data) == code
     assert save_code(load_code(data)) == data
 
 
 @PROPERTY
 @given(networks())
 def test_save_matches_json_dumps(net):
+    doc = network_doc(net)
+    if has_surrogate(doc):
+        with pytest.raises(ValueError, match="surrogate"):
+            save(net)
+        if has_surrogate(json.loads(dumps(doc))):
+            with pytest.raises(NetworkFormatError, match="surrogate"):
+                load(dumps(doc))
+        return
     data = save(net)
-    assert data == dumps(network_doc(net))
+    assert data == dumps(doc)
+    assert load(data) == net
     assert save(load(data)) == data

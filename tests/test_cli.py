@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, file outputs, JSON mode."""
 
 import json
+import os
+import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
+import ncchar
 from ncchar import (
     FractionalCode,
     gen_n1,
@@ -16,7 +20,7 @@ from ncchar import (
     union_copies,
     verify,
 )
-from ncchar import cli
+from ncchar import cli, constructions
 from ncchar.cli import main
 from ncchar.gf import rank
 from util_oracles import copy_clash, off_unicast
@@ -167,7 +171,7 @@ def test_solve_refuses_a_name_larger_than_its_file(tmp_path, capsys, monkeypatch
     # union_copies gives k * |E| edges, so a k=400 union name on a Fano file
     # is refused before anything of that size is built
     built = []
-    monkeypatch.setattr(cli, "union_copies", lambda net, k: built.append(k))
+    monkeypatch.setattr(constructions, "union_copies", lambda net, k: built.append(k))
     net = gen_n1(2, 1)
     for name in ("union(n1(q=2,n=1),k=400)", "gadget(n1(q=2,n=1),n=1)"):
         renamed = type(net)(name, net.messages, net.nodes, net.edges)
@@ -485,6 +489,11 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     net_path = write_net(tmp_path, gen_n1(2, 1))
     # the union's copy v#1 of intermediate v used to merge into terminal v#1
     clash = write_net(tmp_path, copy_clash(), "clash.json")
+    # a lone surrogate escape: saving such an id would not read it back
+    surrogate_net = tmp_path / "surrogate_net.json"
+    surrogate_net.write_text(json.dumps(doc).replace('"a1"', '"a\\ud800"'))
+    surrogate_code = tmp_path / "surrogate_code.json"
+    surrogate_code.write_text(code_path.read_text().replace('"Ta:a1"', '"\\uDFFF"'))
 
     cases = [
         (("info", str(nodes_int)), "field 'nodes' must be a list"),
@@ -499,6 +508,8 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         (("verify", str(net_path), str(no_rule)), "no rule for edge 'a1->u1'"),
         (("verify", str(net_path), str(k_true)), "k and n must be positive"),
         (("verify", str(net_path), str(q_null)), "q must be a positive integer"),
+        (("info", str(surrogate_net)), "holds a surrogate code point"),
+        (("verify", str(net_path), str(surrogate_code)), "holds a surrogate code point"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -546,3 +557,83 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert load(proc.stdout) == gen_n1(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# lazy imports: a command loads only the modules it runs
+# ---------------------------------------------------------------------------
+
+COMMAND_MODULES = {
+    "gen": {"network", "constructions"},
+    "gadget": {"network", "constructions"},
+    "union": {"network", "constructions"},
+    "info": {"network"},
+    "verify": {"network", "gf", "lincode"},
+    "search": {"network", "gf", "lincode", "solver"},
+    "solve": {"network", "gf", "lincode", "constructions", "solutions"},
+}
+
+
+def fresh_python(tmp_path, script):
+    """Run ``script`` in a new interpreter that imports this ncchar; the
+    last line it prints is returned, parsed as JSON."""
+    src = str(Path(ncchar.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    write_net(tmp_path, gen_n1(2, 1), "n1.json")
+    (tmp_path / "c.json").write_bytes(save_code(instantiate(solve_n1(2, 1), 2)))
+    argvs = {
+        "gen": ["gen", "--family", "fano", "--out", "g.json"],
+        "gadget": ["gadget", "n1.json", "--n", "1", "--out", "d.json"],
+        "union": ["union", "n1.json", "--copies", "2", "--out", "u.json"],
+        "info": ["info", "n1.json"],
+        "verify": ["verify", "n1.json", "c.json"],
+        "search": ["search", "n1.json", "--p", "2"],
+        "solve": ["solve", "n1.json", "--p", "2", "--out", "s.json"],
+    }
+    assert set(argvs) == set(COMMAND_MODULES) == set(cli._build_parser()._actions[-1].choices)
+    for command, argv in argvs.items():
+        exit_code, loaded = fresh_python(tmp_path, (
+            "import json, sys\n"
+            "from ncchar.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print()\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ncchar.'))]))\n"
+        ))
+        assert exit_code == 0, command
+        assert set(loaded) == {f"ncchar.{m}" for m in COMMAND_MODULES[command] | {"cli"}}, command
+
+
+def test_import_ncchar_is_lazy_and_every_name_resolves(tmp_path):
+    submodules = sorted(m.name for m in pkgutil.iter_modules(ncchar.__path__))
+    assert "cli" in submodules and "solver" in submodules
+    loaded, resolved = fresh_python(tmp_path, (
+        "import importlib, json, sys\n"
+        "def fresh():\n"
+        "    for m in [m for m in sys.modules if m.split('.')[0] == 'ncchar']:\n"
+        "        del sys.modules[m]\n"
+        "    return importlib.import_module('ncchar')\n"
+        "nc = fresh()\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('ncchar.'))\n"
+        "resolved = {}\n"
+        f"for name in [*nc.__all__, *{submodules!r}]:\n"
+        "    value = getattr(fresh(), name)\n"
+        "    resolved[name] = getattr(value, '__name__', None) or repr(value)\n"
+        "print(json.dumps([loaded, resolved]))\n"
+    ))
+    assert loaded == []
+    assert set(resolved) == {*ncchar.__all__, *submodules}
+    for name in submodules:
+        assert resolved[name] == f"ncchar.{name}"
+    for name in ncchar.__all__:
+        value = getattr(ncchar, name)
+        assert resolved[name] == (getattr(value, "__name__", None) or repr(value)), name
+    assert not hasattr(ncchar, "no_such_name")
