@@ -246,12 +246,23 @@ SCALAR_REFERENCE_RUNS = [
 ]
 
 # Before maximal-subspace dominance the first two were still undecided at a
-# million states and the last two took 190,224 and 145,246.
+# million states and the next two took 190,224 and 145,246.  The last two
+# are rate-1/2 certificates over GF(2); the gadget one is a multiple-unicast
+# network with no (1, 2) linear solution there.
 DOMINANCE_REACH_RUNS = [
     (gen_n1(3, 1), 1, 1, 5, UNSOLVABLE, 13578),
     (gen_n2(3, 1), 1, 1, 3, UNSOLVABLE, 94944),
     (gadget_transform(gen_n1(3, 1), 1), 1, 1, 2, UNSOLVABLE, 792),
     (gen_n1(2, 2), 1, 2, 2, SOLVABLE, 4468),
+    (gen_n2(2, 2), 1, 2, 2, UNSOLVABLE, 711938),
+    (gadget_transform(gen_n2(2, 2), 2), 1, 2, 2, UNSOLVABLE, 874716),
+]
+
+# Certificates of 1.8 million states, each 12-17 s and 70-75 MB on a 2-CPU
+# machine: deselected by default, run with ``pytest -m slow``.
+SLOW_CERTIFICATE_RUNS = [
+    (gen_fano(), 2, 2, 3, UNSOLVABLE, 1804689),
+    (gen_n1(2, 2), 1, 2, 3, UNSOLVABLE, 1815864),
 ]
 
 
@@ -289,6 +300,17 @@ def test_dominance_reach():
         assert (out.status, out.states_explored) == (status, states), (net.name, k, n, p)
         if status == SOLVABLE:
             assert verify(net, out.code).passed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "net, k, n, p, status, states",
+    SLOW_CERTIFICATE_RUNS,
+    ids=["fano-(2,2)-gf3", "n1(2,2)-(1,2)-gf3"],
+)
+def test_slow_certificates(net, k, n, p, status, states):
+    out = search_fractional(net, k, n, p, SearchConfig())
+    assert (out.status, out.states_explored) == (status, states)
 
 
 def test_memo_cap_changes_no_decision(monkeypatch):
