@@ -24,12 +24,13 @@ Three sound prunings keep the space small:
   assigned;
 - frontier prune: a value smaller than its parent span is kept only if
   every pending terminal could still decode were each unassigned edge to
-  carry its parents' full span (``_Engine._optimistic_ok``);
+  carry its parents' full span;
 - dominance: each edge takes only subspaces of maximal dimension,
   min(n, dim of its parent span) (``_Algebra.enumerate``).
 
-A loop over many candidates hoists both checks out of the loop, exactly:
-each becomes a span the candidate must hold (``_Engine._hoist``).
+Each loop over a position's candidates builds one test for its trials
+(``_Engine._trial_test``); a loop over many candidates hoists both checks
+out of it, exactly: each becomes a span the candidate must hold.
 
 Explored-and-failed subtrees are also memoized on the values of the
 edges still visible to the remaining suffix (the live frontier), so
@@ -220,8 +221,6 @@ def _edge_order(net: CodedNetwork) -> list:
         if placed_in[e.head] == in_deg[e.head]:
             for nxt in out_by[e.head]:
                 heapq.heappush(heap, (dist[nxt.head], nxt.id, nxt))
-    if len(order) != len(net.edges):
-        raise ValueError("cyclic network")
     return order
 
 
@@ -268,7 +267,7 @@ def _build_plan(net: CodedNetwork) -> _Plan:
                 last_use[j] = max(last_use[j], i)
     live = [tuple(j for j in range(i) if last_use[j] >= i) for i in range(E)]
 
-    # The optimistic prune at position i lets every unassigned edge carry
+    # The frontier prune at position i lets every unassigned edge carry
     # its parents' full span.  A pending terminal then sees the join of the
     # assigned positions and message slots that feed its in-edges or their
     # unassigned cone: per check, (demand, frontier positions).  Walking i
@@ -424,7 +423,6 @@ class _Engine:
         self.alg = algebra
         self.budget = budget
         self.states = 0
-        self._memo_full = False
 
     def _candidates(self, i: int, values: list) -> tuple[tuple, int]:
         """Candidate state ids for position i plus the id of the parent
@@ -445,31 +443,39 @@ class _Engine:
                 return False
         return True
 
-    def _optimistic_ok(self, i: int, values: list) -> bool:
-        """Can every pending terminal still be covered if all unassigned
-        edges were allowed to carry their parents' full (uncapped) span?
+    def _trial_test(self, i: int, pspan: int, cands: tuple, values: list):
+        """A trial's decision at position i as a function of its candidate,
+        one of ``cands`` inside span ``pspan``: ``_decodes`` over
+        ``checks_at[i]`` and, when the candidates are smaller than
+        ``pspan``, over ``frontier_after[i]`` (the frontier prune).
 
+        The frontier prune asks whether every pending terminal could still
+        decode were each unassigned edge to carry its parents' full span.
         Actual edge states are subspaces of their parents' spans, so this
         forward closure dominates every completion; a terminal that fails
         here fails in all of them, making the prune certificate-safe.  Each
         terminal's closure span is one cached join over its frontier (see
         ``_build_plan``), the same subspace the whole closure would give.
-        """
-        return self._decodes(self.plan.frontier_after[i], values)
+        Leaving the prune out is sound too, so it runs only where a trial
+        narrows its parent span; the candidates of one loop share one
+        dimension (``_Algebra.enumerate``), so the first one decides.
 
-    def _hoist(self, i: int, pspan: int, values: list):
-        """A trial's decision at position i as a function of its candidate,
-        for a loop over many subspaces of span ``pspan``, none as large as
-        it (``_Algebra.enumerate``): ``_decodes`` over ``checks_at[i]``,
-        then the frontier prune.  Only ``values[i]`` changes in the loop,
-        so a check that does not read i is one boolean, and one that does
-        asks whether its demand lies in rest + c, rest being the join of its
-        other positions; ``_Algebra.targets`` makes that one span c must
-        hold, except where rest meets ``pspan`` and the join test stays.
+        A loop over at most ``_HOIST_MIN`` candidates tests that join.  A
+        longer one hoists the checks out of the loop: only ``values[i]``
+        changes in it, so a check that does not read i is one boolean, and
+        one that does asks whether its demand lies in rest + c, rest being
+        the join of its other positions; ``_Algebra.targets`` makes that one
+        span c must hold, except where rest meets ``pspan`` and the join
+        test stays.
         """
         alg = self.alg
+        checks = self.plan.checks_at[i]
+        if cands and alg.dim[cands[0]] < alg.dim[pspan]:
+            checks += self.plan.frontier_after[i]
+        if len(cands) <= _HOIST_MIN:
+            return lambda cand: self._decodes(checks, values)
         need, joined = [], []
-        for didx, positions in self.plan.checks_at[i] + self.plan.frontier_after[i]:
+        for didx, positions in checks:
             rest = alg.join(tuple([values[j] for j in positions if j != i]))
             if i in positions:
                 t = alg.targets(pspan, rest, didx)
@@ -486,79 +492,43 @@ class _Engine:
 
     def run(self) -> tuple[str, list | None]:
         plan = self.plan
-        alg = self.alg
         E = len(plan.edges)
-        if E == 0:
-            return ("sat", [])
         failed: list[set] = [set() for _ in range(E)]
         # edge positions, then one fixed slot per message (see _build_plan)
-        values: list = [None] * E + list(alg.unit_ids)
+        values: list = [None] * E + list(self.alg.unit_ids)
         keys: list = [None] * E
-        cands: list = [None] * E
-        pdims: list = [0] * E
-        idxs: list = [0] * E
-        tests: list = [False] * E
-        checks_at = plan.checks_at
-        frontier_after = plan.frontier_after
-        live_at = plan.live_at
-        dim = alg.dim
+        loops: list = []  # per open position: (its untried candidates, trial test)
         memo_entries = 0
-
-        i = 0
-        fresh = True
         while True:
-            if fresh:
-                if i == E:
-                    return ("sat", values)
-                key = tuple([values[j] for j in live_at[i]])
-                if key in failed[i]:
-                    i -= 1
-                    fresh = False
-                    if i < 0:
-                        return ("unsat", None)
-                    continue
+            i = len(loops)
+            if i == E:
+                return ("sat", values)
+            key = tuple([values[j] for j in plan.live_at[i]])
+            if key not in failed[i]:
                 keys[i] = key
-                cands[i], pspan = self._candidates(i, values)
-                pdims[i] = dim[pspan]
-                idxs[i] = 0
-                tests[i] = len(cands[i]) > _HOIST_MIN and self._hoist(i, pspan, values)
-
-            advanced = False
-            ci = idxs[i]
-            cs = cands[i]
-            ncs = len(cs)
-            pdim = pdims[i]
-            test = tests[i]
-            while ci < ncs:
-                cand = cs[ci]
-                ci += 1
-                if self.states >= self.budget:
-                    return ("budget", None)
-                self.states += 1
-                values[i] = cand
-                if test:
-                    ok = test(cand)
+                cands, pspan = self._candidates(i, values)
+                loops.append((iter(cands), self._trial_test(i, pspan, cands, values)))
+            # the next passing trial of the deepest open position opens the
+            # position after it; a position out of candidates closes, failed
+            while loops:
+                i = len(loops) - 1
+                cands, test = loops[i]
+                for cand in cands:
+                    if self.states >= self.budget:
+                        return ("budget", None)
+                    self.states += 1
+                    values[i] = cand
+                    if test(cand):
+                        break
                 else:
-                    ok = self._decodes(checks_at[i], values)
-                    if ok and frontier_after[i] and dim[cand] < pdim:
-                        ok = self._optimistic_ok(i, values)
-                if ok:
-                    idxs[i] = ci
-                    i += 1
-                    fresh = True
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            if not self._memo_full:
-                failed[i].add(keys[i])
-                memo_entries += 1
-                if memo_entries > _MEMO_CAP:
-                    self._memo_full = True
-            values[i] = None
-            i -= 1
-            fresh = False
-            if i < 0:
+                    if memo_entries <= _MEMO_CAP:
+                        failed[i].add(keys[i])
+                        memo_entries += 1
+                    values[i] = None
+                    loops.pop()
+                    continue
+                break
+            else:
                 return ("unsat", None)
 
 

@@ -122,10 +122,13 @@ def test_decoding_tests_agree_with_rank_oracle(p, k):
 # ---------------------------------------------------------------------------
 
 def test_trivial_network_solvable():
-    for p in (2, 3, 5):
-        out = search_scalar(tiny_unicast(), p, SearchConfig())
-        assert out.status == SOLVABLE
-        assert verify(tiny_unicast(), out.code).passed
+    # with no edges and no terminals the empty code is a solution
+    edgeless = CodedNetwork("edgeless", ("a",), (NetNode("s", "source", generates="a"),), ())
+    for net in (tiny_unicast(), edgeless):
+        for p in (2, 3, 5):
+            out = search_scalar(net, p, SearchConfig())
+            assert out.status == SOLVABLE
+            assert verify(net, out.code).passed
 
 
 def test_scalar_certificates_match_characteristic_split():
@@ -450,11 +453,11 @@ def test_join_matches_echelon_of_stacked_bases(p):
 
 
 # ---------------------------------------------------------------------------
-# the optimistic prune
+# the frontier prune
 # ---------------------------------------------------------------------------
 
 def closure_ok(net, engine, i, values):
-    """The optimistic prune written as the whole forward closure, read off
+    """The frontier prune written as the whole forward closure, read off
     the network: every edge after position i carries its message's unit
     block if its tail is a source, else the join of its tail's in-edges;
     then every terminal whose last in-edge comes after i must decode."""
@@ -499,45 +502,45 @@ def cut_off():
 
 
 def checked_search(monkeypatch, net, k, n, p):
-    """A 3,000-state search whose every prune and every trial of a hoisted
-    loop (``_Engine._hoist``) is checked against ``closure_ok`` and the
-    join-based ``_decodes`` over ``checks_at[i]`` and ``frontier_after[i]``.
+    """A 3,000-state search whose every trial (``_Engine._trial_test``) is
+    checked against the join-based ``_decodes`` over ``checks_at[i]`` and
+    ``frontier_after[i]``, and every frontier decision against
+    ``closure_ok``.
 
-    Compares on every prefix the search asks about, and on every prefix it
-    extends (each fresh position i has values[:i] assigned).  Returns the
-    prune decisions, the hoisted trial decisions and the outcomes of
-    ``_Algebra.targets``.
+    Compares the frontier on every prefix the search asks about, and on
+    every prefix it extends (each fresh position i has values[:i]
+    assigned).  Returns the frontier decisions, (hoisted, decision) per
+    trial, hoisted meaning its loop had more than ``_HOIST_MIN``
+    candidates, and the outcomes of ``_Algebra.targets``.
     """
     seen, trials, targets = [], [], []
-    prune = _Engine._optimistic_ok
     candidates = _Engine._candidates
-    hoist = _Engine._hoist
+    trial_test = _Engine._trial_test
     target = _Algebra.targets
 
-    def checked_prune(self, i, values):
-        got = prune(self, i, values)
-        assert got == closure_ok(net, self, i, values), (i, values[: i + 1])
-        seen.append(got)
+    def frontier_ok(engine, i, values):
+        got = engine._decodes(engine.plan.frontier_after[i], values)
+        assert got == closure_ok(net, engine, i, values), (i, values[: i + 1])
         return got
 
     def checked_candidates(self, i, values):
         if i > 0:
-            assert prune(self, i - 1, values) == closure_ok(net, self, i - 1, values)
+            frontier_ok(self, i - 1, values)
         return candidates(self, i, values)
 
-    def checked_hoist(self, i, pspan, values):
-        test = hoist(self, i, pspan, values)
+    def checked_trial_test(self, i, pspan, cands, values):
+        test = trial_test(self, i, pspan, cands, values)
+        hoisted = len(cands) > solver._HOIST_MIN
 
         def checked(cand):
             got = test(cand)
             assert values[i] == cand
             want = self._decodes(self.plan.checks_at[i], values)
             if want and self.alg.dim[cand] < self.alg.dim[pspan]:
-                want = self._decodes(self.plan.frontier_after[i], values)
-                assert want == closure_ok(net, self, i, values), (i, values[: i + 1])
+                want = frontier_ok(self, i, values)
                 seen.append(want)
             assert got == want, (i, values[: i + 1])
-            trials.append(got)
+            trials.append((hoisted, got))
             return got
 
         return checked
@@ -547,9 +550,8 @@ def checked_search(monkeypatch, net, k, n, p):
         targets.append(out)
         return out
 
-    monkeypatch.setattr(_Engine, "_optimistic_ok", checked_prune)
     monkeypatch.setattr(_Engine, "_candidates", checked_candidates)
-    monkeypatch.setattr(_Engine, "_hoist", checked_hoist)
+    monkeypatch.setattr(_Engine, "_trial_test", checked_trial_test)
     monkeypatch.setattr(_Algebra, "targets", recorded_targets)
     search_fractional(net, k, n, p, SearchConfig(node_budget=3000))
     monkeypatch.undo()
@@ -576,13 +578,15 @@ def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
 def test_hoisted_checks_reach_every_branch(monkeypatch):
     # n1(2,2) hoists loops of 130 candidates whose parent span meets the
     # rest of a check (the join-test fallback) and loops where it does not;
-    # in cut_off no candidate of v->t1 can pass
+    # in cut_off no candidate of v->t1 can pass; both searches also run
+    # loops too short to hoist
     trials, targets = [], []
     for net, k, n, p in ((gen_n1(2, 2), 1, 2, 3), (cut_off(), 1, 1, 5)):
         _, got, outcomes = checked_search(monkeypatch, net, k, n, p)
         trials += got
         targets += outcomes
-    assert True in trials and False in trials
+    assert {hoisted for hoisted, _ in trials} == {True, False}
+    assert {ok for hoisted, ok in trials if hoisted} == {True, False}
     assert None in targets and False in targets
     assert any(type(t) is int for t in targets)
 
