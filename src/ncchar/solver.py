@@ -508,8 +508,8 @@ class _Engine:
                 keys[i] = key
                 cands, pspan = self._candidates(i, values)
                 loops.append((iter(cands), self._trial_test(i, pspan, cands, values)))
-            # the next passing trial of the deepest open position opens the
-            # position after it; a position out of candidates closes, failed
+            # advance the deepest open position to its next passing trial,
+            # which opens the one after it; one out of candidates has failed
             while loops:
                 i = len(loops) - 1
                 cands, test = loops[i]
