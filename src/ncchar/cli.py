@@ -120,6 +120,12 @@ def _write_or_print(data: bytes, out: str | None, as_json: bool, summary: dict) 
 _FAMILY_RE = re.compile(r"^n([12])\(q=(\d+),n=(\d+)\)$")
 
 
+def _min_family_edges(q: int, n: int) -> int:
+    """A lower bound on the edges of n1(q, n) and n2(q, n): per slot, each
+    has at least q+1 source edges, (q-1)(q-2) of them into other branches."""
+    return max((q - 2) ** 2, q + 1) * n
+
+
 def _construction_from_name(
     name: str, edge_count: int
 ) -> tuple[CodedNetwork, SymbolicCode, str] | None:
@@ -129,7 +135,9 @@ def _construction_from_name(
     gadget(...,n=..) wrappers those transforms stamp on their results.
     Wrappers are peeled in a loop, not by recursion, then applied inside out.
     Returns (network, symbolic code, base family), or None once a level
-    has more than ``edge_count`` edges (a union of k copies has k times).
+    has more than ``edge_count`` edges (a union of k copies has k times),
+    and before anything is built if the base family must have more, or a
+    gadget's n is not the family's.
     """
     from .constructions import gadget_transform, gen_n1, gen_n2, union_copies
     from .solutions import lift_gadget, lift_union, solve_n1, solve_n2
@@ -145,10 +153,15 @@ def _construction_from_name(
                     break
         else:
             raise _CliError(EXIT_USAGE, f"unrecognized construction name: {name!r}")
-    fam, q, n = m.groups()
+    fam = m[1]
     gen, solve = (gen_n1, solve_n1) if fam == "1" else (gen_n2, solve_n2)
     try:
-        net, sym = gen(int(q), int(n)), solve(int(q), int(n))
+        q, n = int(m[2]), int(m[3])
+        if _min_family_edges(q, n) > edge_count or any(
+            prefix == "gadget(" and value != n for prefix, value, _ in wrappers
+        ):
+            return None
+        net, sym = gen(q, n), solve(q, n)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"bad construction name {name!r}: {exc}") from exc
     for prefix, value, wrapped in reversed(wrappers):

@@ -8,9 +8,11 @@ Two parameterized families are built here:
 * ``gen_n2(q, n)`` is rate-1/n solvable exactly when the characteristic
   does NOT divide q.  At (2, 1) it reduces to the non-Fano network.
 
-Each family's messages, source edges and terminals are listed once, by
-``_n1_family``/``_n2_family``; ``gen_*`` builds them into the network and
-``solutions.solve_*`` derives its source-edge and decode rules from them.
+Each family's whole topology is one list, from ``_n1_family`` or
+``_n2_family``: messages, source edges, links between intermediates and
+terminals.  ``gen_*`` builds it into the network, reading the
+intermediates off the links, and ``solutions.solve_*`` reads the same
+list to build the closed-form code.
 
 ``union_copies`` glues k disjoint copies of a network along shared
 sources and terminals, and ``gadget_transform`` rewrites a network with
@@ -70,40 +72,50 @@ def _edge(tail: str, head: str) -> NetEdge:
     return NetEdge(edge_id(tail, head), tail, head)
 
 
-_Source = tuple[str, str, int]
-_Terminal = tuple[str, str, int, str, str]
+_Source = tuple[str, str, int]  # (message, head, slot)
+_Link = tuple[str, str, str]  # (id, tail, head)
+_Terminal = tuple[str, str, int, str]  # (id, demand, slot, tail)
 
 
 @dataclass(frozen=True)
 class _Family:
-    """What a family's network and its closed-form code both read; the
-    ``branches`` are the indices i of the message sets b_i."""
+    """A family's whole topology.  Each terminal hangs off its tail by one
+    edge; the ``branches`` are the indices i of the message sets b_i."""
 
     messages: tuple[str, ...]
     branches: range
     sources: tuple[_Source, ...]
+    links: tuple[_Link, ...]
     terminals: tuple[_Terminal, ...]
 
-    def network(self, name: str, mids: list[str], edges: list[NetEdge]) -> CodedNetwork:
-        """The sources, the given intermediates and edges, then the terminals."""
+    def inner_edges(self) -> tuple[_Link, ...]:
+        """Every edge but the source edges: the links, then one edge into
+        each terminal."""
+        return self.links + tuple((edge_id(t, tid), t, tid) for tid, _, _, t in self.terminals)
+
+    def network(self, name: str) -> CodedNetwork:
+        """Sources, terminals, and the intermediates the links join."""
+        mids = {v for _, tail, head in self.links for v in (tail, head)}
         nodes = [_src(m) for m in self.messages] + [_mid(v) for v in mids]
-        for tid, demand, _, tail, _ in self.terminals:
-            nodes.append(_term(tid, demand))
-            edges.append(_edge(tail, tid))
+        nodes += [_term(tid, demand) for tid, demand, _, _ in self.terminals]
+        edges = [_edge(m, head) for m, head, _ in self.sources]
+        edges += [NetEdge(*link) for link in self.inner_edges()]
         return CodedNetwork(name, self.messages, tuple(nodes), tuple(edges))
 
 
+def _link(tail: str, head: str) -> _Link:
+    return edge_id(tail, head), tail, head
+
+
 def _fan(msgs: Iterable[str], *heads: str) -> list[_Source]:
-    """Source edges (message, head, slot) from each message to each head:
-    edge ``message->head`` carries the message in coordinate ``slot``."""
+    """Source edges from each message to each head, the j-th message in
+    slot j."""
     return [(m, h, j) for j, m in enumerate(msgs, start=1) for h in heads]
 
 
-def _sink(label: str, msgs: Iterable[str], tail: str, feed: str) -> list[_Terminal]:
-    """Terminals (id, demand, slot, tail, feed), one per message: each hangs
-    off ``tail`` by one edge, which forwards ``feed``, the tail's one
-    in-edge, and decodes coordinate ``slot`` of that block."""
-    return [(f"{label}:{m}", m, j, tail, feed) for j, m in enumerate(msgs, start=1)]
+def _sink(label: str, msgs: Iterable[str], tail: str) -> list[_Terminal]:
+    """Terminals on ``tail``, one per message, the j-th decoding slot j."""
+    return [(f"{label}:{m}", m, j, tail) for j, m in enumerate(msgs, start=1)]
 
 
 def _n1_family(q: int, n: int) -> _Family:
@@ -111,41 +123,43 @@ def _n1_family(q: int, n: int) -> _Family:
     a = tuple(f"a{j}" for j in range(1, n + 1))
     c = tuple(f"c{j}" for j in range(1, n + 1))
     b = {i: tuple(bmsg(i, j) for j in range(1, n + 1)) for i in range(1, q)}
-    sources = _fan(a, "u1")
+    sources = _fan(a, "u1", "u11") + _fan(c, "u2", "u6")
     for i in b:
-        sources += _fan(b[i], "u1", "u2")
-    sources += _fan(c, "u2", "u6") + _fan(a, "u11")
+        others = [h for k in b if k != i for h in (f"e{k}t", f"v{k}")]
+        sources += _fan(b[i], "u1", "u2", f"w{i}", *others)
+    # the u-backbone, then the q-1 parallel branches and their fan-in/fan-out
+    links = [_link(f"u{i}", f"u{i + 2}") for i in (1, 2, 3, 5, 6, 7)]
+    links += [_link(f"u{i}", f"u{i + 1}") for i in (4, 8, 9, 11, 13)]
+    links += [_link("u3", "u6"), _link("u7", "u11"), _link("u8", "u13")]
     for i in b:
-        for k in b:
-            if k != i:
-                sources += _fan(b[i], f"e{k}t", f"v{k}")
-        sources += _fan(b[i], f"w{i}")
-    terminals = _sink("Tc", c, "u12", "u11->u12") + _sink("Ta", a, "u14", "u13->u14")
+        e, v, w = f"e{i}", f"v{i}", f"w{i}"
+        links += [(e, f"{e}t", f"{e}h"), _link("u4", f"{e}t"), _link(f"{e}h", "u13")]
+        links += [_link(f"{e}h", w), _link("u10", v), _link(v, f"{v}p"), _link(w, f"{w}p")]
+    terminals = _sink("Tc", c, "u12") + _sink("Ta", a, "u14")
     for i in b:
-        terminals += _sink(f"Tb{i}", b[i], f"v{i}p", f"v{i}->v{i}p")
-        terminals += _sink(f"Tc{i}", c, f"w{i}p", f"w{i}->w{i}p")
+        terminals += _sink(f"Tb{i}", b[i], f"v{i}p") + _sink(f"Tc{i}", c, f"w{i}p")
     messages = a + tuple(m for i in b for m in b[i]) + c
-    return _Family(messages, range(1, q), tuple(sources), tuple(terminals))
+    return _Family(messages, range(1, q), tuple(sources), tuple(links), tuple(terminals))
 
 
 def _n2_family(q: int, n: int) -> _Family:
     _check_params(q, n)
     a = tuple(f"a{j}" for j in range(1, n + 1))
     b = {i: tuple(bmsg(i, j) for j in range(1, n + 1)) for i in range(1, q + 1)}
-    sources = _fan(a, "eat")
+    sources = _fan(a, "eat", *(f"e{i}t" for i in b))
     for i in b:
-        sources += _fan(b[i], "eat")
+        sources += _fan(b[i], "eat", "ebt", *(f"e{k}t" for k in b if k != i))
+    # the bottlenecks, each a stem edge from its t node to its h node
+    stems = ["ea", "eb", "eap", "ebp"] + [f"e{i}{p}" for i in b for p in ("", "p")]
+    links = [(s, f"{s}t", f"{s}h") for s in stems]
+    links += [_link("eah", "eapt"), _link("ebh", "eapt"), _link("ebh", "ebpt")]
     for i in b:
-        sources += _fan(a, f"e{i}t")
-        for k in b:
-            if k != i:
-                sources += _fan(b[k], f"e{i}t")
-        sources += _fan(b[i], "ebt")
-    terminals = _sink("Ta1", a, "eaph", "eap") + _sink("Ta2", a, "ebph", "ebp")
+        links += [_link(f"e{i}h", f"e{i}pt"), _link("eah", f"e{i}pt"), _link(f"e{i}h", "ebpt")]
+    terminals = _sink("Ta1", a, "eaph") + _sink("Ta2", a, "ebph")
     for i in b:
-        terminals += _sink(f"Tb{i}", b[i], f"e{i}ph", f"e{i}p")
+        terminals += _sink(f"Tb{i}", b[i], f"e{i}ph")
     messages = a + tuple(m for i in b for m in b[i])
-    return _Family(messages, range(1, q + 1), tuple(sources), tuple(terminals))
+    return _Family(messages, range(1, q + 1), tuple(sources), tuple(links), tuple(terminals))
 
 
 def gen_n1(q: int, n: int) -> CodedNetwork:
@@ -155,48 +169,14 @@ def gen_n1(q: int, n: int) -> CodedNetwork:
     sets of n.  The c messages are each demanded by q terminals, which is
     what the gadget transform later untangles.
     """
-    fam = _n1_family(q, n)
-    edges = [_edge(m, head) for m, head, _ in fam.sources]
-    # the u-backbone
-    for i in (1, 2, 3, 5, 6, 7):
-        edges.append(_edge(f"u{i}", f"u{i + 2}"))
-    for i in (4, 8, 9, 11, 13):
-        edges.append(_edge(f"u{i}", f"u{i + 1}"))
-    edges += [_edge("u3", "u6"), _edge("u7", "u11"), _edge("u8", "u13")]
-    # the q-1 parallel branches and their fan-in/fan-out
-    mids = [f"u{i}" for i in range(1, 15)]
-    for i in fam.branches:
-        mids += [f"e{i}t", f"e{i}h", f"v{i}", f"v{i}p", f"w{i}", f"w{i}p"]
-        edges.append(NetEdge(f"e{i}", f"e{i}t", f"e{i}h"))
-        edges.append(_edge("u4", f"e{i}t"))
-        edges.append(_edge(f"e{i}h", "u13"))
-        edges.append(_edge(f"e{i}h", f"w{i}"))
-        edges.append(_edge("u10", f"v{i}"))
-        edges.append(_edge(f"v{i}", f"v{i}p"))
-        edges.append(_edge(f"w{i}", f"w{i}p"))
-    return fam.network(f"n1(q={q},n={n})", mids, edges)
+    return _n1_family(q, n).network(f"n1(q={q},n={n})")
 
 
 def gen_n2(q: int, n: int) -> CodedNetwork:
     """Second family: solvable at rate 1/n iff the characteristic does
     not divide q (the construction needs an inverse of q).  Sources come in
     q+1 sets of n (a, b_1..b_q); terminals in q+2 sets of n."""
-    fam = _n2_family(q, n)
-    mids, edges = [], []
-    for stem in ("ea", "eb", "eap", "ebp"):
-        mids += [f"{stem}t", f"{stem}h"]
-        edges.append(NetEdge(stem, f"{stem}t", f"{stem}h"))
-    for i in fam.branches:
-        mids += [f"e{i}t", f"e{i}h", f"e{i}pt", f"e{i}ph"]
-        edges.append(NetEdge(f"e{i}", f"e{i}t", f"e{i}h"))
-        edges.append(NetEdge(f"e{i}p", f"e{i}pt", f"e{i}ph"))
-    edges += [_edge(m, head) for m, head, _ in fam.sources]
-    edges += [_edge("eah", "eapt"), _edge("ebh", "eapt"), _edge("ebh", "ebpt")]
-    for i in fam.branches:
-        edges.append(_edge(f"e{i}h", f"e{i}pt"))
-        edges.append(_edge("eah", f"e{i}pt"))
-        edges.append(_edge(f"e{i}h", "ebpt"))
-    return fam.network(f"n2(q={q},n={n})", mids, edges)
+    return _n2_family(q, n).network(f"n2(q={q},n={n})")
 
 
 def gen_fano() -> CodedNetwork:

@@ -1,14 +1,15 @@
 """Hand-built (1, n) codes for the two network families, plus liftings.
 
 ``solve_n1`` and ``solve_n2`` write down the explicit rate-1/n codes as
-symbolic data.  The rules of the source and terminal edges and the decode
-rules come from the family's lists in ``constructions``; only the middle
-edges' rules are written here.  All entries are 0 or +/-1, except the one
-place the second family genuinely needs the field: the last bottleneck
-combines its q+1 inputs with coefficients 1/q and -(q-1)/q, so
-instantiation requires the characteristic not to divide q.  Conversely,
-the first family's code delivers a_i - q*c_i to the a-terminals, which
-collapses to a_i exactly when the characteristic divides q.
+symbolic data, read by ``_solve`` off the family's one list in
+``constructions``.  A source edge carries its message in its slot, every
+other edge sends the sum of its tail's in-edges times I_n, and a
+terminal decodes its slot.  Each family lists only the in-edges whose
+weight in that sum is not 1.  In n1 they are all -1, and the
+a-terminals receive a_i - q*c_i, which collapses to a_i exactly when the
+characteristic divides q.  In n2 the last bottleneck weighs its q+1
+inputs by 1/q and -(q-1)/q, the one place the field is genuinely needed,
+so instantiation requires the characteristic not to divide q.
 
 ``lift_union`` turns a (1, n) code on a base network into a (k, n) code
 on the k-fold union by routing component i of every source through copy
@@ -22,115 +23,77 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .constructions import _Family, _n1_family, _n2_family, gadget_transform_traced
-from .lincode import SRC_PREFIX, SymInput, SymMatrix, SymbolicCode
+from .constructions import (
+    _Family,
+    _n1_family,
+    _n2_family,
+    edge_id,
+    gadget_transform_traced,
+)
+from .lincode import SRC_PREFIX, SymEntry, SymInput, SymMatrix, SymbolicCode
 from .network import CodedNetwork, _int_at_least
 
 Rules = dict[str, tuple[SymInput, ...]]
 
+_ONE: SymEntry = (1, False)
+_NEG: SymEntry = (-1, False)
 
-def _family_rules(fam: _Family, n: int) -> tuple[Rules, Rules, dict[str, list[str]]]:
-    """The rules a family's lists fix: each source edge reads its message
-    into its slot, each terminal edge forwards its tail's in-edge, and each
-    terminal decodes its slot of that block.  Also returns, per node, the
-    ids of the source edges into it (none for a node no source feeds)."""
-    ident = SymMatrix.scaled_identity(n)
+
+def _solve(fam: _Family, q: int, n: int, weights: dict[str, SymEntry]) -> SymbolicCode:
+    """The (1, n) code a family's list fixes: a source edge puts its
+    message in its slot, every other edge sends the sum of its tail's
+    in-edges, in-edge f times ``weights.get(f, 1)`` times I_n, and a
+    terminal decodes its slot of its one in-edge."""
     cols = [SymMatrix.unit_column(n, j) for j in range(1, n + 1)]
     rows = [SymMatrix.unit_row(n, j) for j in range(1, n + 1)]
+    scaled = {w: SymMatrix.scaled_identity(n, *w) for w in {_ONE, *weights.values()}}
     er: Rules = {}
-    dr: Rules = {}
-    fed: dict[str, list[str]] = defaultdict(list)
+    into: dict[str, list[SymInput]] = defaultdict(list)  # each node's summands
     for m, head, slot in fam.sources:
-        eid = f"{m}->{head}"
+        eid = edge_id(m, head)
         er[eid] = (SymInput(SRC_PREFIX + m, cols[slot - 1]),)
-        fed[head].append(eid)
-    for tid, _, slot, tail, feed in fam.terminals:
-        eid = f"{tail}->{tid}"
-        er[eid] = (SymInput(feed, ident),)
-        dr[tid] = (SymInput(eid, rows[slot - 1]),)
-    return er, dr, fed
-
-
-def _inputs(refs: list[str], matrix: SymMatrix) -> tuple[SymInput, ...]:
-    return tuple(SymInput(ref, matrix) for ref in refs)
+        into[head].append(SymInput(eid, scaled[weights.get(eid, _ONE)]))
+    edges = fam.inner_edges()
+    for eid, _, head in edges:
+        into[head].append(SymInput(eid, scaled[weights.get(eid, _ONE)]))
+    for eid, tail, _ in edges:
+        er[eid] = tuple(into[tail])
+    dr = {tid: (SymInput(edge_id(t, tid), rows[j - 1]),) for tid, _, j, t in fam.terminals}
+    return SymbolicCode(1, n, q, er, dr)
 
 
 def solve_n1(q: int, n: int) -> SymbolicCode:
     """The (1, n) code for the first family; verifies iff char divides q."""
     fam = _n1_family(q, n)
-    ident = SymMatrix.scaled_identity(n)
-    neg = SymMatrix.scaled_identity(n, coeff=-1)
-    er, dr, fed = _family_rules(fam, n)
-
-    # u1 carries sum(a) + sum(b); u2 carries sum(b) + sum(c)
-    er["u1->u3"] = _inputs(fed["u1"], ident)
-    er["u2->u4"] = _inputs(fed["u2"], ident)
-    er["u3->u5"] = (SymInput("u1->u3", ident),)
-    er["u3->u6"] = (SymInput("u1->u3", ident),)
-    er["u4->u5"] = (SymInput("u2->u4", ident),)
-    # sum(a) - sum(c): the b-block cancels between the two branches
-    er["u5->u7"] = (SymInput("u3->u5", ident), SymInput("u4->u5", neg))
-    # sum(a) + sum(b) - sum(c)
-    er["u6->u8"] = (SymInput("u3->u6", ident),) + _inputs(fed["u6"], neg)
-    er["u7->u9"] = (SymInput("u5->u7", ident),)
-    er["u7->u11"] = (SymInput("u5->u7", ident),)
-    er["u8->u9"] = (SymInput("u6->u8", ident),)
-    er["u8->u13"] = (SymInput("u6->u8", ident),)
-    # sum(b)
-    er["u9->u10"] = (SymInput("u8->u9", ident), SymInput("u7->u9", neg))
-    # sum(c): the direct a-taps cancel the a-block of the u7 branch
-    er["u11->u12"] = _inputs(fed["u11"], ident) + (SymInput("u7->u11", neg),)
-    for i in fam.branches:
-        # branch i carries its own b-row plus sum(c)
-        er[f"u4->e{i}t"] = (SymInput("u2->u4", ident),)
-        er[f"e{i}"] = (SymInput(f"u4->e{i}t", ident),) + _inputs(fed[f"e{i}t"], neg)
-        er[f"e{i}h->u13"] = (SymInput(f"e{i}", ident),)
-        er[f"e{i}h->w{i}"] = (SymInput(f"e{i}", ident),)
-        er[f"u10->v{i}"] = (SymInput("u9->u10", ident),)
-        er[f"v{i}->v{i}p"] = (SymInput(f"u10->v{i}", ident),) + _inputs(fed[f"v{i}"], neg)
-        er[f"w{i}->w{i}p"] = (SymInput(f"e{i}h->w{i}", ident),) + _inputs(fed[f"w{i}"], neg)
-    # sum(a) - q*sum(c): equals sum(a) exactly when char divides q
-    er["u13->u14"] = (SymInput("u8->u13", ident),) + tuple(
-        SymInput(f"e{i}h->u13", neg) for i in fam.branches
-    )
-    return SymbolicCode(1, n, q, er, dr)
+    # u1 and u3 carry sum(a) + sum(b); u2 and u4 carry sum(b) + sum(c).
+    # u5: sum(a) - sum(c), the b-block cancelling;  u9: sum(b);  u11: sum(c),
+    # the direct a-taps cancelling the a-block of u7
+    neg = ["u4->u5", "u7->u9", "u7->u11"]
+    # u13: sum(a) - q*sum(c), which is sum(a) exactly when char divides q
+    neg += [edge_id(f"e{i}h", "u13") for i in fam.branches]
+    # u6: sum(a) + sum(b) - sum(c);  e_i: its own b-row plus sum(c), the
+    # other rows peeled out of u4;  v_i: row i of b, peeled out of u10's
+    # sum(b);  w_i: sum(c), peeled out of e_i
+    neg += [edge_id(m, h) for m, h, _ in fam.sources if h not in ("u1", "u2", "u11")]
+    return _solve(fam, q, n, dict.fromkeys(neg, _NEG))
 
 
 def solve_n2(q: int, n: int) -> SymbolicCode:
     """The (1, n) code for the second family; verifies iff char does not
     divide q (the last bottleneck averages its branches with 1/q)."""
     fam = _n2_family(q, n)
-    ident = SymMatrix.scaled_identity(n)
-    neg = SymMatrix.scaled_identity(n, coeff=-1)
-    inv_q = SymMatrix.scaled_identity(n, coeff=1, inv_q=True)
-    comp = SymMatrix.scaled_identity(n, coeff=-(q - 1), inv_q=True)
-    er, dr, fed = _family_rules(fam, n)
-
     # ea: sum(a) + sum(b);  e_i: sum(a) + sum(b without row i);  eb: sum(b)
-    er["ea"] = _inputs(fed["eat"], ident)
+    weights = {
+        # eap: sum(a)
+        "ebh->eapt": _NEG,
+        # ebp: (sum_i e_i - (q-1) eb)/q = sum(a), the one place that needs 1/q
+        "ebh->ebpt": (-(q - 1), True),
+    }
     for i in fam.branches:
-        er[f"e{i}"] = _inputs(fed[f"e{i}t"], ident)
-    er["eb"] = _inputs(fed["ebt"], ident)
-
-    er["eah->eapt"] = (SymInput("ea", ident),)
-    er["ebh->eapt"] = (SymInput("eb", ident),)
-    er["ebh->ebpt"] = (SymInput("eb", ident),)
-    for i in fam.branches:
-        er[f"e{i}h->e{i}pt"] = (SymInput(f"e{i}", ident),)
-        er[f"eah->e{i}pt"] = (SymInput("ea", ident),)
-        er[f"e{i}h->ebpt"] = (SymInput(f"e{i}", ident),)
-
-    # eap: sum(a);  e_ip: row i of b;  ebp: (sum_i e_i - (q-1) eb)/q = sum(a)
-    er["eap"] = (SymInput("eah->eapt", ident), SymInput("ebh->eapt", neg))
-    for i in fam.branches:
-        er[f"e{i}p"] = (
-            SymInput(f"eah->e{i}pt", ident),
-            SymInput(f"e{i}h->e{i}pt", neg),
-        )
-    er["ebp"] = tuple(SymInput(f"e{i}h->ebpt", inv_q) for i in fam.branches) + (
-        SymInput("ebh->ebpt", comp),
-    )
-    return SymbolicCode(1, n, q, er, dr)
+        # e_ip: row i of b
+        weights[edge_id(f"e{i}h", f"e{i}pt")] = _NEG
+        weights[edge_id(f"e{i}h", "ebpt")] = (1, True)
+    return _solve(fam, q, n, weights)
 
 
 # -- lifting to unions ---------------------------------------------------------

@@ -20,7 +20,7 @@ from ncchar import (
     union_copies,
     verify,
 )
-from ncchar import cli, constructions
+from ncchar import cli, constructions, solutions
 from ncchar.cli import main
 from ncchar.gf import rank
 from util_oracles import copy_clash, off_unicast
@@ -168,19 +168,41 @@ def test_solve_malformed_construction_names_exit_64(tmp_path, capsys):
 
 
 def test_solve_refuses_a_name_larger_than_its_file(tmp_path, capsys, monkeypatch):
-    # union_copies gives k * |E| edges, so a k=400 union name on a Fano file
-    # is refused before anything of that size is built
+    # each name is refused before the builders it would need run: a union of
+    # k copies has k * |E| edges, n1(q, n) has at least max((q-2)**2, q+1) * n,
+    # and a gadget's n must be the base family's
     built = []
-    monkeypatch.setattr(constructions, "union_copies", lambda net, k: built.append(k))
+    for module, names in ((constructions, ("gen_n1", "union_copies", "gadget_transform")),
+                          (solutions, ("solve_n1",))):
+        for f in names:
+            real = getattr(module, f)
+            monkeypatch.setattr(module, f, lambda *a, f=f, real=real: built.append(f) or real(*a))
     net = gen_n1(2, 1)
-    for name in ("union(n1(q=2,n=1),k=400)", "gadget(n1(q=2,n=1),n=1)"):
+    cases = {
+        "union(n1(q=2,n=1),k=400)": ["gen_n1", "solve_n1"],
+        "gadget(n1(q=2,n=1),n=1)": ["gen_n1", "solve_n1", "gadget_transform"],
+        "n1(q=300,n=1)": [],
+        "gadget(n1(q=2,n=1),n=60000)": [],
+    }
+    for name, builders in cases.items():
         renamed = type(net)(name, net.messages, net.nodes, net.edges)
         net_path = write_net(tmp_path, renamed)
+        built.clear()
         code, out, err = run(capsys, "solve", str(net_path), "--p", "2")
         assert code == 64 and out == ""
         assert "does not match its construction name" in err
         assert len(err.strip().splitlines()) == 1
-    assert built == []
+        assert built == builders, name
+
+
+def test_family_edge_bound_is_a_lower_bound():
+    from ncchar import gen_n2
+
+    for q in range(2, 14):
+        for n in range(1, 4):
+            bound = cli._min_family_edges(q, n)
+            assert bound <= len(gen_n1(q, n).edges)
+            assert bound <= len(gen_n2(q, n).edges)
 
 
 def test_solve_tampered_network_rejected(tmp_path, capsys):

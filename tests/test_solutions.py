@@ -20,6 +20,7 @@ from ncchar import (
     union_copies,
     verify,
 )
+from ncchar.lincode import SRC_PREFIX
 
 PRIMES = (2, 3, 5, 7)
 
@@ -147,6 +148,18 @@ def test_rules_cover_exactly_the_edges_and_terminals(net, sym):
     # check ties the rule set to the topology edge for edge
     assert set(sym.edge_rules) == {e.id for e in net.edges}
     assert set(sym.decode_rules) == {t.id for t in net.terminals()}
+    # every rule reads exactly what its node receives: a source edge its
+    # tail's message, any other edge or a terminal the node's in-edges
+    into = {node.id: set() for node in net.nodes}
+    for e in net.edges:
+        into[e.head].add(e.id)
+    node_map = net.node_map()
+    for e in net.edges:
+        gen = node_map[e.tail].generates
+        want = {SRC_PREFIX + gen} if gen is not None else into[e.tail]
+        assert {inp.ref for inp in sym.edge_rules[e.id]} == want, e.id
+    for tid, inputs in sym.decode_rules.items():
+        assert {inp.ref for inp in inputs} == into[tid], tid
 
 
 def test_solve_parameter_validation():
