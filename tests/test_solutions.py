@@ -125,6 +125,80 @@ def test_family_bytes_are_pinned(family, q, n):
     assert got == FAMILY_DIGESTS[family, q, n]
 
 
+# sha256 of save(gadget_transform(gen_*(q, n), n)) and of save_code of
+# its lift_gadget code, recorded when each gadget step's edges and rules
+# were still written out separately; n1(3, 1)'s second step demotes x4#1,
+# the terminal its first step added
+GADGET_DIGESTS = {
+    ("n1", 2, 1): (
+        "dd315ed168de3166ed91d85d7ee0a6af8619381b1fe30d427bda60a542167fed",
+        "fb6177d5aaac9909e7fcd5d33e71fa6e42d106fa27a48aec74b9f026d590a864",
+    ),
+    ("n1", 2, 2): (
+        "3986f4ec312314b5bde5ecfa84d41abe2507353d1561a04d39fa57a06ad46f0d",
+        "0a4afc78ee36269a8c1ed27a373f9991f9453e799cb63d5d8464c9c4a719c651",
+    ),
+    ("n1", 3, 1): (
+        "6ce156a90b354ed65932570af6bf14b36817d8c27efcf23386f76dc97c471ec7",
+        "3d16a9fc39b4a7ae8efd4ecd86822f74ca009f47ba072bcd4bb2d1a8091eaaa4",
+    ),
+    ("n1", 3, 2): (
+        "df19855b0c17dc619e3c3985f4b7f4275028b6015a3e657bb9b75194316b89d4",
+        "91122f10ba279009e28b3951007dc9df2f6f4e11348a5adffeb870c97d3b3d1b",
+    ),
+    ("n1", 4, 3): (
+        "cd2ad282d7323e4058de79f77c1a002a71336eb1794e602ac2cb2b2bcd728947",
+        "d14f8cf372c65e9991bb262c592b5da28a88c7a2669fcdc88b63d6e8c2ca46c3",
+    ),
+    ("n2", 2, 1): (
+        "679aa9657051b094eea5613cc70288df4ac625f01d4ed6f8c8c3fc496859fe5e",
+        "d72c7477a819c89890f9391aaa53a6a23da21e701d433a059533b74339ea3949",
+    ),
+    ("n2", 2, 2): (
+        "feb8e8a25f02c2c263b685379c55999662e31718cb4a88f6e0b7637026a69fe3",
+        "2575750bf655f32d610e7c38a2ca9b17d59620a1a98cda259a38727437b8c58d",
+    ),
+    ("n2", 3, 1): (
+        "ad92f3c50bc6e6beed72b660919ad1d2c61f369216c4fd2c7c6bb4cb2d73eb48",
+        "2a0b1a9693bff823c2504dfb3431630149b638664991fad000f9a29f3f1369d5",
+    ),
+    ("n2", 3, 2): (
+        "48dd9abbbab19901d561cdbaf013d8f8eb127c73ffa05e03452460cb55667db0",
+        "3871bffacb9ee794786d6f8456d81169b76ad27bf0046a1ecc71761f740d2206",
+    ),
+    ("n2", 4, 3): (
+        "a5661c8c524e7aa5293d13a10faa5a29d5add43fd762450d6f99acad6729474b",
+        "910556d358bce23ad7d71cdaf0c35167020842d53b5112fc3985f144e59560be",
+    ),
+}
+
+# sha256 of save_code(lift_union(lift_gadget(solve_n2(2, 2), …), 2))
+GADGET_UNION_CODE_DIGEST = "f1e7b021fce1c81142204110ecd79ebf2da78f415ad662b9b8fe64f47ee718a2"
+
+
+def _gadget_lift(family, q, n):
+    gen, solve = FAMILIES[family]
+    base = gen(q, n)
+    gadgeted = gadget_transform(base, n)
+    return gadgeted, lift_gadget(solve(q, n), base, gadgeted)
+
+
+@pytest.mark.parametrize("family, q, n", sorted(GADGET_DIGESTS))
+def test_gadget_bytes_are_pinned(family, q, n):
+    gadgeted, sym = _gadget_lift(family, q, n)
+    got = (
+        hashlib.sha256(save(gadgeted)).hexdigest(),
+        hashlib.sha256(save_code(sym)).hexdigest(),
+    )
+    assert got == GADGET_DIGESTS[family, q, n]
+
+
+def test_lifted_gadget_union_code_is_pinned():
+    _, sym = _gadget_lift("n2", 2, 2)
+    got = hashlib.sha256(save_code(lift_union(sym, 2))).hexdigest()
+    assert got == GADGET_UNION_CODE_DIGEST
+
+
 def _code_pairs():
     """(network, symbolic code) for each family on the pinned grid, and
     for their union and gadget lifts."""
