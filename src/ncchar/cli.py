@@ -148,7 +148,10 @@ def _construction_from_name(
             if name.startswith(prefix) and name.endswith(")"):
                 base_name, sep, arg = name[len(prefix) : -1].rpartition(param)
                 if sep and arg.isdecimal():
-                    wrappers.append((prefix, int(arg), name))
+                    try:
+                        wrappers.append((prefix, int(arg), name))
+                    except ValueError as exc:  # more digits than int() reads
+                        raise _CliError(EXIT_USAGE, f"bad {prefix[:-1]} argument: {exc}") from exc
                     name = base_name
                     break
         else:

@@ -17,7 +17,10 @@ list to build the closed-form code.
 ``union_copies`` glues k disjoint copies of a network along shared
 sources and terminals, and ``gadget_transform`` rewrites a network with
 repeated demands into a multiple-unicast network with the same
-characteristic-dependent solvability.
+characteristic-dependent solvability.  Each gadget step's topology is
+one list too, ``GadgetApplication.edges``: the transform builds the
+step's edges from it and checks their ids are fresh, and
+``solutions.lift_gadget`` lifts the code along the same list.
 """
 
 from __future__ import annotations
@@ -198,7 +201,9 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
     Intermediate nodes and all edges are replicated with a ``#<copy>``
     suffix; each source and each terminal appears once and connects to
     every copy.  A source or terminal already named like a copy of an
-    intermediate raises ``ValueError``.
+    intermediate raises ``ValueError``, and so does an edge between two
+    shared nodes (in a valid network, a source->terminal edge such as the
+    gadget's x1->x4), whose copies would be parallel edges.
     """
     if not _int_at_least(copies, 1):
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
@@ -206,6 +211,9 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
         return net
     nodes = [n for n in net.nodes if n.role in (ROLE_SOURCE, ROLE_TERMINAL)]
     keep = {n.id for n in nodes}
+    for e in net.edges:
+        if e.tail in keep and e.head in keep:
+            raise ValueError(f"edge {e.id!r} joins two shared nodes; its copies would be parallel")
     edges: list[NetEdge] = []
     for c in range(1, copies + 1):
         for n in net.nodes:
@@ -228,7 +236,11 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
 @dataclass(frozen=True)
 class GadgetApplication:
     """One rewrite step: two terminals demanding the same message are
-    demoted to intermediates and a bottleneck gadget replaces them."""
+    demoted to intermediates and a bottleneck gadget replaces them.
+
+    ``sources`` and ``edges`` list the step's topology once, read off
+    these fields; ``gadget_transform_traced`` builds the step from them
+    and ``solutions.lift_gadget`` lifts the code along them."""
 
     index: int
     message: str
@@ -239,6 +251,19 @@ class GadgetApplication:
     x_nodes: tuple[str, str, str, str, str]  # x1..x5
     t_nodes: tuple[str, ...]
     s_nodes: tuple[str, ...]
+
+    def sources(self) -> list[tuple[str, str]]:
+        """(node, message) of each new source in bottleneck-slot order:
+        x1 sends z in slot 1, s_i sends y_i in slot i+1."""
+        return [(self.x_nodes[0], self.z_message), *zip(self.s_nodes, self.y_messages)]
+
+    def edges(self) -> list[tuple[str, str]]:
+        """(tail, head) of every edge the step adds, each node's in-edges
+        before its out-edges."""
+        x1, x2, x3, x4, x5 = self.x_nodes
+        into_x2 = [(self.n1, x2)] + [(s, x2) for s, _ in self.sources()]
+        out_x3 = [(x3, x4), (x3, x5)] + [(x3, t) for t in self.t_nodes]
+        return into_x2 + [(x2, x3)] + out_x3 + [(x1, x4), (self.n2, x5)]
 
 
 def _duplicated_demand(nodes: Iterable[NetNode]) -> tuple[str, list[str]] | None:
@@ -278,66 +303,46 @@ def gadget_transform_traced(
     if _duplicated_demand(net.nodes) is None:
         return net, []
 
-    messages = list(net.messages)
+    messages = set(net.messages)
     nodes = {node.id: node for node in net.nodes}
-    edges = list(net.edges)
+    edges = {e.id: e for e in net.edges}
     applications: list[GadgetApplication] = []
-    counter = 0
-    while True:
-        dup = _duplicated_demand(nodes.values())
-        if dup is None:
-            break
+    side = range(1, n)
+    while (dup := _duplicated_demand(nodes.values())) is not None:
         msg, demanders = dup
-        n1_id, n2_id = demanders[0], demanders[1]
-        counter += 1
-        z = f"z#{counter}"
-        ys = tuple(f"y#{counter}_{i}" for i in range(1, n))
-        x1, x2, x3, x4, x5 = (f"x{i}#{counter}" for i in range(1, 6))
-        ts = tuple(f"t{i}#{counter}" for i in range(1, n))
-        ss = tuple(f"s{i}#{counter}" for i in range(1, n))
-        for fresh in (z, *ys):
-            if fresh in messages:
-                raise ValueError(f"fresh message name {fresh!r} already in use")
-        for fresh in (x1, x2, x3, x4, x5, *ts, *ss):
-            if fresh in nodes:
-                raise ValueError(f"fresh node name {fresh!r} already in use")
-
-        messages.append(z)
-        messages.extend(ys)
-        nodes[n1_id] = _mid(n1_id)
-        nodes[n2_id] = _mid(n2_id)
-        nodes[x1] = NetNode(x1, ROLE_SOURCE, generates=z)
-        for sid, ym in zip(ss, ys):
-            nodes[sid] = NetNode(sid, ROLE_SOURCE, generates=ym)
-        nodes[x2] = _mid(x2)
-        nodes[x3] = _mid(x3)
-        nodes[x4] = _term(x4, msg)
-        nodes[x5] = _term(x5, z)
-        for tid, ym in zip(ts, ys):
-            nodes[tid] = _term(tid, ym)
-        edges.append(_edge(n1_id, x2))
-        edges.append(_edge(x1, x2))
-        for sid in ss:
-            edges.append(_edge(sid, x2))
-        edges.append(_edge(x2, x3))
-        edges.append(_edge(x3, x4))
-        edges.append(_edge(x3, x5))
-        for tid in ts:
-            edges.append(_edge(x3, tid))
-        edges.append(_edge(x1, x4))
-        edges.append(_edge(n2_id, x5))
-
-        applications.append(
-            GadgetApplication(
-                counter, msg, n1_id, n2_id, z, ys, (x1, x2, x3, x4, x5), ts, ss
-            )
+        c = len(applications) + 1
+        app = GadgetApplication(
+            c, msg, demanders[0], demanders[1], f"z#{c}",
+            tuple(f"y#{c}_{i}" for i in side),
+            tuple(f"x{i}#{c}" for i in range(1, 6)),
+            tuple(f"t{i}#{c}" for i in side),
+            tuple(f"s{i}#{c}" for i in side),
         )
+        _, x2, x3, x4, x5 = app.x_nodes
+        new_messages = [m for _, m in app.sources()]
+        new_nodes = [NetNode(v, ROLE_SOURCE, generates=m) for v, m in app.sources()]
+        new_nodes += [_mid(x2), _mid(x3), _term(x4, msg), _term(x5, app.z_message)]
+        new_nodes += [_term(t, m) for t, m in zip(app.t_nodes, app.y_messages)]
+        new_edges = [_edge(tail, head) for tail, head in app.edges()]
+        for kind, fresh, used in (
+            ("message", new_messages, messages),
+            ("node", [v.id for v in new_nodes], nodes),
+            ("edge", [e.id for e in new_edges], edges),
+        ):
+            for name in fresh:
+                if name in used:
+                    raise ValueError(f"fresh {kind} name {name!r} already in use")
+        messages.update(new_messages)
+        nodes[app.n1], nodes[app.n2] = _mid(app.n1), _mid(app.n2)
+        nodes.update((v.id, v) for v in new_nodes)
+        edges.update((e.id, e) for e in new_edges)
+        applications.append(app)
 
     result = CodedNetwork(
         f"gadget({net.name},n={n})",
         tuple(messages),
         tuple(nodes.values()),
-        tuple(edges),
+        tuple(edges.values()),
     )
     check = is_multiple_unicast(result)
     if not check.ok:

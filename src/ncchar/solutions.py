@@ -14,9 +14,10 @@ so instantiation requires the characteristic not to divide q.
 ``lift_union`` turns a (1, n) code on a base network into a (k, n) code
 on the k-fold union by routing component i of every source through copy
 i with the same local matrices.  ``lift_gadget`` extends a (1, n) code
-across the demand-splitting gadget: the bottleneck carries
-[b+z, y_1, ..., y_{n-1}] and the new terminals peel their symbols back
-out with differences.
+across the demand-splitting gadget, reading each step's code off the
+edge list that built it, ``GadgetApplication.edges``, by the same rules
+as ``_solve``: the bottleneck carries [b+z, y_1, ..., y_{n-1}] and the
+new terminals peel their symbols back out with differences.
 """
 
 from __future__ import annotations
@@ -152,10 +153,12 @@ def lift_gadget(
     """Extend a (1, n) code over the gadget rewrite of its network.
 
     The gadget applications are replayed on the base network; the replay
-    must reproduce ``gadgeted`` exactly.  Demoted terminals forward their
-    decoded symbol in slot 1 of their new out-edge, the bottleneck stacks
-    it with the fresh y-messages, and the added terminals decode by
-    differences.
+    must reproduce ``gadgeted`` exactly.  Each step's code is read off the
+    same edge list that built it, ``GadgetApplication.edges``: a source
+    edge carries its message in its slot, a demoted terminal forwards its
+    decoded symbol in slot 1, and every other edge sends the sum of its
+    tail's in-edges, so the bottleneck carries [b+z, y_1, ..., y_{n-1}].
+    x4 and x5 decode by differences and each t_i decodes its slot.
     """
     if sym.k != 1:
         raise ValueError("lift_gadget needs a (1, n) base code")
@@ -166,47 +169,30 @@ def lift_gadget(
             "gadgeted network does not match the gadget transform of the base"
         )
     ident = SymMatrix.scaled_identity(n)
+    cols = [SymMatrix.unit_column(n, j) for j in range(1, n + 1)]
+    rows = [SymMatrix.unit_row(n, j) for j in range(1, n + 1)]
+    minus_row1 = SymMatrix.unit_row(n, 1, coeff=-1)
     er: Rules = dict(sym.edge_rules)
     dr: Rules = dict(sym.decode_rules)
     for app in applications:
-        x1, x2, x3, x4, x5 = app.x_nodes
-        rule_n1 = dr.pop(app.n1)
-        rule_n2 = dr.pop(app.n2)
-        # demoted terminals forward the decoded demand in slot 1: each
-        # 1 x n decode row becomes the first row of an n x n edge input
-        er[f"{app.n1}->{x2}"] = tuple(
-            SymInput(inp.ref, _place(inp.matrix, n, n, 0, 0)) for inp in rule_n1
-        )
-        er[f"{app.n2}->{x5}"] = tuple(
-            SymInput(inp.ref, _place(inp.matrix, n, n, 0, 0)) for inp in rule_n2
-        )
-        er[f"{x1}->{x2}"] = (
-            SymInput(SRC_PREFIX + app.z_message, SymMatrix.unit_column(n, 1)),
-        )
-        er[f"{x1}->{x4}"] = (
-            SymInput(SRC_PREFIX + app.z_message, SymMatrix.unit_column(n, 1)),
-        )
-        for slot, (sid, ym) in enumerate(zip(app.s_nodes, app.y_messages), start=2):
-            er[f"{sid}->{x2}"] = (
-                SymInput(SRC_PREFIX + ym, SymMatrix.unit_column(n, slot)),
-            )
-        # bottleneck: [b+z, y_1, ..., y_{n-1}]
-        bottleneck_inputs = [SymInput(f"{app.n1}->{x2}", ident), SymInput(f"{x1}->{x2}", ident)]
-        bottleneck_inputs += [SymInput(f"{sid}->{x2}", ident) for sid in app.s_nodes]
-        er[f"{x2}->{x3}"] = tuple(bottleneck_inputs)
-        er[f"{x3}->{x4}"] = (SymInput(f"{x2}->{x3}", ident),)
-        er[f"{x3}->{x5}"] = (SymInput(f"{x2}->{x3}", ident),)
-        for tid in app.t_nodes:
-            er[f"{x3}->{tid}"] = (SymInput(f"{x2}->{x3}", ident),)
+        # what a new source or a demoted terminal sends on its new out-edges:
+        # its message's unit column at its slot (z in 1, y_i in i+1), or its
+        # 1 x n decode row as the first row of an n x n block
+        sends = {v: (SymInput(SRC_PREFIX + m, col),) for (v, m), col in zip(app.sources(), cols)}
+        for t in (app.n1, app.n2):
+            sends[t] = tuple(SymInput(i.ref, _place(i.matrix, n, n, 0, 0)) for i in dr.pop(t))
+        into: dict[str, list[str]] = defaultdict(list)
+        for tail, head in app.edges():
+            eid = edge_id(tail, head)
+            if tail in sends:
+                er[eid] = sends[tail]
+            else:  # x2 and x3 send the sum of their in-edges
+                er[eid] = tuple(SymInput(f, ident) for f in into[tail])
+            into[head].append(eid)
         # x4 wants b = (b+z) - z; x5 wants z = (b+z) - b
-        dr[x4] = (
-            SymInput(f"{x3}->{x4}", SymMatrix.unit_row(n, 1)),
-            SymInput(f"{x1}->{x4}", SymMatrix.unit_row(n, 1, coeff=-1)),
-        )
-        dr[x5] = (
-            SymInput(f"{x3}->{x5}", SymMatrix.unit_row(n, 1)),
-            SymInput(f"{app.n2}->{x5}", SymMatrix.unit_row(n, 1, coeff=-1)),
-        )
-        for slot, tid in enumerate(app.t_nodes, start=2):
-            dr[tid] = (SymInput(f"{x3}->{tid}", SymMatrix.unit_row(n, slot)),)
+        for x in app.x_nodes[3:]:
+            first, second = into[x]
+            dr[x] = (SymInput(first, rows[0]), SymInput(second, minus_row1))
+        for t, row in zip(app.t_nodes, rows[1:]):
+            dr[t] = (SymInput(into[t][0], row),)
     return SymbolicCode(1, n, sym.q, er, dr)

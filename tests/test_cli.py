@@ -10,7 +10,9 @@ from pathlib import Path
 import ncchar
 from ncchar import (
     FractionalCode,
+    gadget_transform,
     gen_n1,
+    gen_n2,
     instantiate,
     load,
     load_code,
@@ -23,7 +25,7 @@ from ncchar import (
 from ncchar import cli, constructions, solutions
 from ncchar.cli import main
 from ncchar.gf import rank
-from util_oracles import copy_clash, off_unicast
+from util_oracles import copy_clash, gadget_edge_clash, off_unicast
 
 
 def run(capsys, *argv):
@@ -157,6 +159,9 @@ def test_solve_malformed_construction_names_exit_64(tmp_path, capsys):
         ("union(" * depth + net.name + ",k=1)" * depth, "does not match"),
         # a superscript two passes str.isdigit but not int()
         ("union(n1(q=2,n=1),k=\u00b2)", "unrecognized construction name"),
+        # more digits than int() reads: used to exit 70
+        ("union(n1(q=2,n=1),k=" + "9" * 5000 + ")", "bad union argument"),
+        ("gadget(n1(q=2,n=1),n=" + "9" * 5000 + ")", "bad gadget argument"),
     ]
     for name, message in cases:
         renamed = type(net)(name, net.messages, net.nodes, net.edges)
@@ -196,8 +201,6 @@ def test_solve_refuses_a_name_larger_than_its_file(tmp_path, capsys, monkeypatch
 
 
 def test_family_edge_bound_is_a_lower_bound():
-    from ncchar import gen_n2
-
     for q in range(2, 14):
         for n in range(1, 4):
             bound = cli._min_family_edges(q, n)
@@ -511,6 +514,13 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     net_path = write_net(tmp_path, gen_n1(2, 1))
     # the union's copy v#1 of intermediate v used to merge into terminal v#1
     clash = write_net(tmp_path, copy_clash(), "clash.json")
+    # these two used to exit 0 and write a network that info or solve
+    # refused: an input edge named like one the gadget adds, and a union of
+    # a gadget network, whose source->terminal edge x1->x4 would be copied
+    # into parallel edges
+    edge_clash = write_net(tmp_path, gadget_edge_clash(), "edge_clash.json")
+    gadgeted = write_net(tmp_path, gadget_transform(gen_n2(2, 2), 2), "g.json")
+    unwritten = tmp_path / "unwritten.json"
     # a lone surrogate escape: saving such an id would not read it back
     surrogate_net = tmp_path / "surrogate_net.json"
     surrogate_net.write_text(json.dumps(doc).replace('"a1"', '"a\\ud800"'))
@@ -520,6 +530,14 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     cases = [
         (("info", str(nodes_int)), "field 'nodes' must be a list"),
         (("union", str(clash), "--copies", "2"), "fresh node name 'v#1' already in use"),
+        (
+            ("gadget", str(edge_clash), "--n", "1", "--out", str(unwritten)),
+            "fresh edge name 'x1#1->x4#1' already in use",
+        ),
+        (
+            ("union", str(gadgeted), "--copies", "2", "--out", str(unwritten)),
+            "edge 'x1#1->x4#1' joins two shared nodes",
+        ),
         (("info", str(deep)), "JSON nested too deeply"),
         (("verify", str(net_path), str(deep)), "JSON nested too deeply"),
         (
@@ -539,6 +557,7 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         assert message in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert out == ""
+    assert not unwritten.exists()
 
 
 def test_non_utf8_files_exit_64_without_traceback(tmp_path, capsys):

@@ -15,7 +15,7 @@ from ncchar import (
     validate,
 )
 from ncchar.constructions import bmsg, edge_id
-from util_oracles import copy_clash, off_unicast
+from util_oracles import copy_clash, gadget_edge_clash, off_unicast
 
 
 def demand_counts(net):
@@ -184,6 +184,16 @@ def test_union_rejects_a_copy_name_in_use():
         union_copies(net, 2)
 
 
+def test_union_rejects_source_to_terminal_edges():
+    # the gadget's x1->x4 joins a source to a terminal, both shared by every
+    # copy, so its copies would be parallel edges
+    g = gadget_transform(gen_n2(2, 2), 2)
+    assert union_copies(g, 1) is g
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="edge 'x1#1->x4#1' joins two shared nodes"):
+            union_copies(g, k)
+
+
 # ---------------------------------------------------------------------------
 # gadget transform
 # ---------------------------------------------------------------------------
@@ -212,6 +222,14 @@ def test_gadget_rejects_networks_it_cannot_rewrite(generators, demanded, message
         with pytest.raises(ValueError) as info:
             transform(net, 1)
         assert str(info.value) == message
+
+
+def test_gadget_rejects_an_edge_name_in_use():
+    net = gadget_edge_clash()
+    assert validate(net).ok
+    for transform in (gadget_transform, gadget_transform_traced):
+        with pytest.raises(ValueError, match="fresh edge name 'x1#1->x4#1' already in use"):
+            transform(net, 1)
 
 
 def test_gadget_single_application_deltas():

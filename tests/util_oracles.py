@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ncchar import CodedNetwork, NetEdge, NetNode, validate
+from ncchar import CodedNetwork, NetEdge, NetNode, gen_fano, validate
 from ncchar.gf import FieldMatrix, PrimeModulus, inverse, rank
 from ncchar.network import topological_order
 
@@ -148,6 +148,16 @@ def copy_clash():
     )
     edges = (NetEdge("s->v", "s", "v"), NetEdge("v->v#1", "v", "v#1"))
     return CodedNetwork("clash", ("a",), nodes, edges)
+
+
+def gadget_edge_clash():
+    """The Fano network with its edge ``a1->u1`` renamed ``x1#1->x4#1``,
+    the id of the x1->x4 edge the gadget's first step adds."""
+    fano = gen_fano()
+    edges = tuple(
+        NetEdge("x1#1->x4#1", e.tail, e.head) if e.id == "a1->u1" else e for e in fano.edges
+    )
+    return CodedNetwork(fano.name, fano.messages, fano.nodes, edges)
 
 
 def off_unicast(generators, demanded):
