@@ -99,15 +99,19 @@ def _prime(value: int) -> PrimeModulus:
         raise _CliError(EXIT_USAGE, f"--p: {exc}") from exc
 
 
+def _write(data: bytes, out: str) -> None:
+    try:
+        Path(out).write_bytes(data)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {out}: {exc}") from exc
+
+
 def _write_or_print(data: bytes, out: str | None, as_json: bool, summary: dict) -> None:
     """Write canonical bytes to --out (then report), or dump them to stdout."""
     if out is None:
         sys.stdout.write(data.decode("utf-8"))
         return
-    try:
-        Path(out).write_bytes(data)
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot write {out}: {exc}") from exc
+    _write(data, out)
     if as_json:
         _emit_json({"written": out, **summary})
     else:
@@ -322,10 +326,7 @@ def cmd_search(args) -> int:
     if outcome.code is not None and (args.out is not None or args.json):
         data = save_code(outcome.code)  # serialized once for --out and --json
     if data is not None and args.out is not None:
-        try:
-            Path(args.out).write_bytes(data)
-        except OSError as exc:
-            raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
+        _write(data, args.out)
         written = args.out
     if args.json:
         doc: dict = {"outcome": outcome.status, "states": outcome.states_explored}
@@ -357,12 +358,10 @@ def cmd_gadget(args) -> int:
     count = len(applications)
     if args.out is None:
         print(f"applications: {count}", file=sys.stderr)
-        _write_or_print(save(result), None, args.json, {})
-    else:
-        _write_or_print(
-            save(result), args.out, args.json,
-            {"name": result.name, "applications": count},
-        )
+    _write_or_print(
+        save(result), args.out, args.json,
+        {"name": result.name, "applications": count},
+    )
     return EXIT_OK
 
 

@@ -266,17 +266,6 @@ class GadgetApplication:
         return into_x2 + [(x2, x3)] + out_x3 + [(x1, x4), (self.n2, x5)]
 
 
-def _duplicated_demand(nodes: Iterable[NetNode]) -> tuple[str, list[str]] | None:
-    by_msg: dict[str, list[str]] = {}
-    for node in nodes:
-        if node.role == ROLE_TERMINAL and node.demands is not None:
-            by_msg.setdefault(node.demands, []).append(node.id)
-    for msg in sorted(by_msg):
-        if len(by_msg[msg]) >= 2:
-            return msg, sorted(by_msg[msg])
-    return None
-
-
 def gadget_transform_traced(
     net: CodedNetwork, n: int
 ) -> tuple[CodedNetwork, list[GadgetApplication]]:
@@ -287,6 +276,10 @@ def gadget_transform_traced(
     two chosen terminals.  The bottleneck edge carries the block
     [b+z, y_1, ..., y_{n-1}], which is why the rewrite preserves rate-1/n
     solvability in both directions.
+
+    Each step takes the smallest message demanded twice and its two
+    smallest terminal ids, whose place its x4 takes; other messages a step
+    adds have one demander, so one walk over the sorted messages suffices.
     """
     if not _int_at_least(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -300,43 +293,48 @@ def gadget_transform_traced(
         if v.count == 0:
             raise ValueError(f"message {v.message!r} is demanded by no terminal")
 
-    if _duplicated_demand(net.nodes) is None:
-        return net, []
-
+    demanders: dict[str, list[str]] = {}
+    for node in net.nodes:
+        if node.role == ROLE_TERMINAL and node.demands is not None:
+            demanders.setdefault(node.demands, []).append(node.id)
     messages = set(net.messages)
     nodes = {node.id: node for node in net.nodes}
     edges = {e.id: e for e in net.edges}
     applications: list[GadgetApplication] = []
     side = range(1, n)
-    while (dup := _duplicated_demand(nodes.values())) is not None:
-        msg, demanders = dup
-        c = len(applications) + 1
-        app = GadgetApplication(
-            c, msg, demanders[0], demanders[1], f"z#{c}",
-            tuple(f"y#{c}_{i}" for i in side),
-            tuple(f"x{i}#{c}" for i in range(1, 6)),
-            tuple(f"t{i}#{c}" for i in side),
-            tuple(f"s{i}#{c}" for i in side),
-        )
-        _, x2, x3, x4, x5 = app.x_nodes
-        new_messages = [m for _, m in app.sources()]
-        new_nodes = [NetNode(v, ROLE_SOURCE, generates=m) for v, m in app.sources()]
-        new_nodes += [_mid(x2), _mid(x3), _term(x4, msg), _term(x5, app.z_message)]
-        new_nodes += [_term(t, m) for t, m in zip(app.t_nodes, app.y_messages)]
-        new_edges = [_edge(tail, head) for tail, head in app.edges()]
-        for kind, fresh, used in (
-            ("message", new_messages, messages),
-            ("node", [v.id for v in new_nodes], nodes),
-            ("edge", [e.id for e in new_edges], edges),
-        ):
-            for name in fresh:
-                if name in used:
-                    raise ValueError(f"fresh {kind} name {name!r} already in use")
-        messages.update(new_messages)
-        nodes[app.n1], nodes[app.n2] = _mid(app.n1), _mid(app.n2)
-        nodes.update((v.id, v) for v in new_nodes)
-        edges.update((e.id, e) for e in new_edges)
-        applications.append(app)
+    for msg in sorted(demanders):
+        ids = sorted(demanders[msg])
+        while len(ids) >= 2:
+            c = len(applications) + 1
+            app = GadgetApplication(
+                c, msg, ids[0], ids[1], f"z#{c}",
+                tuple(f"y#{c}_{i}" for i in side),
+                tuple(f"x{i}#{c}" for i in range(1, 6)),
+                tuple(f"t{i}#{c}" for i in side),
+                tuple(f"s{i}#{c}" for i in side),
+            )
+            _, x2, x3, x4, x5 = app.x_nodes
+            new_messages = [m for _, m in app.sources()]
+            new_nodes = [NetNode(v, ROLE_SOURCE, generates=m) for v, m in app.sources()]
+            new_nodes += [_mid(x2), _mid(x3), _term(x4, msg), _term(x5, app.z_message)]
+            new_nodes += [_term(t, m) for t, m in zip(app.t_nodes, app.y_messages)]
+            new_edges = [_edge(tail, head) for tail, head in app.edges()]
+            for kind, fresh, used in (
+                ("message", new_messages, messages),
+                ("node", [v.id for v in new_nodes], nodes),
+                ("edge", [e.id for e in new_edges], edges),
+            ):
+                for name in fresh:
+                    if name in used:
+                        raise ValueError(f"fresh {kind} name {name!r} already in use")
+            messages.update(new_messages)
+            nodes[app.n1], nodes[app.n2] = _mid(app.n1), _mid(app.n2)
+            nodes.update((v.id, v) for v in new_nodes)
+            edges.update((e.id, e) for e in new_edges)
+            applications.append(app)
+            ids = sorted([x4, *ids[2:]])
+    if not applications:
+        return net, []
 
     result = CodedNetwork(
         f"gadget({net.name},n={n})",

@@ -456,13 +456,13 @@ def _entry_from_json(value: object) -> SymEntry:
 
 
 def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> str:
-    """A rule map as the code document's list; each matrix fills a ``%s``
-    template made once per shape, in one pass over its entries."""
+    """A rule map as the code document's list, inputs in their stored ref
+    order; each matrix fills a ``%s`` template made once per shape."""
     templates: dict[tuple[int, int], str] = {}
     out = []
     for key in sorted(rules):
         inputs = []
-        for inp in sorted(rules[key], key=lambda i: i.ref):
+        for inp in rules[key]:
             m = inp.matrix
             shape = (m.rows, m.cols)
             if shape not in templates:

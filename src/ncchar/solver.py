@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus
@@ -85,12 +86,14 @@ def _echelon(rows: Sequence[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], 
 def _subspaces(
     basis: tuple[tuple[int, ...], ...], p: int, maxdim: int
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All subspaces of the span with dim exactly min(maxdim, dim span).
+    """All subspaces of the span with dim exactly min(maxdim, dim span), as
+    reduced-echelon bases; ``basis`` must be one, as every interned basis is.
 
-    Subspaces are enumerated as reduced-echelon matrices over the basis
-    coordinates (one per subspace), then re-reduced in global coordinates
-    so equal subspaces reached from different parent sets share one key.
-    The zero span has one such subspace, itself.
+    Each subspace is one reduced-echelon matrix C over the basis
+    coordinates, and C times the basis B is its one reduced basis, the key
+    equal subspaces share: row i has its leading 1 in the pivot column of
+    B's row q_i, C's i-th pivot, a column 0 in B's other rows, and C's
+    column q_i is 0 in C's other rows.  The zero span has one, itself.
     """
     r = len(basis)
     d = min(maxdim, r)
@@ -110,11 +113,10 @@ def _subspaces(
                 coord[i][pivots[i]] = 1
             for (i, j), val in zip(free, vals):
                 coord[i][j] = val
-            rows = [
-                tuple(sum(c * x for c, x in zip(crow, col)) % p for col in columns)
+            out.append(tuple(
+                tuple(sum(map(mul, crow, col)) % p for col in columns)
                 for crow in coord
-            ]
-            out.append(_echelon(rows, p))
+            ))
     return out
 
 

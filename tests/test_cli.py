@@ -571,6 +571,19 @@ def test_non_utf8_files_exit_64_without_traceback(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1 and out == ""
 
 
+def test_unwritable_out_exits_64_without_traceback(tmp_path, capsys):
+    net_path = write_net(tmp_path, gen_n1(2, 1))
+    missing = tmp_path / "missing" / "out.json"
+    for argv in (
+        ("search", str(net_path), "--p", "2", "--out", str(missing)),
+        ("gadget", str(net_path), "--n", "1", "--out", str(missing)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert err.startswith(f"cannot write {missing}: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and out == ""
+
+
 def test_search_rejects_non_list_nodes_and_edges(tmp_path, capsys):
     doc = json.loads(save(gen_n1(2, 1)))
     empty = tmp_path / "empty.json"

@@ -1,8 +1,13 @@
 """Network generators and the union/gadget transforms."""
 
+import hashlib
+
 import pytest
 
 from ncchar import (
+    CodedNetwork,
+    NetEdge,
+    NetNode,
     gadget_transform,
     gadget_transform_traced,
     gen_fano,
@@ -268,6 +273,39 @@ def test_gadget_picks_lexicographically_smallest_pair():
     first = apps[0]
     assert first.message == "c1"
     assert first.n1 < first.n2
+
+
+def pairing_net():
+    """Sources a and b feed a relay r that feeds five terminals: y1, y2 and
+    y3 demand b, y4 and y5 demand a.  The x4#... node of a step on b then
+    sorts before y3, unlike every family terminal id."""
+    terms = {"y1": "b", "y2": "b", "y3": "b", "y4": "a", "y5": "a"}
+    nodes = (
+        NetNode("a", "source", generates="a"),
+        NetNode("b", "source", generates="b"),
+        NetNode("r", "intermediate"),
+        *(NetNode(t, "terminal", demands=m) for t, m in terms.items()),
+    )
+    pairs = [("a", "r"), ("b", "r")] + [("r", t) for t in terms]
+    edges = tuple(NetEdge(edge_id(u, v), u, v) for u, v in pairs)
+    return CodedNetwork("pairing", ("a", "b"), nodes, edges)
+
+
+PAIRING_DIGESTS = {
+    1: "66e445cbf7c7fa31f8eaeab1880cbb69fed25b45dd0ba24fca1f3ac03053e9cc",
+    2: "d30beec64b637c30968b002f173abfc96bf9fc83d521d0596d9c750443c2ea03",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PAIRING_DIGESTS))
+def test_gadget_pairing_order_is_pinned(n):
+    """Messages are taken in sorted order, and a step's x4 takes its pair's
+    place among the remaining demanders in id order."""
+    out, apps = gadget_transform_traced(pairing_net(), n)
+    assert [(a.message, a.n1, a.n2) for a in apps] == [
+        ("a", "y4", "y5"), ("b", "y1", "y2"), ("b", "x4#2", "y3"),
+    ]
+    assert hashlib.sha256(save(out)).hexdigest() == PAIRING_DIGESTS[n]
 
 
 def test_gadget_fresh_names_and_node_bookkeeping():

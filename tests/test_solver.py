@@ -1,6 +1,7 @@
 """Exhaustive canonical search: certificates, witnesses, budgets."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -261,7 +262,7 @@ DOMINANCE_REACH_RUNS = [
     (gadget_transform(gen_n2(2, 2), 2), 1, 2, 2, UNSOLVABLE, 874716),
 ]
 
-# Certificates of 1.8 million states, each 12-17 s and 70-75 MB on a 2-CPU
+# Certificates of 1.8 million states, each 6-7 s and 67-75 MB on a 2-CPU
 # machine: deselected by default, run with ``pytest -m slow``.
 SLOW_CERTIFICATE_RUNS = [
     (gen_fano(), 2, 2, 3, UNSOLVABLE, 1804689),
@@ -450,6 +451,55 @@ def test_join_matches_echelon_of_stacked_bases(p):
         assert alg.dim[alg.join(ids)] == len(want)
     # every distinct basis has exactly one id
     assert len(set(alg.basis)) == len(alg.basis)
+
+
+def _members(rows, width, p):
+    """Every vector of the span of ``rows``, as a frozenset."""
+    return frozenset(
+        tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*rows))
+        if rows else (0,) * width
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    )
+
+
+def _gaussian_binomial(r, d, p):
+    num = den = 1
+    for i in range(d):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspaces_match_brute_force_enumeration(p):
+    """``_subspaces`` lists each subspace of maximal dimension once, as its
+    reduced-echelon basis, and exactly the ones found by trying every
+    d-tuple of span vectors."""
+    rng = random.Random(100 + p)
+    cases = 0
+    while cases < 30:
+        width = rng.randint(1, 6)
+        r = rng.randint(0, min(4, width))
+        maxdim = rng.randint(0, 3)
+        d = min(maxdim, r)
+        if p ** (r * d) > 10**4:
+            continue
+        rows = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(r)]
+        basis = _echelon(rows, p)
+        if len(basis) != r:
+            continue
+        cases += 1
+        got = solver._subspaces(basis, p, maxdim)
+        assert len(set(got)) == len(got)
+        assert all(entry == _echelon(entry, p) for entry in got)
+        assert len(got) == _gaussian_binomial(r, d, p)
+        span = sorted(_members(basis, width, p))
+        want = {
+            _members(vecs, width, p)
+            for vecs in itertools.product(span, repeat=d)
+            if rank_mod_p([list(v) for v in vecs], p) == d
+        }
+        assert {_members(entry, width, p) for entry in got} == want
 
 
 # ---------------------------------------------------------------------------
