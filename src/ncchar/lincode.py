@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
 from .network import (
+    ROLE_SOURCE,
     CodedNetwork,
     _int_at_least,
     _json_array,
@@ -296,13 +297,6 @@ def _sum_products(
     return out
 
 
-def _in_edge_ids(net: CodedNetwork) -> dict[str, set[str]]:
-    in_edge_ids: dict[str, set[str]] = {n.id: set() for n in net.nodes}
-    for e in net.edges:
-        in_edge_ids[e.head].add(e.id)
-    return in_edge_ids
-
-
 def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
     """Every edge's nonzero transfer blocks as flat row-major residue tuples.
 
@@ -310,17 +304,14 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
     at the first edge that has one.
     """
     node_by_id = net.node_map()
-    in_edge_ids = _in_edge_ids(net)
-    edges_from: dict[str, list] = {nid: [] for nid in node_by_id}
-    for e in net.edges:
-        edges_from[e.tail].append(e)
     k = code.k
     # a src: input S (n x k) adds S @ I_k to its message's block
     ident = FieldMatrix.identity(k, code.modulus).entries
     transfer: dict[str, Blocks] = {}
     for nid in topological_order(net):
         node = node_by_id[nid]
-        for e in edges_from[nid]:
+        in_ids = {pe.id for pe in net.in_edges(nid)}
+        for e in net.out_edges(nid):
             if e.id not in code.edge_rules:
                 raise CodeError(f"no rule for edge {e.id!r}")
             terms = []
@@ -329,14 +320,14 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
                 rows = [m.row(r) for r in range(m.rows)]
                 if inp.ref.startswith(SRC_PREFIX):
                     msg = inp.ref[len(SRC_PREFIX) :]
-                    if node.role != "source" or node.generates != msg:
+                    if node.role != ROLE_SOURCE or node.generates != msg:
                         raise CodeError(
                             f"rule for edge {e.id!r} reads {inp.ref!r}, but its "
                             f"tail {nid!r} does not generate that message"
                         )
                     terms.append((rows, {msg: ident}))
                 else:
-                    if inp.ref not in in_edge_ids[nid]:
+                    if inp.ref not in in_ids:
                         raise CodeError(
                             f"rule for edge {e.id!r} reads {inp.ref!r}, which is "
                             f"not an in-edge of its tail {nid!r}"
@@ -394,7 +385,6 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     terminal's demanded block becomes a ``FieldMatrix``.
     """
     transfer = _transfer(net, code)
-    in_edge_ids = _in_edge_ids(net)
     messages = frozenset(net.messages)
     k, mod = code.k, code.modulus
     ident = FieldMatrix.identity(k, mod)
@@ -405,8 +395,9 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
         if term.demands is None:
             raise CodeError(f"terminal {term.id!r} has no demand")
         terms = []
+        in_ids = {e.id for e in net.in_edges(term.id)}
         for inp in code.decode_rules.get(term.id, ()):
-            if inp.ref not in in_edge_ids[term.id]:
+            if inp.ref not in in_ids:
                 raise CodeError(
                     f"decode rule for {term.id!r} reads {inp.ref!r}, which is "
                     f"not one of its in-edges"

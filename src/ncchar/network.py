@@ -15,7 +15,8 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Sequence
 
@@ -102,7 +103,7 @@ class CodedNetwork:
             self, "edges", tuple(sorted(self.edges, key=lambda e: e.id))
         )
 
-    # -- indexed views (computed on demand, cheap at our sizes) ----------
+    # -- indexed views -----------------------------------------------------
 
     def node_map(self) -> dict[str, NetNode]:
         return {n.id: n for n in self.nodes}
@@ -110,11 +111,23 @@ class CodedNetwork:
     def edge_map(self) -> dict[str, NetEdge]:
         return {e.id: e for e in self.edges}
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, list[NetEdge]], dict[str, list[NetEdge]]]:
+        """In-edges by head and out-edges by tail, in edge-id order, built on
+        first use into the instance dict (==, hash and repr read only the
+        fields).  An end that names no node is indexed under that name."""
+        ins: dict[str, list[NetEdge]] = {}
+        outs: dict[str, list[NetEdge]] = {}
+        for e in self.edges:
+            ins.setdefault(e.head, []).append(e)
+            outs.setdefault(e.tail, []).append(e)
+        return ins, outs
+
     def in_edges(self, node_id: str) -> list[NetEdge]:
-        return [e for e in self.edges if e.head == node_id]
+        return list(self._adjacency[0].get(node_id, ()))
 
     def out_edges(self, node_id: str) -> list[NetEdge]:
-        return [e for e in self.edges if e.tail == node_id]
+        return list(self._adjacency[1].get(node_id, ()))
 
     def sources(self) -> list[NetNode]:
         return [n for n in self.nodes if n.role == ROLE_SOURCE]

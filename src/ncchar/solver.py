@@ -47,7 +47,14 @@ from typing import Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus
 from .lincode import SRC_PREFIX, CodeInput, FractionalCode
-from .network import CodedNetwork, _int_at_least, topological_order, validate
+from .network import (
+    ROLE_SOURCE,
+    ROLE_TERMINAL,
+    CodedNetwork,
+    _int_at_least,
+    topological_order,
+    validate,
+)
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -193,35 +200,25 @@ class _Plan:
 def _edge_order(net: CodedNetwork) -> list:
     """Topological edge order that pulls chains toward terminals, so
     terminal feasibility is checked as early as possible."""
-    node_map = net.node_map()
-    out_by: dict[str, list] = {nid: [] for nid in node_map}
-    in_deg: dict[str, int] = {nid: 0 for nid in node_map}
-    for e in net.edges:
-        out_by[e.tail].append(e)
-        in_deg[e.head] += 1
+    nodes = topological_order(net)
     big = len(net.edges) + len(net.nodes) + 1
-    dist: dict[str, int] = {}
-    for nid in reversed(topological_order(net)):
-        node = node_map[nid]
-        if node.role == "terminal":
-            dist[nid] = 0
-        else:
+    dist = {t.id: 0 for t in net.terminals()}
+    for nid in reversed(nodes):
+        if nid not in dist:
             dist[nid] = min(
-                (1 + dist[e.head] for e in out_by[nid]), default=big
+                (1 + dist[e.head] for e in net.out_edges(nid)), default=big
             )
-    placed_in: dict[str, int] = {nid: 0 for nid in node_map}
-    heap = []
-    for nid in node_map:
-        if in_deg[nid] == 0:
-            for e in out_by[nid]:
-                heapq.heappush(heap, (dist[e.head], e.id, e))
+    # in-edges of each node not yet placed; its out-edges enter the heap at 0
+    unplaced = {nid: len(net.in_edges(nid)) for nid in nodes}
+    heap = [(dist[e.head], e.id, e) for e in net.edges if unplaced[e.tail] == 0]
+    heapq.heapify(heap)
     order = []
     while heap:
         _, _, e = heapq.heappop(heap)
         order.append(e)
-        placed_in[e.head] += 1
-        if placed_in[e.head] == in_deg[e.head]:
-            for nxt in out_by[e.head]:
+        unplaced[e.head] -= 1
+        if unplaced[e.head] == 0:
+            for nxt in net.out_edges(e.head):
                 heapq.heappush(heap, (dist[nxt.head], nxt.id, nxt))
     return order
 
@@ -230,9 +227,6 @@ def _build_plan(net: CodedNetwork) -> _Plan:
     node_map = net.node_map()
     order = _edge_order(net)
     pos = {e.id: i for i, e in enumerate(order)}
-    in_edges: dict[str, list] = {nid: [] for nid in node_map}
-    for e in net.edges:
-        in_edges[e.head].append(e)
     msg_index = {m: i for i, m in enumerate(net.messages)}
     E = len(order)
 
@@ -240,20 +234,20 @@ def _build_plan(net: CodedNetwork) -> _Plan:
     for e in order:
         tail = node_map[e.tail]
         head = node_map[e.head]
-        if tail.role == "source":
+        if tail.role == ROLE_SOURCE:
             # message t's slot E + t always holds its unit block
             parents = (E + msg_index[tail.generates],)
         else:
-            parents = tuple(sorted(pos[pe.id] for pe in in_edges[e.tail]))
+            parents = tuple(sorted(pos[pe.id] for pe in net.in_edges(e.tail)))
         forced = None
-        if head.role == "terminal" and len(in_edges[e.head]) == 1:
+        if head.role == ROLE_TERMINAL and len(net.in_edges(e.head)) == 1:
             forced = msg_index[head.demands]
         infos.append(_EdgeInfo(e.id, parents, forced))
 
     checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
     terminals: list[tuple[str, int, tuple[int, ...]]] = []
     for term in net.terminals():
-        positions = tuple(sorted(pos[e.id] for e in in_edges[term.id]))
+        positions = tuple(sorted(pos[e.id] for e in net.in_edges(term.id)))
         didx = msg_index[term.demands]
         terminals.append((term.id, didx, positions))
         if positions:
@@ -267,28 +261,33 @@ def _build_plan(net: CodedNetwork) -> _Plan:
         for _, positions in check_list:
             for j in positions:
                 last_use[j] = max(last_use[j], i)
-    live = [tuple(j for j in range(i) if last_use[j] >= i) for i in range(E)]
+    # live_at[i]: the positions before i that i or a later position reads
+    live: list[tuple[int, ...]] = []
+    current: tuple[int, ...] = ()
+    for i in range(E):
+        live.append(current)
+        current = tuple([j for j in (*current, i) if last_use[j] > i])
 
     # The frontier prune at position i lets every unassigned edge carry
     # its parents' full span.  A pending terminal then sees the join of the
     # assigned positions and message slots that feed its in-edges or their
     # unassigned cone: per check, (demand, frontier positions).  Walking i
     # downward turns one position at a time from assigned to unassigned,
-    # which replaces it in every frontier holding it by its parents.
+    # which replaces it in every frontier holding it by its parents.  Each
+    # check is [demand, frontier set, (demand, sorted frontier)]; frontiers
+    # share that tuple, rebuilt only when the set moves.
     frontier: list[tuple] = [()] * E
-    active: list[tuple[int, set[int]]] = []
+    active: list[list] = []
     for i in range(E - 1, -1, -1):
         # checks that read position i first: they are the ones a new value
         # at i can break
-        frontier[i] = tuple(
-            (didx, tuple(sorted(fr)))
-            for didx, fr in sorted(active, key=lambda c: i not in c[1])
-        )
-        active[:0] = [(didx, set(positions)) for didx, positions in checks[i]]
-        for _, fr in active:
-            if i in fr:
-                fr.discard(i)
-                fr.update(infos[i].parents)
+        frontier[i] = tuple(c[2] for c in sorted(active, key=lambda c: i not in c[1]))
+        active[:0] = [[didx, set(positions), None] for didx, positions in checks[i]]
+        for c in active:
+            if i in c[1]:
+                c[1].discard(i)
+                c[1].update(infos[i].parents)
+                c[2] = (c[0], tuple(sorted(c[1])))
 
     return _Plan(
         net.messages,
@@ -588,13 +587,6 @@ def _witness(
 # -- drivers --------------------------------------------------------------------
 
 
-def _prepare(net: CodedNetwork) -> _Plan:
-    report = validate(net)
-    if not report.ok:
-        raise ValueError(f"network is invalid: {report.violations[0].detail}")
-    return _build_plan(net)
-
-
 def search_scalar(
     net: CodedNetwork, p: PrimeModulus | int, cfg: SearchConfig | None = None
 ) -> SearchOutcome:
@@ -614,7 +606,10 @@ def search_fractional(
         raise ValueError("k and n must be positive")
     cfg = cfg or SearchConfig()
     mod = as_modulus(p)
-    plan = _prepare(net)
+    report = validate(net)
+    if not report.ok:
+        raise ValueError(f"network is invalid: {report.violations[0].detail}")
+    plan = _build_plan(net)
     if any(not positions for _, _, positions in plan.terminals):
         return SearchOutcome(UNSOLVABLE, 0)  # a terminal with no in-edge
     algebra = _Algebra(len(plan.messages), k, n, mod.p)

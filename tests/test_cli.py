@@ -5,12 +5,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import ncchar
 from ncchar import (
     FractionalCode,
     gadget_transform,
+    gen_fano,
     gen_n1,
     gen_n2,
     instantiate,
@@ -333,6 +335,19 @@ def test_search_solvable_writes_witness(tmp_path, capsys):
     assert verify(gen_n1(2, 1), witness).passed
 
 
+def test_search_json_carries_the_witness_it_writes(tmp_path, capsys):
+    net_path = write_net(tmp_path, gen_n1(2, 1))
+    out = tmp_path / "witness.json"
+    code, stdout, _ = run(
+        capsys, "search", "--json", str(net_path), "--p", "2", "--out", str(out)
+    )
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["outcome"] == "solvable"
+    assert doc["code"] == json.loads(out.read_bytes())
+    assert doc["written"] == str(out)
+
+
 def test_search_unsolvable_exit_code(tmp_path, capsys):
     net_path = write_net(tmp_path, gen_n1(2, 1))
     code, out, _ = run(capsys, "search", "--json", str(net_path), "--p", "3")
@@ -521,6 +536,11 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     edge_clash = write_net(tmp_path, gadget_edge_clash(), "edge_clash.json")
     gadgeted = write_net(tmp_path, gadget_transform(gen_n2(2, 2), 2), "g.json")
     unwritten = tmp_path / "unwritten.json"
+    # valid networks under construction names that cannot be built: a
+    # family parameter out of range, and a union of a gadget network
+    bad_q = write_net(tmp_path, replace(gen_fano(), name="n1(q=1,n=1)"), "q1.json")
+    union_name = "union(gadget(n2(q=2,n=2),n=2),k=2)"
+    unbuildable = write_net(tmp_path, replace(gen_n1(6, 2), name=union_name), "u.json")
     # a lone surrogate escape: saving such an id would not read it back
     surrogate_net = tmp_path / "surrogate_net.json"
     surrogate_net.write_text(json.dumps(doc).replace('"a1"', '"a\\ud800"'))
@@ -549,6 +569,10 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
         (("verify", str(net_path), str(k_true)), "k and n must be positive"),
         (("verify", str(net_path), str(q_null)), "q must be a positive integer"),
         (("info", str(surrogate_net)), "holds a surrogate code point"),
+        (("gen", "--family", "n1", "--copies", "0"), "--copies must be >= 1"),
+        (("search", str(net_path), "--p", "2", "--budget", "0"), "--budget must be positive"),
+        (("solve", str(bad_q), "--p", "2"), "bad construction name 'n1(q=1,n=1)'"),
+        (("solve", str(unbuildable), "--p", "2"), f"cannot solve {union_name!r}"),
         (("verify", str(net_path), str(surrogate_code)), "holds a surrogate code point"),
     ]
     for argv, message in cases:

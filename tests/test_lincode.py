@@ -567,6 +567,25 @@ def test_load_rejects_unknown_edge_against_network():
         load_code(data, net=net)
 
 
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("edge_rules", "ref", "src:ghost", "rule reads unknown message 'src:ghost'"),
+        ("edge_rules", "ref", "nope", "rule reads unknown edge 'nope'"),
+        ("decode_rules", "terminal", "ghost", "decode rule for unknown terminal 'ghost'"),
+        ("decode_rules", "ref", "nope", "decode rule reads unknown edge 'nope'"),
+    ],
+)
+def test_load_checks_refs_against_network(section, field, value, message):
+    doc = json.loads(save_code(tiny_code()))
+    rule = doc[section][0]
+    (rule if field == "terminal" else rule["inputs"][0])[field] = value
+    data = json.dumps(doc)
+    load_code(data)  # well formed on its own
+    with pytest.raises(CodeFormatError, match=f"^{message}$"):
+        load_code(data, net=tiny_net())
+
+
 def test_load_rejects_truncated_document():
     data = save_code(instantiate(solve_n1(2, 1), 2))
     with pytest.raises(CodeFormatError):

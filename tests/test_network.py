@@ -1,6 +1,7 @@
 """Network model: validation, ordering, unicast checks, serialization."""
 
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from ncchar import (
     topological_order,
     validate,
 )
+from ncchar.network import Violation
+from util_oracles import random_network
 
 
 def tiny_unicast():
@@ -111,6 +114,41 @@ def test_validate_duplicate_ids():
     assert not validate(net).ok
 
 
+@pytest.mark.parametrize(
+    "extra_nodes, extra_edges, kind, detail",
+    [
+        ((), (NetEdge("s1=>t1", "s1", "t1"),), "duplicate-id", "parallel edge 's1'->'t1'"),
+        ((NetNode("r", "relay"),), (), "bad-role", "node 'r' has role 'relay'"),
+        ((NetNode("s2", "source"),), (), "source-generates-missing", "source 's2'"),
+        (
+            (NetNode("s2", "source", generates="ghost"),),
+            (),
+            "dangling-message-ref",
+            "source 's2' generates undeclared 'ghost'",
+        ),
+        (
+            (NetNode("v", "intermediate", generates="a1"),),
+            (),
+            "nonsource-generates",
+            "node 'v' generates a message",
+        ),
+        ((NetNode("t2", "terminal"),), (), "terminal-demands-missing", "terminal 't2'"),
+        (
+            (NetNode("v", "intermediate", demands="a1"),),
+            (),
+            "nonterminal-demands",
+            "node 'v' demands a message",
+        ),
+    ],
+)
+def test_validate_reports_each_node_and_edge_kind(extra_nodes, extra_edges, kind, detail):
+    base = tiny_unicast()
+    net = CodedNetwork(
+        "bad", base.messages, base.nodes + extra_nodes, base.edges + extra_edges
+    )
+    assert validate(net).violations == (Violation(kind, detail),)
+
+
 def test_generated_networks_validate_clean():
     for q in range(2, 7):
         for n in range(1, 5):
@@ -187,6 +225,44 @@ def test_topo_raises_on_cycle():
     )
     with pytest.raises(CycleError):
         topological_order(net)
+
+
+# ---------------------------------------------------------------------------
+# edge index
+# ---------------------------------------------------------------------------
+
+def test_edge_index_matches_a_scan_of_the_edges():
+    """``in_edges``/``out_edges`` read an index built on first use; they
+    must give what a scan of ``net.edges`` gives, for every node, every
+    edge end (dangling ones too) and an unknown id, as fresh lists, and
+    building the index must leave ==, hash and repr alone."""
+    dangling = CodedNetwork(
+        "dangling",
+        ("a1",),
+        (
+            NetNode("s1", "source", generates="a1"),
+            NetNode("t1", "terminal", demands="a1"),
+        ),
+        (
+            NetEdge("s1->t1", "s1", "t1"),
+            NetEdge("s1->nowhere", "s1", "nowhere"),
+            NetEdge("ghost->t1", "ghost", "t1"),
+        ),
+    )
+    rng = random.Random(11)
+    nets = [dangling, gen_n1(2, 1)] + [random_network(rng) for _ in range(50)]
+    for net in nets:
+        twin = load(save(net))
+        ends = {n.id for n in net.nodes} | {x for e in net.edges for x in (e.tail, e.head)}
+        for nid in sorted(ends | {"no-such-node"}):
+            assert net.in_edges(nid) == [e for e in net.edges if e.head == nid]
+            assert net.out_edges(nid) == [e for e in net.edges if e.tail == nid]
+        first = net.edges[0]
+        net.in_edges(first.head).clear()
+        net.out_edges(first.tail).append(first)
+        assert net.in_edges(first.head) == [e for e in net.edges if e.head == first.head]
+        assert net.out_edges(first.tail) == [e for e in net.edges if e.tail == first.tail]
+        assert net == twin and hash(net) == hash(twin) and repr(net) == repr(twin)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from util_oracles import (
     fractional_slots,
     random_network,
     rank_mod_p,
+    reference_plan_tables,
 )
 
 
@@ -500,6 +501,31 @@ def test_subspaces_match_brute_force_enumeration(p):
             if rank_mod_p([list(v) for v in vecs], p) == d
         }
         assert {_members(entry, width, p) for entry in got} == want
+
+
+# ---------------------------------------------------------------------------
+# search plans
+# ---------------------------------------------------------------------------
+
+def test_plan_tables_match_the_direct_rebuild():
+    """``live_at`` and ``frontier_after`` come from one forward sweep and
+    from frontier tuples kept until their set moves; both must equal the
+    direct rebuild, order and all, on named and random networks."""
+    nets = [
+        gen_fano(),
+        gen_nonfano(),
+        gen_n1(2, 1),
+        gen_n1(3, 2),
+        gen_n2(2, 2),
+        gadget_transform(gen_n2(2, 2), 2),
+        union_copies(gen_fano(), 2),
+        cut_off(),
+    ]
+    rng = random.Random(20)
+    nets += [random_network(rng, max_slots=40) for _ in range(200)]
+    for net in nets:
+        plan = solver._build_plan(net)
+        assert (plan.live_at, plan.frontier_after) == reference_plan_tables(plan), net.name
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,41 @@ def brute_force_fractional(net: CodedNetwork, k: int, n: int, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# search plan tables
+# ---------------------------------------------------------------------------
+
+def reference_plan_tables(plan) -> tuple[tuple, tuple]:
+    """``(live_at, frontier_after)`` of a search plan rebuilt from its
+    ``edges`` and ``checks_at`` the direct way: each live set by a scan of
+    every earlier position, and every pending check's frontier re-sorted
+    into a fresh tuple at every position, checks that read it first."""
+    E = len(plan.edges)
+    last_use = list(range(E + len(plan.messages)))
+    for i, info in enumerate(plan.edges):
+        for j in info.parents:
+            last_use[j] = max(last_use[j], i)
+    for i, checks in enumerate(plan.checks_at):
+        for _, positions in checks:
+            for j in positions:
+                last_use[j] = max(last_use[j], i)
+    live = tuple(tuple(j for j in range(i) if last_use[j] >= i) for i in range(E))
+
+    frontier: list[tuple] = [()] * E
+    active: list[tuple[int, set[int]]] = []
+    for i in range(E - 1, -1, -1):
+        frontier[i] = tuple(
+            (demand, tuple(sorted(fr)))
+            for demand, fr in sorted(active, key=lambda c: i not in c[1])
+        )
+        active[:0] = [(demand, set(positions)) for demand, positions in plan.checks_at[i]]
+        for _, fr in active:
+            if i in fr:
+                fr.discard(i)
+                fr.update(plan.edges[i].parents)
+    return live, tuple(frontier)
+
+
+# ---------------------------------------------------------------------------
 # dense transfer oracle
 # ---------------------------------------------------------------------------
 # Plain tuple arithmetic on row tuples: nothing below calls into the
