@@ -22,6 +22,9 @@ from typing import TYPE_CHECKING, Sequence
 # Every command reads or writes a network; each cmd_* imports the rest of
 # what it runs itself, so a command loads only its own modules.
 from .network import (
+    ROLE_INTERMEDIATE,
+    ROLE_SOURCE,
+    ROLE_TERMINAL,
     CodedNetwork,
     NetworkFormatError,
     is_multiple_unicast,
@@ -381,7 +384,7 @@ def cmd_info(args) -> int:
     net = _read_network(args.network, check=False)  # reports violations itself
     report = validate(net)
     unicast = is_multiple_unicast(net)
-    roles = {"source": 0, "intermediate": 0, "terminal": 0}
+    roles = {ROLE_SOURCE: 0, ROLE_INTERMEDIATE: 0, ROLE_TERMINAL: 0}
     for node in net.nodes:
         roles[node.role] += 1
     if args.json:
@@ -390,9 +393,9 @@ def cmd_info(args) -> int:
                 "name": net.name,
                 "messages": len(net.messages),
                 "nodes": len(net.nodes),
-                "sources": roles["source"],
-                "intermediates": roles["intermediate"],
-                "terminals": roles["terminal"],
+                "sources": roles[ROLE_SOURCE],
+                "intermediates": roles[ROLE_INTERMEDIATE],
+                "terminals": roles[ROLE_TERMINAL],
                 "edges": len(net.edges),
                 "valid": report.ok,
                 "violations": [
@@ -405,8 +408,8 @@ def cmd_info(args) -> int:
     print(f"name: {net.name}")
     print(f"messages: {len(net.messages)}")
     print(
-        f"nodes: {len(net.nodes)} ({roles['source']} sources, "
-        f"{roles['intermediate']} intermediate, {roles['terminal']} terminals)"
+        f"nodes: {len(net.nodes)} ({roles[ROLE_SOURCE]} sources, "
+        f"{roles[ROLE_INTERMEDIATE]} intermediate, {roles[ROLE_TERMINAL]} terminals)"
     )
     print(f"edges: {len(net.edges)}")
     print(f"valid: {'yes' if report.ok else 'no'}")

@@ -332,9 +332,20 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
                             f"rule for edge {e.id!r} reads {inp.ref!r}, which is "
                             f"not an in-edge of its tail {nid!r}"
                         )
-                    terms.append((rows, transfer[inp.ref]))
+                    try:
+                        terms.append((rows, transfer[inp.ref]))
+                    except KeyError:
+                        raise _unevaluated(f"rule for edge {e.id!r}", inp.ref) from None
             transfer[e.id] = _sum_products(terms, k, code.modulus.p)
     return transfer
+
+
+def _unevaluated(rule: str, ref: str) -> CodeError:
+    """The error for a rule reading in-edge ``ref`` that ``_transfer``
+    never evaluated.  Only an edge whose tail is not a node is skipped:
+    ``validate`` refuses such a network, but ``verify`` and
+    ``eval_transfer`` do not run it."""
+    return CodeError(f"{rule} reads {ref!r}, which was never evaluated: its tail is not a node")
 
 
 def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
@@ -403,7 +414,10 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
                     f"not one of its in-edges"
                 )
             m = inp.matrix
-            terms.append(([m.row(r) for r in range(m.rows)], transfer[inp.ref]))
+            try:
+                terms.append(([m.row(r) for r in range(m.rows)], transfer[inp.ref]))
+            except KeyError:
+                raise _unevaluated(f"decode rule for {term.id!r}", inp.ref) from None
         if term.demands not in messages:
             raise CodeError(
                 f"terminal {term.id!r} demands unknown message {term.demands!r}"

@@ -30,7 +30,11 @@ Three sound prunings keep the space small:
 
 Each loop over a position's candidates builds one test for its trials
 (``_Engine._trial_test``); a loop over many candidates hoists both checks
-out of it, exactly: each becomes a span the candidate must hold.
+out of it, exactly: each becomes a span the candidate must hold.  A state
+is one candidate tried, and that includes the candidates such a loop
+rejects in bulk: a run of candidates that cannot hold the span is counted
+by its length without a trial each, which is the count and the budget stop
+the trials would give (``_Engine._trial_test``).
 
 Explored-and-failed subtrees are also memoized on the values of the
 edges still visible to the remaining suffix (the live frontier), so
@@ -328,6 +332,7 @@ class _Algebra:
         self.unit_ids = tuple(self.intern(u) for u in self.unit_rows)
         self._join_cache: dict = {}
         self._enum_cache: dict = {}
+        self._steps_cache: dict = {}
         self._target_cache: dict = {}
         self._contains_cache: dict = {}
 
@@ -341,11 +346,23 @@ class _Algebra:
         return sid
 
     def join(self, ids: tuple[int, ...]) -> int:
-        """The id of the span of the given states; cached on the id tuple."""
+        """The id of the span of the given states; cached on the id tuple.
+
+        A longer tuple folds left to right through joins of sorted pairs,
+        so tuples that share a prefix share its joins and only a pair is
+        ever reduced; the reduced basis of a span is unique, so the fold
+        gives the id the whole tuple would.
+        """
         sid = self._join_cache.get(ids)
         if sid is None:
-            rows = [row for i in ids for row in self.basis[i]]
-            sid = self._join_cache[ids] = self.intern(_echelon(rows, self.p))
+            if len(ids) > 2:
+                sid = ids[0]
+                for x in ids[1:]:
+                    sid = self.join((sid, x) if sid <= x else (x, sid))
+            else:
+                rows = [row for i in ids for row in self.basis[i]]
+                sid = self.intern(_echelon(rows, self.p))
+            self._join_cache[ids] = sid
         return sid
 
     def enumerate(self, sid: int) -> tuple:
@@ -371,6 +388,23 @@ class _Algebra:
                 self.intern(b) for b in _subspaces(self.basis[sid], self.p, self.n)
             )
         return cands
+
+    def steps(self, pspan: int, tid: int) -> tuple:
+        """The candidates inside span ``pspan`` with each run of those that
+        do not hold span ``tid`` replaced by minus its length; cached.  A
+        candidate of tid's dimension holds it only by being it."""
+        key = (pspan, tid)
+        steps = self._steps_cache.get(key)
+        if steps is None:
+            cands = self.enumerate(pspan)
+            same = self.dim[tid] == self.dim[cands[0]]
+            out: list[int] = []
+            for held, run in itertools.groupby(
+                cands, lambda c: c == tid if same else self.contains(c, tid)
+            ):
+                out += run if held else [-len(list(run))]
+            steps = self._steps_cache[key] = tuple(out)
+        return steps
 
     def forced(self, sid: int, demand_idx: int) -> tuple:
         unit = self.unit_ids[demand_idx]
@@ -445,10 +479,12 @@ class _Engine:
         return True
 
     def _trial_test(self, i: int, pspan: int, cands: tuple, values: list):
-        """A trial's decision at position i as a function of its candidate,
-        one of ``cands`` inside span ``pspan``: ``_decodes`` over
-        ``checks_at[i]`` and, when the candidates are smaller than
-        ``pspan``, over ``frontier_after[i]`` (the frontier prune).
+        """The steps of the loop at position i over ``cands``, the
+        candidates inside span ``pspan``, and the test that decides a
+        trial of each candidate step: ``_decodes`` over ``checks_at[i]``
+        and, when the candidates are smaller than ``pspan``, over
+        ``frontier_after[i]`` (the frontier prune).  A step is a candidate
+        or minus the length of a run of candidates rejected in bulk.
 
         The frontier prune asks whether every pending terminal could still
         decode were each unassigned edge to carry its parents' full span.
@@ -461,20 +497,28 @@ class _Engine:
         narrows its parent span; the candidates of one loop share one
         dimension (``_Algebra.enumerate``), so the first one decides.
 
-        A loop over at most ``_HOIST_MIN`` candidates tests that join.  A
-        longer one hoists the checks out of the loop: only ``values[i]``
-        changes in it, so a check that does not read i is one boolean, and
-        one that does asks whether its demand lies in rest + c, rest being
-        the join of its other positions; ``_Algebra.targets`` makes that one
-        span c must hold, except where rest meets ``pspan`` and the join
-        test stays.
+        A loop over at most ``_HOIST_MIN`` candidates steps through them
+        all and tests that join.  A longer one hoists the checks out of the
+        loop: only ``values[i]`` changes in it, so a check that does not
+        read i is one boolean, and one that does asks whether its demand
+        lies in rest + c, rest being the join of its other positions;
+        ``_Algebra.targets`` makes that one span c must hold, except where
+        rest meets ``pspan`` and the join test stays.  The candidates that
+        do not hold the join T of those spans fail, so their runs become
+        negative steps (``_Algebra.steps``), and the test of the others is
+        the join tests alone.  Bulk counting is exact: a rejected trial
+        adds one state and changes nothing read later (``run`` writes
+        ``values[i]`` again before the next test, or clears it when the
+        loop ends), so a run of L adds L states or, if the budget runs out
+        inside it, stops with the count at the budget, as its L trials
+        would.  A state is still one candidate tried.
         """
         alg = self.alg
         checks = self.plan.checks_at[i]
         if cands and alg.dim[cands[0]] < alg.dim[pspan]:
             checks += self.plan.frontier_after[i]
         if len(cands) <= _HOIST_MIN:
-            return lambda cand: self._decodes(checks, values)
+            return cands, lambda cand: self._decodes(checks, values)
         need, joined = [], []
         for didx, positions in checks:
             rest = alg.join(tuple([values[j] for j in positions if j != i]))
@@ -483,13 +527,15 @@ class _Engine:
             else:
                 t = alg.zero if alg.contains(rest, alg.unit_ids[didx]) else False
             if t is False:
-                return lambda cand: False
+                return (-len(cands),), None
             if t is None:
                 joined.append((didx, positions))
             else:
                 need.append(t)
         target, joined = alg.join(tuple(need)), tuple(joined)
-        return lambda cand: alg.contains(cand, target) and self._decodes(joined, values)
+        # every candidate holds the zero span
+        steps = cands if target == alg.zero else alg.steps(pspan, target)
+        return steps, lambda cand: self._decodes(joined, values)
 
     def run(self) -> tuple[str, list | None]:
         plan = self.plan
@@ -498,7 +544,7 @@ class _Engine:
         # edge positions, then one fixed slot per message (see _build_plan)
         values: list = [None] * E + list(self.alg.unit_ids)
         keys: list = [None] * E
-        loops: list = []  # per open position: (its untried candidates, trial test)
+        loops: list = []  # per open position: (its untried steps, trial test)
         memo_entries = 0
         while True:
             i = len(loops)
@@ -508,13 +554,20 @@ class _Engine:
             if key not in failed[i]:
                 keys[i] = key
                 cands, pspan = self._candidates(i, values)
-                loops.append((iter(cands), self._trial_test(i, pspan, cands, values)))
+                steps, test = self._trial_test(i, pspan, cands, values)
+                loops.append((iter(steps), test))
             # advance the deepest open position to its next passing trial,
             # which opens the one after it; one out of candidates has failed
             while loops:
                 i = len(loops) - 1
-                cands, test = loops[i]
-                for cand in cands:
+                steps, test = loops[i]
+                for cand in steps:
+                    if cand < 0:  # a run of -cand rejected candidates
+                        if self.states - cand > self.budget:
+                            self.states = self.budget
+                            return ("budget", None)
+                        self.states -= cand
+                        continue
                     if self.states >= self.budget:
                         return ("budget", None)
                     self.states += 1

@@ -212,6 +212,29 @@ def test_eval_rejects_missing_rule():
     assert _eval_and_verify_error(net, code) == "no rule for edge 's1->t1'"
 
 
+def test_eval_rejects_rule_reading_an_edge_from_no_node():
+    # validate refuses an edge whose tail is not a node; verify does not
+    # run it, and the edge is never evaluated, so the rules that read it
+    # must fail as broken codes
+    net = gen_n1(2, 1)
+    code = instantiate(solve_n1(2, 1), 2)
+    ghost = CodedNetwork(
+        net.name,
+        net.messages,
+        net.nodes,
+        tuple(NetEdge(e.id, "ghost", e.head) if e.id == "a1->u1" else e for e in net.edges),
+    )
+    assert _eval_and_verify_error(ghost, code) == (
+        "rule for edge 'u1->u3' reads 'a1->u1', which was never evaluated: "
+        "its tail is not a node"
+    )
+    # an edge from no node into a terminal breaks its decode rule instead
+    tiny = tiny_net()
+    into_t1 = CodedNetwork("tiny", tiny.messages, tiny.nodes, (NetEdge("s1->t1", "ghost", "t1"),))
+    with pytest.raises(CodeError, match="^decode rule for 't1' reads 's1->t1', which was never"):
+        verify(into_t1, tiny_code())
+
+
 def test_eval_unreachable_messages_have_zero_blocks():
     net = gen_n1(2, 2)
     code = instantiate(solve_n1(2, 2), 2)

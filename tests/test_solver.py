@@ -199,6 +199,24 @@ def test_exact_budget_accounting():
     assert out.states_explored == 1
 
 
+def test_every_budget_stops_exactly_at_its_count():
+    # A hoisted loop counts the candidates it rejects in bulk; a budget
+    # that runs out inside such a run must stop there, as one trial per
+    # candidate would.  Fano at (2,1)/GF(3) is certified in 340 states;
+    # cut_off at (1,1)/GF(5) in 36, the last 31 one rejected run; n1(2,2)
+    # at (1,2)/GF(3) runs hoisted loops of 130 candidates and no budget
+    # here decides it.
+    runs = [(gen_fano(), 2, 1, 3, 340), (cut_off(), 1, 1, 5, 36), (gen_n1(2, 2), 1, 2, 3, None)]
+    for net, k, n, p, total in runs:
+        for budget in range(1, total or 601):
+            out = search_fractional(net, k, n, p, SearchConfig(node_budget=budget))
+            assert (out.status, out.states_explored) == (INCONCLUSIVE, budget), (
+                net.name, budget)
+        if total:
+            out = search_fractional(net, k, n, p, SearchConfig(node_budget=total))
+            assert (out.status, out.states_explored) == (UNSOLVABLE, total), net.name
+
+
 def test_search_is_fully_deterministic():
     net = gen_nonfano()
     a = search_scalar(net, 3, SearchConfig())
@@ -431,25 +449,36 @@ def test_equal_subspaces_share_one_id():
     assert alg.dim[alg.zero] == 0 and alg.basis[alg.zero] == ()
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_join_matches_echelon_of_stacked_bases(p):
+    """``join`` folds a long tuple a pair at a time; its id must be the one
+    of ``_echelon`` over all the rows, and ``rank_mod_p`` must see the span
+    of all the rows: the same rank, and the join inside that span."""
     rng = random.Random(p)
     width = 4
     alg = _Algebra(width, 1, width, p)
-    for _ in range(200):
+
+    def rank(rows):
+        return rank_mod_p([list(r) for r in rows], p)
+
+    for _ in range(300):
         parts = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 6)):
             rows = [
-                tuple(rng.randrange(p) for _ in range(width))
-                for _ in range(rng.randint(0, 3))
+                tuple(rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(width))
+                for _ in range(rng.randint(0, 2))
             ]
             parts.append(_echelon(rows, p))
+        # repeated ids and unsorted tuples come up too
+        parts += rng.sample(parts, rng.randint(0, len(parts) // 2))
         ids = tuple(alg.intern(b) for b in parts)
         stacked = [row for b in parts for row in b]
         want = _echelon(stacked, p)
-        assert alg.basis[alg.join(ids)] == want
+        got = alg.basis[alg.join(ids)]
+        assert got == want
         assert alg.join(ids) == alg.intern(want)
-        assert alg.dim[alg.join(ids)] == len(want)
+        assert alg.dim[alg.join(ids)] == len(want) == rank(stacked) == rank(got)
+        assert rank(stacked + list(got)) == rank(stacked)
     # every distinct basis has exactly one id
     assert len(set(alg.basis)) == len(alg.basis)
 
@@ -583,11 +612,15 @@ def checked_search(monkeypatch, net, k, n, p):
     ``frontier_after[i]``, and every frontier decision against
     ``closure_ok``.
 
-    Compares the frontier on every prefix the search asks about, and on
-    every prefix it extends (each fresh position i has values[:i]
-    assigned).  Returns the frontier decisions, (hoisted, decision) per
-    trial, hoisted meaning its loop had more than ``_HOIST_MIN``
-    candidates, and the outcomes of ``_Algebra.targets``.
+    A loop's steps must spell out its candidates in order, and every
+    candidate a negative step stands for must fail that join test, so a
+    bulk count is exactly the rejected run.  Compares the frontier on every
+    prefix the search asks about, and on every prefix it extends (each
+    fresh position i has values[:i] assigned).  Returns the frontier
+    decisions, (kind, decision) per candidate, kind being "short" for a
+    loop of at most ``_HOIST_MIN`` candidates, "hoisted" for a trial of a
+    longer one and "bulk" for a candidate rejected in bulk, and the
+    outcomes of ``_Algebra.targets``.
     """
     seen, trials, targets = [], [], []
     candidates = _Engine._candidates
@@ -605,21 +638,39 @@ def checked_search(monkeypatch, net, k, n, p):
         return candidates(self, i, values)
 
     def checked_trial_test(self, i, pspan, cands, values):
-        test = trial_test(self, i, pspan, cands, values)
-        hoisted = len(cands) > solver._HOIST_MIN
+        steps, test = trial_test(self, i, pspan, cands, values)
+        kind = "hoisted" if len(cands) > solver._HOIST_MIN else "short"
+
+        def want(cand):
+            ok = self._decodes(self.plan.checks_at[i], values)
+            if ok and self.alg.dim[cand] < self.alg.dim[pspan]:
+                ok = frontier_ok(self, i, values)
+                seen.append(ok)
+            return ok
+
+        at, held = 0, values[i]
+        for step in steps:
+            if step >= 0:
+                assert step == cands[at], (i, at)
+                at += 1
+                continue
+            assert kind == "hoisted" and at - step <= len(cands), (i, steps)
+            for cand in cands[at : at - step]:
+                values[i] = cand
+                assert not want(cand), (i, values[: i + 1])
+                trials.append(("bulk", False))
+            at -= step
+        assert at == len(cands), (i, steps)
+        values[i] = held
 
         def checked(cand):
             got = test(cand)
             assert values[i] == cand
-            want = self._decodes(self.plan.checks_at[i], values)
-            if want and self.alg.dim[cand] < self.alg.dim[pspan]:
-                want = frontier_ok(self, i, values)
-                seen.append(want)
-            assert got == want, (i, values[: i + 1])
-            trials.append((hoisted, got))
+            assert got == want(cand), (i, values[: i + 1])
+            trials.append((kind, got))
             return got
 
-        return checked
+        return steps, checked
 
     def recorded_targets(self, pspan, rest, demand_idx):
         out = target(self, pspan, rest, demand_idx)
@@ -661,8 +712,8 @@ def test_hoisted_checks_reach_every_branch(monkeypatch):
         _, got, outcomes = checked_search(monkeypatch, net, k, n, p)
         trials += got
         targets += outcomes
-    assert {hoisted for hoisted, _ in trials} == {True, False}
-    assert {ok for hoisted, ok in trials if hoisted} == {True, False}
+    assert {kind for kind, _ in trials} == {"short", "hoisted", "bulk"}
+    assert {ok for kind, ok in trials if kind == "hoisted"} == {True, False}
     assert None in targets and False in targets
     assert any(type(t) is int for t in targets)
 
