@@ -199,6 +199,66 @@ def test_lifted_gadget_union_code_is_pinned():
     assert got == GADGET_UNION_CODE_DIGEST
 
 
+# sha256 of save_code(instantiate(sym, p)): the field code instantiate
+# writes, for each family code of the FAMILY_DIGESTS grid over a prime it
+# verifies at (and n1 over one it fails at), for two union lifts and for
+# two gadget lifts
+FIELD_CODE_DIGESTS = {
+    ("n1", 2, 1, 2): "f8612e966deeb723f4e0ac6f7fc0c07bf6cb51458ab0a7ec752191b4db96c2e5",
+    ("n1", 2, 1, 3): "d4062339fdef6826568d05d41558474780e02e30e8725213def64cd40051a347",
+    ("n1", 2, 3, 2): "4cd6e4e1cd1c221ff10c17cffc6e91bd8a56ccd5aba9dd566c85ec1945ff3185",
+    ("n1", 2, 3, 3): "bee3d2ef45e74ca47ee09458417cbe76ba56d02cef9a5cc3cc51640a9d052660",
+    ("n1", 3, 2, 3): "2ca4a398799083c9db216c25e4bd304cb55c293a7be1c7fa2ef5f58ad86a4c58",
+    ("n1", 3, 2, 2): "b6a516279e41bc06d6283865581b0a3b833dadda9ced5d99bbb6b3ea3f664cdf",
+    ("n1", 5, 3, 5): "9043c68df9018a17b57187a5a15fbfec5fb7725f419e51a2beca569644cc26aa",
+    ("n1", 5, 3, 2): "3a5e87628913432962d8730a3d9f3f1427744211209f823b67ac1e81923bfa3e",
+    ("n1", 11, 2, 11): "a89a32d1e8ab12301d1e554d09ac4e6aa064111d82cdaf26b0dd90993b497e60",
+    ("n1", 11, 2, 2): "e470d7e4e481415c507359c6f253301c3d4108b2a494db69b45fe1bba11701d1",
+    ("n2", 2, 1, 3): "b78a244cf6c422e7556fa2c6e28232dd28e034af819b83670e84c64bffc99a23",
+    ("n2", 2, 3, 3): "f5dbc8a08f181cc26461e0dfd5ba0653f58cf94adb481646a9fd7a89197dea82",
+    ("n2", 3, 2, 2): "ec3a7c177e16ae1fb8665db211bf75ea532db31040935d95246f4ae18251cea6",
+    ("n2", 5, 3, 2): "e0a6f3da871ab3c8df92cf9fb4950dd00ab8d3003151189e1d42188dbce8f195",
+    ("n2", 11, 2, 2): "a7775c0dd94f9b5884608f2960485a736aa9788043b14425a864a94f338415c2",
+}
+UNION_FIELD_CODE_DIGESTS = {
+    ("n1", 2, 2): "518772279e78f54257dc3c46cea60e1d33a7d781e2f97adaccc7748926121ee2",
+    ("n2", 3, 2): "20278a827430b44d51d3d93a8dbcde149c0656ba04a4e200d3042a41f5275657",
+}
+GADGET_FIELD_CODE_DIGESTS = {
+    ("n1", 3, 1, 3): "15d484b3030eff823e4a8feb3ff741190be1a8864115298cc035b622c84fb924",
+    ("n2", 2, 2, 3): "43210e519ec5f47942c11758b9f9b0d883bafbb8fa5f2c5795416b092610d518",
+}
+
+
+def _field_digest(sym, p):
+    return hashlib.sha256(save_code(instantiate(sym, p))).hexdigest()
+
+
+@pytest.mark.parametrize("family, q, n, p", sorted(FIELD_CODE_DIGESTS))
+def test_instantiated_family_bytes_are_pinned(family, q, n, p):
+    _, solve = FAMILIES[family]
+    assert _field_digest(solve(q, n), p) == FIELD_CODE_DIGESTS[family, q, n, p]
+
+
+@pytest.mark.parametrize("family, q, n", sorted(UNION_FIELD_CODE_DIGESTS))
+def test_instantiated_union_bytes_are_pinned(family, q, n):
+    _, solve = FAMILIES[family]
+    got = _field_digest(lift_union(solve(q, n), 3), 2)
+    assert got == UNION_FIELD_CODE_DIGESTS[family, q, n]
+
+
+@pytest.mark.parametrize("family, q, n, p", sorted(GADGET_FIELD_CODE_DIGESTS))
+def test_instantiated_gadget_bytes_are_pinned(family, q, n, p):
+    _, sym = _gadget_lift(family, q, n)
+    assert _field_digest(sym, p) == GADGET_FIELD_CODE_DIGESTS[family, q, n, p]
+
+
+def test_characteristic_error_text_is_pinned():
+    with pytest.raises(CharacteristicError) as exc:
+        instantiate(solve_n2(3, 2), 3)
+    assert str(exc.value) == "characteristic divides q: no inverse of q=3 in GF(3)"
+
+
 def _code_pairs():
     """(network, symbolic code) for each family on the pinned grid, and
     for their union and gadget lifts."""
