@@ -7,13 +7,17 @@ diagnostics go to standard error.
 Exit codes: 0 success/verified/solvable, 1 verification failed,
 2 proven impossible (inadmissible characteristic or exhausted search),
 3 inconclusive search, 64 usage or unparseable input, 70 internal error
-(one line on standard error, never a traceback).
+(one line on standard error, never a traceback), 141 standard output
+closed before everything was written, as by ``| head`` (nothing on
+standard error; 128 + SIGPIPE, as a shell reports for a tool that
+SIGPIPE ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -495,7 +499,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`.  Its unwritten output
+        # can go nowhere; devnull takes what follows, so the flush at
+        # shutdown cannot raise again
+        sys.stdout = open(os.devnull, "w")
+        return 141  # 128 + SIGPIPE: what a shell reports for a tool SIGPIPE ends
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code

@@ -21,7 +21,8 @@ from the raw tuples and builds a matrix only for each demanded block.
 A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
 construction parameter q.  ``instantiate`` maps it onto GF(p), which
-fails precisely when an inverse of q is used but p divides q.
+fails precisely when an inverse of q is used but p divides q.  Equal
+symbolic matrices of one code become one shared ``FieldMatrix``.
 
 ``save_code`` writes either kind as a canonical file: the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, produced by
@@ -35,7 +36,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
@@ -76,6 +77,9 @@ class CodeInput:
     matrix: FieldMatrix
 
 
+_by_ref = attrgetter("ref")
+
+
 def _check_rules(
     code: FractionalCode | SymbolicCode, modulus: PrimeModulus | None
 ) -> None:
@@ -96,7 +100,10 @@ def _check_rules(
         raise CodeError("q must be a positive integer")
     for attr, decode in (("edge_rules", False), ("decode_rules", True)):
         rules = {
-            key: tuple(sorted(inputs, key=lambda inp: inp.ref))
+            # a tuple of one input is already sorted, and most rules are one
+            key: inputs
+            if isinstance(inputs, tuple) and len(inputs) == 1
+            else tuple(sorted(inputs, key=_by_ref))
             for key, inputs in getattr(code, attr).items()
         }
         object.__setattr__(code, attr, rules)
@@ -208,10 +215,19 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
     were sorted and shape-checked when ``sym`` was built and keep their
     order and shapes, and every matrix gets the one modulus, so the field
     code is built with ``FractionalCode._trusted``, without the rule check.
+
+    A code holds few distinct matrices among many inputs, so each distinct
+    ``SymMatrix`` value is converted once per call and equal inputs share
+    the one ``FieldMatrix``.  Sharing is safe: ``FieldMatrix`` is a frozen
+    dataclass, and nothing in this package mutates a matrix, so no holder
+    of a shared matrix can see another change it.  Only conversions that
+    succeed are kept, so an error is raised at the first input that needs
+    1/q, as without the sharing.
     """
     mod = as_modulus(p)
     p = mod.p
     q_inv = pow(sym.q, -1, p) if sym.q % p else None
+    converted: dict[SymMatrix, FieldMatrix] = {}
 
     def times_inv_q(coeff: int) -> int:
         if q_inv is None:
@@ -221,12 +237,15 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
         return coeff * q_inv % p
 
     def concrete(matrix: SymMatrix) -> FieldMatrix:
-        flat = tuple([times_inv_q(c) if inv else c % p for c, inv in matrix.entries])
-        return FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
+        fm = converted.get(matrix)
+        if fm is None:
+            flat = tuple([times_inv_q(c) if inv else c % p for c, inv in matrix.entries])
+            fm = converted[matrix] = FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
+        return fm
 
     def convert(rules: Mapping[str, tuple[SymInput, ...]]) -> dict[str, tuple[CodeInput, ...]]:
         return {
-            key: tuple(CodeInput(inp.ref, concrete(inp.matrix)) for inp in inputs)
+            key: tuple([CodeInput(inp.ref, concrete(inp.matrix)) for inp in inputs])
             for key, inputs in rules.items()
         }
 
@@ -462,7 +481,10 @@ def _entry_from_json(value: object) -> SymEntry:
 
 def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> str:
     """A rule map as the code document's list, inputs in their stored ref
-    order; each matrix fills a ``%s`` template made once per shape."""
+    order.  Each input fills a template made once per matrix shape, with
+    a ``%s`` per entry and one for the ref; each rule fills one made once,
+    whose two keys sort by ``key_name``."""
+    rule = _json_object({key_name: "%(key)s", "inputs": "%(inputs)s"}, 2)
     templates: dict[tuple[int, int], str] = {}
     out = []
     for key in sorted(rules):
@@ -470,14 +492,15 @@ def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> st
         for inp in rules[key]:
             m = inp.matrix
             shape = (m.rows, m.cols)
-            if shape not in templates:
+            template = templates.get(shape)
+            if template is None:
                 row = _json_array(["%s"] * m.cols, 6)
-                templates[shape] = _json_array([row] * m.rows, 5)
+                matrix = _json_array([row] * m.rows, 5)
+                template = _json_object({"matrix": matrix, "ref": "%s"}, 4)
+                templates[shape] = template
             cells = tuple(map(_entry_to_json, m.entries)) if symbolic else m.entries
-            matrix = templates[shape] % cells
-            inputs.append(_json_object({"matrix": matrix, "ref": _quote(inp.ref)}, 4))
-        rule = {key_name: _quote(key), "inputs": _json_array(inputs, 3)}
-        out.append(_json_object(rule, 2))
+            inputs.append(template % (cells + (_quote(inp.ref),)))
+        out.append(rule % {"key": _quote(key), "inputs": _json_array(inputs, 3)})
     return _json_array(out, 1)
 
 

@@ -17,12 +17,14 @@ i with the same local matrices.  ``lift_gadget`` extends a (1, n) code
 across the demand-splitting gadget, reading each step's code off the
 edge list that built it, ``GadgetApplication.edges``, by the same rules
 as ``_solve``: the bottleneck carries [b+z, y_1, ..., y_{n-1}] and the
-new terminals peel their symbols back out with differences.
+new terminals peel their symbols back out with differences.  Each lift
+builds every distinct block it places once and shares it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Callable
 
 from .constructions import (
     _Family,
@@ -111,6 +113,24 @@ def _place(block: SymMatrix, rows: int, cols: int, top: int, left: int) -> SymMa
     return SymMatrix(rows, cols, tuple(flat))
 
 
+def _placer() -> Callable[[SymMatrix, int, int, int, int], SymMatrix]:
+    """``_place`` that keeps the blocks it has placed, so that equal
+    blocks are one shared matrix, also when different placements make
+    them: a lift makes one per call, and a code places few distinct
+    blocks among many inputs."""
+    by_args: dict[tuple[SymMatrix, int, int, int, int], SymMatrix] = {}
+    by_value: dict[SymMatrix, SymMatrix] = {}
+
+    def place(*args):
+        block = by_args.get(args)
+        if block is None:
+            block = _place(*args)
+            block = by_args[args] = by_value.setdefault(block, block)
+        return block
+
+    return place
+
+
 def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
     """(k, n) code on the k-fold union: component i of each source takes
     the base code's route through copy i, with the same local matrices."""
@@ -120,6 +140,7 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
     if copies == 1:
         return sym
+    place = _placer()
     er: Rules = {}
     dr: Rules = {}
     for c in range(1, copies + 1):
@@ -128,7 +149,7 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
             for inp in inputs:
                 if inp.ref.startswith(SRC_PREFIX):
                     # an n x 1 source column becomes column c of n x k
-                    block = _place(inp.matrix, inp.matrix.rows, copies, 0, c - 1)
+                    block = place(inp.matrix, inp.matrix.rows, copies, 0, c - 1)
                     lifted.append(SymInput(inp.ref, block))
                 else:
                     lifted.append(SymInput(f"{inp.ref}#{c}", inp.matrix))
@@ -138,7 +159,7 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
         for c in range(1, copies + 1):
             for inp in inputs:
                 # a 1 x n decode row becomes row c of k x n
-                block = _place(inp.matrix, copies, inp.matrix.cols, c - 1, 0)
+                block = place(inp.matrix, copies, inp.matrix.cols, c - 1, 0)
                 rows.append(SymInput(f"{inp.ref}#{c}", block))
         dr[tid] = tuple(rows)
     return SymbolicCode(copies, sym.n, sym.q, er, dr)
@@ -172,6 +193,7 @@ def lift_gadget(
     cols = [SymMatrix.unit_column(n, j) for j in range(1, n + 1)]
     rows = [SymMatrix.unit_row(n, j) for j in range(1, n + 1)]
     minus_row1 = SymMatrix.unit_row(n, 1, coeff=-1)
+    place = _placer()
     er: Rules = dict(sym.edge_rules)
     dr: Rules = dict(sym.decode_rules)
     for app in applications:
@@ -180,7 +202,7 @@ def lift_gadget(
         # 1 x n decode row as the first row of an n x n block
         sends = {v: (SymInput(SRC_PREFIX + m, col),) for (v, m), col in zip(app.sources(), cols)}
         for t in (app.n1, app.n2):
-            sends[t] = tuple(SymInput(i.ref, _place(i.matrix, n, n, 0, 0)) for i in dr.pop(t))
+            sends[t] = tuple(SymInput(i.ref, place(i.matrix, n, n, 0, 0)) for i in dr.pop(t))
         into: dict[str, list[str]] = defaultdict(list)
         for tail, head in app.edges():
             eid = edge_id(tail, head)

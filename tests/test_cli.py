@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, JSON mode."""
 
+import io
 import json
 import os
 import pkgutil
@@ -7,6 +8,8 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import ncchar
 from ncchar import (
@@ -296,6 +299,29 @@ def test_internal_error_exits_70_without_traceback(tmp_path, capsys, monkeypatch
     assert out == ""
     assert err == "ncchar: internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("breaks", ["write", "flush"])
+def test_closed_stdout_exits_141_silently(tmp_path, capsys, monkeypatch, breaks):
+    # a reader that has gone (`ncchar info … | head -1`) is not a bug: the
+    # pipe may break on a write, or only when the output is flushed
+    class ClosedPipe(io.StringIO):
+        def broken(self, *args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    setattr(ClosedPipe, breaks, ClosedPipe.broken)
+    net_path = write_net(tmp_path, union_copies(gen_n1(2, 2), 3))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["info", str(net_path)])
+    try:
+        assert code == 141
+        # what is written later goes nowhere instead of raising again
+        assert sys.stdout.name == os.devnull
+        print("more")
+        sys.stdout.flush()
+    finally:
+        sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_truncated_code_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Explicit achievability codes and their lifts to unions and gadgets."""
 
 import hashlib
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -257,6 +258,27 @@ def test_characteristic_error_text_is_pinned():
     with pytest.raises(CharacteristicError) as exc:
         instantiate(solve_n2(3, 2), 3)
     assert str(exc.value) == "characteristic divides q: no inverse of q=3 in GF(3)"
+
+
+def _matrices(code):
+    return [inp.matrix for rules in (code.edge_rules, code.decode_rules)
+            for inputs in rules.values() for inp in inputs]
+
+
+def test_equal_matrices_are_one_shared_object():
+    # instantiate converts each distinct symbolic matrix once per call,
+    # and lift_union places each distinct block once
+    sym = solve_n1(30, 4)
+    values = set(_matrices(sym))
+    assert len(values) == 10
+    converted = _matrices(instantiate(sym, 3))
+    assert len({id(m) for m in converted}) <= len(values)
+    lifted = _matrices(lift_union(solve_n1(10, 3), 3))
+    assert len(set(lifted)) == 11
+    assert len({id(m) for m in lifted}) <= 11
+    # sharing is safe because no holder can change a shared matrix
+    with pytest.raises(FrozenInstanceError):
+        converted[0].entries = ()
 
 
 def _code_pairs():
