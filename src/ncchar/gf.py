@@ -8,9 +8,10 @@ of a few rows), so everything here is plain Python integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
+
+from .network import _set, _Value
 
 
 class SingularMatrixError(ValueError):
@@ -32,23 +33,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class PrimeModulus(_Value):
     """A validated prime field modulus.
 
     The bound 2**31 keeps every entry/product comfortably inside native
     integer ranges on any backend.
     """
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise ValueError(f"modulus must be an int, got {self.p!r}")
-        if self.p >= 1 << 31:
-            raise ValueError(f"modulus {self.p} too large (must be < 2**31)")
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"modulus must be an int, got {p!r}")
+        if p >= 1 << 31:
+            raise ValueError(f"modulus {p} too large (must be < 2**31)")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        _set(self, "p", p)
 
     def __int__(self) -> int:
         return self.p
@@ -58,29 +59,30 @@ def as_modulus(p: "PrimeModulus | int") -> PrimeModulus:
     return p if isinstance(p, PrimeModulus) else PrimeModulus(p)
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
+class FieldMatrix(_Value):
     """An immutable rows x cols matrix over GF(p), row-major entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-    modulus: PrimeModulus
+    __slots__ = ("rows", "cols", "entries", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(
+        self, rows: int, cols: int, entries: tuple[int, ...], modulus: PrimeModulus
+    ) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"entry count {len(self.entries)} does not match shape "
-                f"{self.rows}x{self.cols}"
+                f"entry count {len(entries)} does not match shape {rows}x{cols}"
             )
-        p = self.modulus.p
-        for x in self.entries:
+        p = modulus.p
+        for x in entries:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"entry {x!r} not an int")
             if not 0 <= x < p:
                 raise ValueError(f"entry {x} outside [0, {p})")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        _set(self, "modulus", modulus)
 
     # -- construction helpers -------------------------------------------
 
@@ -88,20 +90,17 @@ class FieldMatrix:
     def _trusted(
         cls, rows: int, cols: int, entries: tuple[int, ...], modulus: PrimeModulus
     ) -> "FieldMatrix":
-        """Build without the checks of ``__post_init__``.
+        """Build without the checks of ``__init__``.
 
         Only for entries that are canonical residues by construction: a
         tuple of ``rows * cols`` ints in [0, p), such as the result of an
         operation on valid matrices or of a reduction mod p.
         """
         m = object.__new__(cls)
-        # attribute by attribute: touching ``__dict__`` would give every
-        # instance a materialized dict, about twice the memory
-        setattr_ = object.__setattr__
-        setattr_(m, "rows", rows)
-        setattr_(m, "cols", cols)
-        setattr_(m, "entries", entries)
-        setattr_(m, "modulus", modulus)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "entries", entries)
+        _set(m, "modulus", modulus)
         return m
 
     @classmethod

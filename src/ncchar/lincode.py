@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -48,6 +47,8 @@ from .network import (
     _json_object,
     _read_object,
     _refuse_surrogates,
+    _set,
+    _Value,
     topological_order,
 )
 
@@ -69,12 +70,14 @@ class CharacteristicError(ValueError):
     """Raised when instantiation needs 1/q but the characteristic divides q."""
 
 
-@dataclass(frozen=True)
-class CodeInput:
+class CodeInput(_Value):
     """One weighted input of a rule: a parent edge id or ``src:<message>``."""
 
-    ref: str
-    matrix: FieldMatrix
+    __slots__ = ("ref", "matrix")
+
+    def __init__(self, ref: str, matrix: FieldMatrix) -> None:
+        _set(self, "ref", ref)
+        _set(self, "matrix", matrix)
 
 
 _by_ref = attrgetter("ref")
@@ -106,7 +109,7 @@ def _check_rules(
             else tuple(sorted(inputs, key=_by_ref))
             for key, inputs in getattr(code, attr).items()
         }
-        object.__setattr__(code, attr, rules)
+        _set(code, attr, rules)
         for key, inputs in rules.items():
             for inp in inputs:
                 m = inp.matrix
@@ -127,47 +130,55 @@ def _check_rules(
                 raise CodeError(rule + fault)
 
 
-@dataclass(frozen=True)
-class FractionalCode:
-    k: int
-    n: int
-    modulus: PrimeModulus
-    edge_rules: Mapping[str, tuple[CodeInput, ...]]
-    decode_rules: Mapping[str, tuple[CodeInput, ...]]
-    q: int | None = None
+class FractionalCode(_Value):
+    __slots__ = ("k", "n", "modulus", "edge_rules", "decode_rules", "q")
 
-    def __post_init__(self) -> None:
-        _check_rules(self, self.modulus)
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        modulus: PrimeModulus,
+        edge_rules: Mapping[str, tuple[CodeInput, ...]],
+        decode_rules: Mapping[str, tuple[CodeInput, ...]],
+        q: int | None = None,
+    ) -> None:
+        _set(self, "k", k)
+        _set(self, "n", n)
+        _set(self, "modulus", modulus)
+        _set(self, "edge_rules", edge_rules)
+        _set(self, "decode_rules", decode_rules)
+        _set(self, "q", q)
+        _check_rules(self, modulus)
 
     @classmethod
     def _trusted(cls, *values: object) -> "FractionalCode":
         """Build from every field's value, in field order, without the rule
-        check of ``__post_init__``.
+        check of ``__init__``.
 
         Only for rules that already pass it: inputs sorted by ref, every
         matrix of its rule's shape and over the one modulus, such as the
         rules of a checked ``SymbolicCode`` converted entry by entry.
         """
         code = object.__new__(cls)
-        for f, value in zip(fields(cls), values, strict=True):
-            object.__setattr__(code, f.name, value)
+        for name, value in zip(cls._fields, values, strict=True):
+            _set(code, name, value)
         return code
 
 
 SymEntry = tuple[int, bool]  # (coefficient, times 1/q?)
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(_Value):
     """A small-integer matrix whose entries may carry a formal 1/q."""
 
-    rows: int
-    cols: int
-    entries: tuple[SymEntry, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[SymEntry, ...]) -> None:
+        if len(entries) != rows * cols:
             raise CodeError("symbolic entry count does not match shape")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def scaled_identity(cls, size: int, coeff: int = 1, inv_q: bool = False) -> "SymMatrix":
@@ -189,21 +200,30 @@ class SymMatrix:
         return cls(1, size, tuple(flat))
 
 
-@dataclass(frozen=True)
-class SymInput:
-    ref: str
-    matrix: SymMatrix
+class SymInput(_Value):
+    __slots__ = ("ref", "matrix")
+
+    def __init__(self, ref: str, matrix: SymMatrix) -> None:
+        _set(self, "ref", ref)
+        _set(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class SymbolicCode:
-    k: int
-    n: int
-    q: int
-    edge_rules: Mapping[str, tuple[SymInput, ...]]
-    decode_rules: Mapping[str, tuple[SymInput, ...]]
+class SymbolicCode(_Value):
+    __slots__ = ("k", "n", "q", "edge_rules", "decode_rules")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        q: int,
+        edge_rules: Mapping[str, tuple[SymInput, ...]],
+        decode_rules: Mapping[str, tuple[SymInput, ...]],
+    ) -> None:
+        _set(self, "k", k)
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "edge_rules", edge_rules)
+        _set(self, "decode_rules", decode_rules)
         _check_rules(self, None)
 
 
@@ -218,11 +238,11 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
 
     A code holds few distinct matrices among many inputs, so each distinct
     ``SymMatrix`` value is converted once per call and equal inputs share
-    the one ``FieldMatrix``.  Sharing is safe: ``FieldMatrix`` is a frozen
-    dataclass, and nothing in this package mutates a matrix, so no holder
-    of a shared matrix can see another change it.  Only conversions that
-    succeed are kept, so an error is raised at the first input that needs
-    1/q, as without the sharing.
+    the one ``FieldMatrix``.  Sharing is safe: a ``FieldMatrix`` refuses
+    every assignment to its fields, and nothing in this package mutates a
+    matrix, so no holder of a shared matrix can see another change it.
+    Only conversions that succeed are kept, so an error is raised at the
+    first input that needs 1/q, as without the sharing.
     """
     mod = as_modulus(p)
     p = mod.p
@@ -316,11 +336,34 @@ def _sum_products(
     return out
 
 
-def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
+Rows = dict[int, Sequence[tuple[int, ...]]]  # id of a matrix -> its row slices
+
+
+def _rows(m: FieldMatrix, sliced: Rows) -> Sequence[tuple[int, ...]]:
+    """The rows of ``m``, sliced at most twice per call.
+
+    ``sliced`` is that call's map, keyed by ``id``: the code holds every
+    matrix for the whole call, so no id is reused while the map lives.  A
+    matrix's first input only marks it seen, with ``()``, and its second
+    keeps the rows for the rest.  A code whose matrices are all distinct,
+    such as one read from a file, so keeps no rows: one kept list per
+    input would set off the garbage collector three times as often.
+    """
+    key = id(m)
+    kept = sliced.get(key)
+    if kept:
+        return kept
+    rows = [m.row(r) for r in range(m.rows)]
+    sliced[key] = () if kept is None else rows
+    return rows
+
+
+def _transfer(net: CodedNetwork, code: FractionalCode, sliced: Rows) -> dict[str, Blocks]:
     """Every edge's nonzero transfer blocks as flat row-major residue tuples.
 
     Edges are evaluated in topological order, so a broken rule is reported
-    at the first edge that has one.
+    at the first edge that has one.  Matrices are sliced into rows
+    through ``sliced`` (see ``_rows``).
     """
     node_by_id = net.node_map()
     k = code.k
@@ -335,8 +378,7 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
                 raise CodeError(f"no rule for edge {e.id!r}")
             terms = []
             for inp in code.edge_rules[e.id]:
-                m = inp.matrix
-                rows = [m.row(r) for r in range(m.rows)]
+                rows = _rows(inp.matrix, sliced)
                 if inp.ref.startswith(SRC_PREFIX):
                     msg = inp.ref[len(SRC_PREFIX) :]
                     if node.role != ROLE_SOURCE or node.generates != msg:
@@ -383,22 +425,33 @@ def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
             messages,
             zero,
         )
-        for eid, blocks in _transfer(net, code).items()
+        for eid, blocks in _transfer(net, code, {}).items()
     }
 
 
-@dataclass(frozen=True)
-class TerminalReport:
-    terminal: str
-    demanded: str
-    passed: bool
-    demanded_block: FieldMatrix
-    interferers: tuple[str, ...]
+class TerminalReport(_Value):
+    __slots__ = ("terminal", "demanded", "passed", "demanded_block", "interferers")
+
+    def __init__(
+        self,
+        terminal: str,
+        demanded: str,
+        passed: bool,
+        demanded_block: FieldMatrix,
+        interferers: tuple[str, ...],
+    ) -> None:
+        _set(self, "terminal", terminal)
+        _set(self, "demanded", demanded)
+        _set(self, "passed", passed)
+        _set(self, "demanded_block", demanded_block)
+        _set(self, "interferers", interferers)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    terminals: tuple[TerminalReport, ...]
+class VerificationReport(_Value):
+    __slots__ = ("terminals",)
+
+    def __init__(self, terminals: tuple[TerminalReport, ...]) -> None:
+        _set(self, "terminals", terminals)
 
     @property
     def passed(self) -> bool:
@@ -414,7 +467,8 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     Decoding works on the raw blocks of ``_transfer``; only each
     terminal's demanded block becomes a ``FieldMatrix``.
     """
-    transfer = _transfer(net, code)
+    sliced: Rows = {}
+    transfer = _transfer(net, code, sliced)
     messages = frozenset(net.messages)
     k, mod = code.k, code.modulus
     ident = FieldMatrix.identity(k, mod)
@@ -432,9 +486,8 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
                     f"decode rule for {term.id!r} reads {inp.ref!r}, which is "
                     f"not one of its in-edges"
                 )
-            m = inp.matrix
             try:
-                terms.append(([m.row(r) for r in range(m.rows)], transfer[inp.ref]))
+                terms.append((_rows(inp.matrix, sliced), transfer[inp.ref]))
             except KeyError:
                 raise _unevaluated(f"decode rule for {term.id!r}", inp.ref) from None
         if term.demands not in messages:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 ROLE_SOURCE = "source"
@@ -39,30 +39,86 @@ class CycleError(ValueError):
     """Raised when a topological order is requested for a cyclic graph."""
 
 
-@dataclass(frozen=True)
-class NetNode:
-    id: str
-    role: str
-    generates: str | None = None
-    demands: str | None = None
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, as its ``__slots__`` (plus
+    ``"__dict__"`` when it caches into the instance) and sets each one in
+    its own ``__init__`` with ``_set``.  From those fields alone it gets
+    ``==`` (objects of one class with equal fields), a hash equal to that
+    of the field tuple, the repr ``Name(field=value, ...)``, pickling
+    through the constructor, and an ``AttributeError`` on any assignment
+    or deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        get = attrgetter(*cls._fields)
+        # the field tuple, a one-tuple too, built by one C-level getter
+        cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._astuple(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple(self)
 
 
-@dataclass(frozen=True)
-class NetEdge:
-    id: str
-    tail: str
-    head: str
+_set = object.__setattr__  # how an ``__init__`` sets a field of a ``_Value``
+_by_id = attrgetter("id")
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
+class NetNode(_Value):
+    __slots__ = ("id", "role", "generates", "demands")
+
+    def __init__(
+        self, id: str, role: str, generates: str | None = None, demands: str | None = None
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "role", role)
+        _set(self, "generates", generates)
+        _set(self, "demands", demands)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class NetEdge(_Value):
+    __slots__ = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str) -> None:
+        _set(self, "id", id)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+
+
+class Violation(_Value):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "detail", detail)
+
+
+class ValidationReport(_Value):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -72,36 +128,39 @@ class ValidationReport:
         return {v.kind for v in self.violations}
 
 
-@dataclass(frozen=True)
-class UnicastViolation:
-    message: str
-    kind: str  # "generated" or "demanded"
-    count: int
+class UnicastViolation(_Value):
+    __slots__ = ("message", "kind", "count")
+
+    def __init__(self, message: str, kind: str, count: int) -> None:
+        _set(self, "message", message)
+        _set(self, "kind", kind)  # "generated" or "demanded"
+        _set(self, "count", count)
 
 
-@dataclass(frozen=True)
-class UnicastCheck:
-    ok: bool
-    violations: tuple[UnicastViolation, ...]
+class UnicastCheck(_Value):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[UnicastViolation, ...]) -> None:
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class CodedNetwork:
+class CodedNetwork(_Value):
     """Immutable network; node/edge/message lists are kept sorted by id."""
 
-    name: str
-    messages: tuple[str, ...]
-    nodes: tuple[NetNode, ...]
-    edges: tuple[NetEdge, ...]
+    __slots__ = ("name", "messages", "nodes", "edges", "__dict__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(sorted(self.messages)))
-        object.__setattr__(
-            self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id))
-        )
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: e.id))
-        )
+    def __init__(
+        self,
+        name: str,
+        messages: Iterable[str],
+        nodes: Iterable[NetNode],
+        edges: Iterable[NetEdge],
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "messages", tuple(sorted(messages)))
+        _set(self, "nodes", tuple(sorted(nodes, key=_by_id)))
+        _set(self, "edges", tuple(sorted(edges, key=_by_id)))
 
     # -- indexed views -----------------------------------------------------
 
@@ -346,7 +405,8 @@ def save(net: CodedNetwork) -> bytes:
     }
     text = _json_object(doc, 0) + "\n"
     if "\\" in text:
-        _refuse_surrogates([net.name, net.messages, *map(vars, net.nodes + net.edges)])
+        fields = [v._astuple(v) for v in net.nodes + net.edges]
+        _refuse_surrogates([net.name, net.messages, *fields])
     return text.encode("utf-8")
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
@@ -56,6 +55,8 @@ from .network import (
     ROLE_TERMINAL,
     CodedNetwork,
     _int_at_least,
+    _set,
+    _Value,
     topological_order,
     validate,
 )
@@ -69,20 +70,24 @@ _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
 _HOIST_MIN = 16  # loops over more candidates than this hoist their checks
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    node_budget: int = DEFAULT_BUDGET
+class SearchConfig(_Value):
+    __slots__ = ("node_budget",)
 
-    def __post_init__(self) -> None:
-        if not _int_at_least(self.node_budget, 1):
+    def __init__(self, node_budget: int = DEFAULT_BUDGET) -> None:
+        if not _int_at_least(node_budget, 1):
             raise ValueError("node_budget must be positive")
+        _set(self, "node_budget", node_budget)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: str
-    states_explored: int
-    code: FractionalCode | None = None
+class SearchOutcome(_Value):
+    __slots__ = ("status", "states_explored", "code")
+
+    def __init__(
+        self, status: str, states_explored: int, code: FractionalCode | None = None
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "states_explored", states_explored)
+        _set(self, "code", code)
 
 
 # -- tuple-based subspace helpers (hot path, kept free of FieldMatrix) --------
@@ -184,21 +189,35 @@ def decodable(
 # -- search planning ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _EdgeInfo:
-    edge_id: str
-    parents: tuple[int, ...]
-    forced_demand: int | None
+class _EdgeInfo(_Value):
+    __slots__ = ("edge_id", "parents", "forced_demand")
+
+    def __init__(
+        self, edge_id: str, parents: tuple[int, ...], forced_demand: int | None
+    ) -> None:
+        _set(self, "edge_id", edge_id)
+        _set(self, "parents", parents)
+        _set(self, "forced_demand", forced_demand)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    messages: tuple[str, ...]
-    edges: tuple[_EdgeInfo, ...]
-    checks_at: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    frontier_after: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    live_at: tuple[tuple[int, ...], ...]
-    terminals: tuple[tuple[str, int, tuple[int, ...]], ...]
+class _Plan(_Value):
+    __slots__ = ("messages", "edges", "checks_at", "frontier_after", "live_at", "terminals")
+
+    def __init__(
+        self,
+        messages: tuple[str, ...],
+        edges: tuple[_EdgeInfo, ...],
+        checks_at: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
+        frontier_after: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
+        live_at: tuple[tuple[int, ...], ...],
+        terminals: tuple[tuple[str, int, tuple[int, ...]], ...],
+    ) -> None:
+        _set(self, "messages", messages)
+        _set(self, "edges", edges)
+        _set(self, "checks_at", checks_at)
+        _set(self, "frontier_after", frontier_after)
+        _set(self, "live_at", live_at)
+        _set(self, "terminals", terminals)
 
 
 def _edge_order(net: CodedNetwork) -> list:

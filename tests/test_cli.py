@@ -6,13 +6,13 @@ import os
 import pkgutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ncchar
 from ncchar import (
+    CodedNetwork,
     FractionalCode,
     gadget_transform,
     gen_fano,
@@ -564,9 +564,12 @@ def test_malformed_inputs_exit_64_without_traceback(tmp_path, capsys):
     unwritten = tmp_path / "unwritten.json"
     # valid networks under construction names that cannot be built: a
     # family parameter out of range, and a union of a gadget network
-    bad_q = write_net(tmp_path, replace(gen_fano(), name="n1(q=1,n=1)"), "q1.json")
+    def renamed(net, name):
+        return CodedNetwork(name, net.messages, net.nodes, net.edges)
+
+    bad_q = write_net(tmp_path, renamed(gen_fano(), "n1(q=1,n=1)"), "q1.json")
     union_name = "union(gadget(n2(q=2,n=2),n=2),k=2)"
-    unbuildable = write_net(tmp_path, replace(gen_n1(6, 2), name=union_name), "u.json")
+    unbuildable = write_net(tmp_path, renamed(gen_n1(6, 2), union_name), "u.json")
     # a lone surrogate escape: saving such an id would not read it back
     surrogate_net = tmp_path / "surrogate_net.json"
     surrogate_net.write_text(json.dumps(doc).replace('"a1"', '"a\\ud800"'))
@@ -704,16 +707,32 @@ def test_each_command_imports_only_its_modules(tmp_path):
         "solve": ["solve", "n1.json", "--p", "2", "--out", "s.json"],
     }
     assert set(argvs) == set(COMMAND_MODULES) == set(cli._build_parser()._actions[-1].choices)
+    # what ncchar itself loads, beyond what the interpreter had at start-up
+    added = "sorted(m for m in sys.modules if m not in before)"
     for command, argv in argvs.items():
         exit_code, loaded = fresh_python(tmp_path, (
             "import json, sys\n"
+            "before = set(sys.modules)\n"
             "from ncchar.cli import main\n"
             f"code = main({argv!r})\n"
             "print()\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ncchar.'))]))\n"
+            f"print(json.dumps([code, {added}]))\n"
         ))
         assert exit_code == 0, command
-        assert set(loaded) == {f"ncchar.{m}" for m in COMMAND_MODULES[command] | {"cli"}}, command
+        ours = {m for m in loaded if m.startswith("ncchar.")}
+        assert ours == {f"ncchar.{m}" for m in COMMAND_MODULES[command] | {"cli"}}, command
+        # the value classes are plain classes: no command pays for dataclasses
+        assert "dataclasses" not in loaded, command
+    submodules = [m.name for m in pkgutil.iter_modules(ncchar.__path__)]
+    loaded = fresh_python(tmp_path, (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {submodules!r}:\n"
+        "    importlib.import_module('ncchar.' + name)\n"
+        f"print(json.dumps({added}))\n"
+    ))
+    assert {f"ncchar.{m}" for m in submodules} <= set(loaded)
+    assert "dataclasses" not in loaded
 
 
 def test_import_ncchar_is_lazy_and_every_name_resolves(tmp_path):
