@@ -489,6 +489,60 @@ def test_verify_decode_blocks_scale_linearly():
         assert not t.passed  # c != 1, so the block is not the identity
 
 
+def _with_rule(code, section, key, inputs):
+    """``code`` with the rule for ``key`` in ``section`` replaced."""
+    rules = dict(getattr(code, section), **{key: inputs})
+    edge_rules = rules if section == "edge_rules" else code.edge_rules
+    decode_rules = rules if section == "decode_rules" else code.decode_rules
+    return FractionalCode(code.k, code.n, code.modulus, edge_rules, decode_rules, q=code.q)
+
+
+def test_verify_rejects_decode_rule_reading_a_non_in_edge():
+    net = gen_n1(2, 1)
+    good = instantiate(solve_n1(2, 1), 2)
+    one = FieldMatrix.identity(1, 2)
+    code = _with_rule(good, "decode_rules", "Ta:a1", (CodeInput("a1->u1", one),))
+    with pytest.raises(CodeError) as exc:
+        verify(net, code)
+    assert str(exc.value) == (
+        "decode rule for 'Ta:a1' reads 'a1->u1', which is not one of its in-edges"
+    )
+    # edge rules alone are fine, so eval_transfer never sees the fault
+    assert eval_transfer(net, code) == eval_transfer(net, good)
+
+
+def test_verify_reports_a_broken_edge_rule_before_a_broken_decode_rule():
+    net = gen_n1(2, 1)
+    one = FieldMatrix.identity(1, 2)
+    code = instantiate(solve_n1(2, 1), 2)
+    code = _with_rule(code, "edge_rules", "u1->u3", (CodeInput("c1->u2", one),))
+    code = _with_rule(code, "decode_rules", "Ta:a1", (CodeInput("a1->u1", one),))
+    with pytest.raises(CodeError) as exc:
+        verify(net, code)
+    assert str(exc.value) == (
+        "rule for edge 'u1->u3' reads 'c1->u2', which is not an in-edge of its tail 'u1'"
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_verify_is_the_same_on_shared_and_distinct_matrices(p):
+    # instantiate shares each distinct matrix among its inputs; a loaded
+    # code holds one matrix per input
+    net = gen_n1(6, 2)
+    code = instantiate(solve_n1(6, 2), p)
+    loaded = load_code(save_code(code), net)
+
+    def matrix_ids(c):
+        rules = (*c.edge_rules.values(), *c.decode_rules.values())
+        return [id(inp.matrix) for inputs in rules for inp in inputs]
+
+    assert len(set(matrix_ids(code))) < len(matrix_ids(code))
+    assert len(set(matrix_ids(loaded))) == len(matrix_ids(loaded))
+    report = verify(net, code)
+    assert report.passed == (p != 5)
+    assert verify(net, loaded) == report
+
+
 def test_verify_reports_sorted_by_terminal():
     net = gen_n2(2, 1)
     report = verify(net, instantiate(solve_n2(2, 1), 3))
