@@ -290,8 +290,7 @@ def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
         raise ValueError("row mismatch between A and B")
     p = a.modulus.p
     na = a.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    aug, pivots = _rref(aug, p)
+    aug, pivots = _rref([a.row(i) + b.row(i) for i in range(a.rows)], p)
     for c in pivots:
         if c >= na:
             return None
@@ -299,7 +298,7 @@ def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
     for r, c in enumerate(pivots):
         for j in range(b.cols):
             flat[c * b.cols + j] = aug[r][na + j]
-    return FieldMatrix(na, b.cols, tuple(flat), a.modulus)
+    return FieldMatrix._trusted(na, b.cols, tuple(flat), a.modulus)
 
 
 def block_compose(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:

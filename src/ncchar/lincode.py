@@ -4,19 +4,20 @@ Sources emit blocks of k symbols, edges carry blocks of n symbols.  A
 code assigns each edge a rule combining the blocks on its tail's
 in-edges (n x n matrices) and/or the message generated at its tail
 (n x k matrices), and each terminal a decode rule (k x n matrices over
-its in-edges).  ``eval_transfer`` unrolls the rules into global transfer
-blocks, an n x k matrix per (edge, message); ``verify`` then checks that
-every terminal reconstructs its demand exactly: identity on the demanded
-block, zero on every other.
+its in-edges).  One rule evaluator runs both kinds: ``eval_transfer``
+unrolls the edge rules, in topological order, into global transfer
+blocks, an n x k matrix per (edge, message); ``verify`` then evaluates
+each decode rule on them and checks that every terminal reconstructs its
+demand exactly: identity on the demanded block, zero on every other.
 
 Transfer maps are sparse.  Each edge stores only its nonzero blocks, and
-evaluation and decoding multiply only stored blocks, so their cost
-follows the nonzero blocks rather than edges times messages.  Blocks are
-evaluated as raw row-major residue tuples: an edge's products are added
-unreduced and reduced mod p once.  Only ``eval_transfer`` wraps them, once
-each, as ``FieldMatrix`` blocks of a ``TransferBlocks`` map, which reads
-any other message of the network as the zero block; ``verify`` decodes
-from the raw tuples and builds a matrix only for each demanded block.
+a rule multiplies only stored blocks, so the cost follows the nonzero
+blocks rather than edges times messages.  Blocks are raw row-major
+residue tuples: a rule's products are added unreduced and reduced mod p
+once.  Only ``eval_transfer`` wraps them, once each, as ``FieldMatrix``
+blocks of a ``TransferBlocks`` map, which reads any other message of the
+network as the zero block; ``verify`` builds a matrix only for each
+demanded block.
 
 A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
@@ -54,6 +55,8 @@ from .network import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .network import NetNode
 
 SRC_PREFIX = "src:"
 
@@ -313,100 +316,70 @@ TransferMap = dict[str, TransferBlocks]
 Blocks = dict[str, tuple[int, ...]]  # message -> row-major residues, nonzero only
 
 
-def _sum_products(
-    terms: Sequence[tuple[list[tuple[int, ...]], Blocks]], k: int, p: int
+def _evaluate(
+    key: str, inputs: tuple[CodeInput, ...], node: NetNode, in_ids: set[str],
+    transfer: dict[str, Blocks], k: int, p: int, decode: bool = False,
 ) -> Blocks:
-    """The nonzero blocks of sum(A @ B[m] for A, B in terms), per message m.
+    """The nonzero output blocks of the rule for ``key``: an edge rule, or
+    with ``decode`` the decode rule of terminal ``key``.
 
-    Each term pairs the row slices of A with the stored blocks of B, whose
-    blocks have k columns.  Only stored blocks are multiplied, and the
-    products of a message are added unreduced and reduced mod p once.
+    ``node`` is the node whose in-edges, ``in_ids``, the rule may read: an
+    edge's tail, or the terminal itself.  ``transfer`` holds the blocks of
+    every edge evaluated so far.  An in-edge input A adds A @ B[m] for each
+    stored block B[m] of that edge; a ``src:<m>`` input S at the source
+    that generates m adds S @ I_k, which is S itself.  Decode rules never
+    read ``src:``, since the rule check refuses that on construction.  The
+    products of a message are added unreduced and reduced mod p once.  The
+    first input with a bad ref raises ``CodeError``: ``src:`` at the wrong
+    tail, a ref that is not an in-edge, or an in-edge never evaluated.
     """
-    acc: dict[str, list[int]] = {}
-    for rows, blocks in terms:
-        for m, b in blocks.items():
-            prod = _dot_rows(rows, b, k)
-            old = acc.get(m)
-            acc[m] = prod if old is None else list(map(add, old, prod))
-    out = {}
-    for m, total in acc.items():
-        flat = tuple([x % p for x in total])
-        if any(flat):
-            out[m] = flat
-    return out
+    acc: dict[str, Sequence[int]] = {}
+    for inp in inputs:
+        ref, m = inp.ref, inp.matrix
+        if ref.startswith(SRC_PREFIX):
+            msg = ref[len(SRC_PREFIX) :]
+            if node.role != ROLE_SOURCE or node.generates != msg:
+                fault = f"but its tail {node.id!r} does not generate that message"
+                break
+            blocks, rows = {msg: m.entries}, None  # S @ I_k is S: no product
+        elif ref not in in_ids:
+            edges = "one of its in-edges" if decode else f"an in-edge of its tail {node.id!r}"
+            fault = f"which is not {edges}"
+            break
+        elif (blocks := transfer.get(ref)) is None:
+            # only an edge from no node is skipped; verify does not run validate
+            fault = "which was never evaluated: its tail is not a node"
+            break
+        else:
+            rows = list(zip(*[iter(m.entries)] * m.cols))  # the rows of A, sliced once
+        for msg, b in blocks.items():
+            prod = b if rows is None else _dot_rows(rows, b, k)
+            old = acc.get(msg)
+            acc[msg] = prod if old is None else list(map(add, old, prod))
+    else:
+        reduced = ((msg, tuple([x % p for x in total])) for msg, total in acc.items())
+        return {msg: flat for msg, flat in reduced if any(flat)}
+    rule = f"decode rule for {key!r}" if decode else f"rule for edge {key!r}"
+    raise CodeError(f"{rule} reads {ref!r}, {fault}")
 
 
-Rows = dict[int, Sequence[tuple[int, ...]]]  # id of a matrix -> its row slices
-
-
-def _rows(m: FieldMatrix, sliced: Rows) -> Sequence[tuple[int, ...]]:
-    """The rows of ``m``, sliced at most twice per call.
-
-    ``sliced`` is that call's map, keyed by ``id``: the code holds every
-    matrix for the whole call, so no id is reused while the map lives.  A
-    matrix's first input only marks it seen, with ``()``, and its second
-    keeps the rows for the rest.  A code whose matrices are all distinct,
-    such as one read from a file, so keeps no rows: one kept list per
-    input would set off the garbage collector three times as often.
-    """
-    key = id(m)
-    kept = sliced.get(key)
-    if kept:
-        return kept
-    rows = [m.row(r) for r in range(m.rows)]
-    sliced[key] = () if kept is None else rows
-    return rows
-
-
-def _transfer(net: CodedNetwork, code: FractionalCode, sliced: Rows) -> dict[str, Blocks]:
+def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
     """Every edge's nonzero transfer blocks as flat row-major residue tuples.
 
     Edges are evaluated in topological order, so a broken rule is reported
-    at the first edge that has one.  Matrices are sliced into rows
-    through ``sliced`` (see ``_rows``).
+    at the first edge that has one.
     """
     node_by_id = net.node_map()
-    k = code.k
-    # a src: input S (n x k) adds S @ I_k to its message's block
-    ident = FieldMatrix.identity(k, code.modulus).entries
+    rules, k, p = code.edge_rules, code.k, code.modulus.p
     transfer: dict[str, Blocks] = {}
     for nid in topological_order(net):
         node = node_by_id[nid]
         in_ids = {pe.id for pe in net.in_edges(nid)}
         for e in net.out_edges(nid):
-            if e.id not in code.edge_rules:
+            if e.id not in rules:
                 raise CodeError(f"no rule for edge {e.id!r}")
-            terms = []
-            for inp in code.edge_rules[e.id]:
-                rows = _rows(inp.matrix, sliced)
-                if inp.ref.startswith(SRC_PREFIX):
-                    msg = inp.ref[len(SRC_PREFIX) :]
-                    if node.role != ROLE_SOURCE or node.generates != msg:
-                        raise CodeError(
-                            f"rule for edge {e.id!r} reads {inp.ref!r}, but its "
-                            f"tail {nid!r} does not generate that message"
-                        )
-                    terms.append((rows, {msg: ident}))
-                else:
-                    if inp.ref not in in_ids:
-                        raise CodeError(
-                            f"rule for edge {e.id!r} reads {inp.ref!r}, which is "
-                            f"not an in-edge of its tail {nid!r}"
-                        )
-                    try:
-                        terms.append((rows, transfer[inp.ref]))
-                    except KeyError:
-                        raise _unevaluated(f"rule for edge {e.id!r}", inp.ref) from None
-            transfer[e.id] = _sum_products(terms, k, code.modulus.p)
+            transfer[e.id] = _evaluate(e.id, rules[e.id], node, in_ids, transfer, k, p)
     return transfer
-
-
-def _unevaluated(rule: str, ref: str) -> CodeError:
-    """The error for a rule reading in-edge ``ref`` that ``_transfer``
-    never evaluated.  Only an edge whose tail is not a node is skipped:
-    ``validate`` refuses such a network, but ``verify`` and
-    ``eval_transfer`` do not run it."""
-    return CodeError(f"{rule} reads {ref!r}, which was never evaluated: its tail is not a node")
 
 
 def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
@@ -425,7 +398,7 @@ def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
             messages,
             zero,
         )
-        for eid, blocks in _transfer(net, code, {}).items()
+        for eid, blocks in _transfer(net, code).items()
     }
 
 
@@ -464,11 +437,11 @@ class VerificationReport(_Value):
 def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     """Exact per-terminal check of the decode rules against the transfers.
 
-    Decoding works on the raw blocks of ``_transfer``; only each
-    terminal's demanded block becomes a ``FieldMatrix``.
+    Each decode rule is evaluated like an edge rule, after every edge, on
+    the raw blocks of ``_transfer``; only each terminal's demanded block
+    becomes a ``FieldMatrix``.
     """
-    sliced: Rows = {}
-    transfer = _transfer(net, code, sliced)
+    transfer = _transfer(net, code)
     messages = frozenset(net.messages)
     k, mod = code.k, code.modulus
     ident = FieldMatrix.identity(k, mod)
@@ -478,23 +451,13 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     for term in net.terminals():
         if term.demands is None:
             raise CodeError(f"terminal {term.id!r} has no demand")
-        terms = []
         in_ids = {e.id for e in net.in_edges(term.id)}
-        for inp in code.decode_rules.get(term.id, ()):
-            if inp.ref not in in_ids:
-                raise CodeError(
-                    f"decode rule for {term.id!r} reads {inp.ref!r}, which is "
-                    f"not one of its in-edges"
-                )
-            try:
-                terms.append((_rows(inp.matrix, sliced), transfer[inp.ref]))
-            except KeyError:
-                raise _unevaluated(f"decode rule for {term.id!r}", inp.ref) from None
+        inputs = code.decode_rules.get(term.id, ())
+        decoded = _evaluate(term.id, inputs, term, in_ids, transfer, k, mod.p, decode=True)
         if term.demands not in messages:
             raise CodeError(
                 f"terminal {term.id!r} demands unknown message {term.demands!r}"
             )
-        decoded = _sum_products(terms, k, mod.p)
         demanded = FieldMatrix._trusted(k, k, decoded.get(term.demands, zero), mod)
         # net.messages is sorted, so sorting keeps the message order
         interferers = tuple(sorted(m for m in decoded if m != term.demands))

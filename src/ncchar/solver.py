@@ -48,7 +48,7 @@ import itertools
 from operator import mul
 from typing import Sequence
 
-from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus
+from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
 from .lincode import SRC_PREFIX, CodeInput, FractionalCode
 from .network import (
     ROLE_SOURCE,
@@ -613,7 +613,8 @@ def _witness(
 ) -> FractionalCode:
     """The code that gives each edge its found basis padded to n rows and
     each terminal its demand's unit block, from its parents' padded bases:
-    one ``_rref`` per rule, of the system transposed; free variables are 0."""
+    one ``solve_right`` per rule, of the system transposed, which sets free
+    variables to 0."""
     E = len(plan.edges)
     cols = len(plan.messages) * k
     zero = (0,) * cols
@@ -623,21 +624,21 @@ def _witness(
     def padded(j, size):
         return values[j] + (zero,) * (size - len(values[j]))
 
+    def transposed(rows):
+        flat = tuple(itertools.chain.from_iterable(zip(*rows)))
+        return FieldMatrix._trusted(cols, len(rows), flat, mod)
+
     def inputs(parents, target):
         """The nonzero blocks of X with X . vstack(parents) = target, one
         input per parent: an edge stacks n rows, a message slot k."""
         sizes = [n if j < E else k for j in parents]
         stacked = [row for j, size in zip(parents, sizes) for row in padded(j, size)]
-        width, out_rows = len(stacked), len(target)
-        rows = [[s[c] for s in stacked] + [t[c] for t in target] for c in range(cols)]
-        mat, pivots = _rref(rows, mod.p)
-        assert not pivots or pivots[-1] < width, "witness state escaped its parent span"
-        xt = [(0,) * out_rows] * width
-        for r, c in enumerate(pivots):
-            xt[c] = mat[r][width:]
-        out, top = [], 0
+        xt = solve_right(transposed(stacked), transposed(target))
+        assert xt is not None, "witness state escaped its parent span"
+        out_rows, out, top = len(target), [], 0
+        x = [xt.entries[c::out_rows] for c in range(out_rows)]  # the rows of X
         for j, size in zip(parents, sizes):
-            flat = tuple(xt[top + r][c] for c in range(out_rows) for r in range(size))
+            flat = tuple([v for row in x for v in row[top : top + size]])
             top += size
             if any(flat):
                 block = FieldMatrix._trusted(out_rows, size, flat, mod)
