@@ -194,6 +194,50 @@ def test_solve_right_finds_constructed_solutions():
         assert mat_mul(a, x) == b
 
 
+def test_inverse_is_solve_right_against_identity():
+    rng = random.Random(8)
+    for p in (2, 3, 5):
+        mod = PrimeModulus(p)
+        for n in range(5):
+            ident = FieldMatrix.identity(n, p)
+            for _ in range(10):
+                a = rand_invertible(n, mod, rng) if n else ident
+                assert inverse(a) == solve_right(a, ident)
+
+
+def test_solve_right_against_identity_is_none_iff_singular():
+    rng = random.Random(9)
+    for p in (2, 3, 5):
+        mod = PrimeModulus(p)
+        for n in range(5):
+            ident = FieldMatrix.identity(n, p)
+            for _ in range(20):
+                a = FieldMatrix(
+                    n, n, tuple(rng.randrange(p) for _ in range(n * n)), mod
+                )
+                assert (solve_right(a, ident) is None) == (rank(a) < n)
+
+
+def test_solve_right_keeps_the_shape_of_empty_systems():
+    mod = PrimeModulus(3)
+    # no equations: every m x k matrix solves it, and free variables are 0
+    for m in range(3):
+        for k in range(3):
+            a = FieldMatrix(0, m, (), mod)
+            b = FieldMatrix(0, k, (), mod)
+            assert solve_right(a, b) == FieldMatrix.zeros(m, k, mod)
+    # no unknowns: X is 0 x k, and A X = 0 holds only for B = 0
+    for r in range(3):
+        for k in range(3):
+            a = FieldMatrix(r, 0, (), mod)
+            assert solve_right(a, FieldMatrix.zeros(r, k, mod)) == FieldMatrix(
+                0, k, (), mod
+            )
+            if r and k:
+                b = FieldMatrix(r, k, (1,) + (0,) * (r * k - 1), mod)
+                assert solve_right(a, b) is None
+
+
 # ---------------------------------------------------------------------------
 # block composition / block identity check
 # ---------------------------------------------------------------------------
