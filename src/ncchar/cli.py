@@ -147,8 +147,9 @@ def _construction_from_name(
     Wrappers are peeled in a loop, not by recursion, then applied inside out.
     Returns (network, symbolic code, base family), or None once a level
     has more than ``edge_count`` edges (a union of k copies has k times),
-    and before anything is built if the base family must have more, or a
-    gadget's n is not the family's.
+    and before anything is built if the base family must have more.  A
+    gadget whose n is not the family's is refused before anything is built:
+    ``lift_gadget`` lifts the family's code only at the family's n.
     """
     from .constructions import gadget_transform, gen_n1, gen_n2, union_copies
     from .solutions import lift_gadget, lift_union, solve_n1, solve_n2
@@ -171,10 +172,14 @@ def _construction_from_name(
     gen, solve = (gen_n1, solve_n1) if fam == "1" else (gen_n2, solve_n2)
     try:
         q, n = int(m[2]), int(m[3])
-        if _min_family_edges(q, n) > edge_count or any(
-            prefix == "gadget(" and value != n for prefix, value, _ in wrappers
-        ):
+        if _min_family_edges(q, n) > edge_count:
             return None
+        if any(prefix == "gadget(" and value != n for prefix, value, _ in wrappers):
+            raise _CliError(
+                EXIT_USAGE,
+                f"no closed-form code for {wrappers[0][2]!r}: "
+                "solve lifts a gadget only at its family's n",
+            )
         net, sym = gen(q, n), solve(q, n)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"bad construction name {name!r}: {exc}") from exc

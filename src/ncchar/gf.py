@@ -114,7 +114,7 @@ class FieldMatrix(_Value):
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) % mod.p for x in r)
+            flat.extend(_residues(r, mod.p))
         return cls._trusted(nrows, ncols, tuple(flat), mod)
 
     @classmethod
@@ -194,6 +194,16 @@ class FieldMatrix(_Value):
         )
 
 
+def _residues(row: Iterable[int], p: int) -> list[int]:
+    """The entries of ``row`` reduced mod p; each must be an int, not a bool."""
+    out = []
+    for x in row:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"entry {x!r} not an int")
+        out.append(x % p)
+    return out
+
+
 def _dot_rows(rows: Sequence[Sequence[int]], b: Sequence[int], k: int) -> list[int]:
     """The row-major entries of A @ B, not yet reduced mod p.
 
@@ -250,6 +260,19 @@ def _rref(
     return rows, pivots
 
 
+def _solve(a_rows: Iterable, b_rows: Iterable, na: int, nb: int, p: int) -> list | None:
+    """The rows of one X with A X = B, or None when inconsistent: [A | B] is
+    reduced once and free variables are 0.  The widths keep the shape of a
+    system with no rows.  ``solve_right``, ``inverse`` and witnesses use it."""
+    aug, pivots = _rref([a + b for a, b in zip(a_rows, b_rows)], p)
+    if pivots and pivots[-1] >= na:  # pivots ascend: one is in B's columns
+        return None
+    x: list = [(0,) * nb] * na
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][na:]
+    return x
+
+
 # -- public operations ------------------------------------------------------
 
 
@@ -268,37 +291,28 @@ def rank(a: FieldMatrix) -> int:
 
 
 def inverse(a: FieldMatrix) -> FieldMatrix:
-    """Inverse via Gauss-Jordan on [A | I]; raises SingularMatrixError."""
+    """``solve_right(A, I)``, which for a square A is consistent exactly when
+    A is invertible, and then unique; raises SingularMatrixError."""
     if a.rows != a.cols:
         raise SingularMatrixError(f"non-square matrix {a.rows}x{a.cols}")
-    n = a.rows
-    p = a.modulus.p
-    aug = [list(a.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    aug, pivots = _rref(aug, p)
-    if pivots != list(range(n)):
+    x = solve_right(a, FieldMatrix.identity(a.rows, a.modulus))
+    if x is None:
         raise SingularMatrixError("matrix is singular")
-    return FieldMatrix.from_rows([row[n:] for row in aug], a.modulus)
+    return x
 
 
 def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
-    """One exact solution X of A X = B, or None when inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
+    """One exact solution X of A X = B, or None when inconsistent; free
+    variables are set to zero, so the result is deterministic."""
     a._require_same_field(b)
     if a.rows != b.rows:
         raise ValueError("row mismatch between A and B")
-    p = a.modulus.p
-    na = a.cols
-    aug, pivots = _rref([a.row(i) + b.row(i) for i in range(a.rows)], p)
-    for c in pivots:
-        if c >= na:
-            return None
-    flat = [0] * (na * b.cols)
-    for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            flat[c * b.cols + j] = aug[r][na + j]
-    return FieldMatrix._trusted(na, b.cols, tuple(flat), a.modulus)
+    rows = range(a.rows)
+    x = _solve(map(a.row, rows), map(b.row, rows), a.cols, b.cols, a.modulus.p)
+    if x is None:
+        return None
+    flat = tuple([v for row in x for v in row])
+    return FieldMatrix._trusted(a.cols, b.cols, flat, a.modulus)
 
 
 def block_compose(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:
@@ -323,14 +337,12 @@ def block_compose(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:
                     f"block ({i},{j}) has shape {blk.rows}x{blk.cols}, "
                     f"expected {heights[i]}x{widths[j]}"
                 )
-    out_rows: list[list[int]] = []
+    flat: list[int] = []  # validated blocks: canonical residues already
     for i, row in enumerate(blocks):
         for r in range(heights[i]):
-            line: list[int] = []
             for blk in row:
-                line.extend(blk.row(r))
-            out_rows.append(line)
-    return FieldMatrix.from_rows(out_rows, mod)
+                flat.extend(blk.row(r))
+    return FieldMatrix._trusted(sum(heights), sum(widths), tuple(flat), mod)
 
 
 def block_identity_check(

@@ -48,7 +48,7 @@ import itertools
 from operator import mul
 from typing import Sequence
 
-from .gf import FieldMatrix, PrimeModulus, _rref, as_modulus, solve_right
+from .gf import FieldMatrix, PrimeModulus, _residues, _rref, _solve, as_modulus
 from .lincode import SRC_PREFIX, CodeInput, FractionalCode
 from .network import (
     ROLE_SOURCE,
@@ -164,7 +164,8 @@ def decodable(
     (see ``_in_span``).
 
     ``demand`` is a coordinate index, or a message id resolved against
-    ``messages`` (the coordinate order of the vectors).
+    ``messages`` (the coordinate order of the vectors).  Entries must be
+    ints, not bools; they are reduced mod p.
     """
     mod = as_modulus(p)
     if isinstance(demand, str):
@@ -174,7 +175,7 @@ def decodable(
             demand = list(messages).index(demand)
         except ValueError as exc:
             raise ValueError(f"unknown message {demand!r}") from exc
-    vecs = [tuple(int(x) % mod.p for x in v) for v in vectors]
+    vecs = [tuple(_residues(v, mod.p)) for v in vectors]
     if not vecs:
         return False
     width = len(vecs[0])
@@ -613,30 +614,25 @@ def _witness(
 ) -> FractionalCode:
     """The code that gives each edge its found basis padded to n rows and
     each terminal its demand's unit block, from its parents' padded bases:
-    one ``solve_right`` per rule, of the system transposed, which sets free
-    variables to 0."""
+    each rule is X with X S = T, one ``gf._solve`` of Sᵀ Xᵀ = Tᵀ on the
+    transposed rows, which sets free variables to 0."""
     E = len(plan.edges)
-    cols = len(plan.messages) * k
-    zero = (0,) * cols
+    zero = (0,) * (len(plan.messages) * k)
     refs = [info.edge_id for info in plan.edges]
     refs += [SRC_PREFIX + msg for msg in plan.messages]
 
     def padded(j, size):
         return values[j] + (zero,) * (size - len(values[j]))
 
-    def transposed(rows):
-        flat = tuple(itertools.chain.from_iterable(zip(*rows)))
-        return FieldMatrix._trusted(cols, len(rows), flat, mod)
-
     def inputs(parents, target):
         """The nonzero blocks of X with X . vstack(parents) = target, one
         input per parent: an edge stacks n rows, a message slot k."""
         sizes = [n if j < E else k for j in parents]
         stacked = [row for j, size in zip(parents, sizes) for row in padded(j, size)]
-        xt = solve_right(transposed(stacked), transposed(target))
-        assert xt is not None, "witness state escaped its parent span"
         out_rows, out, top = len(target), [], 0
-        x = [xt.entries[c::out_rows] for c in range(out_rows)]  # the rows of X
+        xt = _solve(zip(*stacked), zip(*target), len(stacked), out_rows, mod.p)
+        assert xt is not None, "witness state escaped its parent span"
+        x = list(zip(*xt))  # the rows of X
         for j, size in zip(parents, sizes):
             flat = tuple([v for row in x for v in row[top : top + size]])
             top += size

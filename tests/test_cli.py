@@ -188,21 +188,46 @@ def test_solve_refuses_a_name_larger_than_its_file(tmp_path, capsys, monkeypatch
             real = getattr(module, f)
             monkeypatch.setattr(module, f, lambda *a, f=f, real=real: built.append(f) or real(*a))
     net = gen_n1(2, 1)
+    mismatch = "does not match its construction name"
     cases = {
-        "union(n1(q=2,n=1),k=400)": ["gen_n1", "solve_n1"],
-        "gadget(n1(q=2,n=1),n=1)": ["gen_n1", "solve_n1", "gadget_transform"],
-        "n1(q=300,n=1)": [],
-        "gadget(n1(q=2,n=1),n=60000)": [],
+        "union(n1(q=2,n=1),k=400)": (["gen_n1", "solve_n1"], mismatch),
+        "gadget(n1(q=2,n=1),n=1)": (
+            ["gen_n1", "solve_n1", "gadget_transform"], mismatch
+        ),
+        "n1(q=300,n=1)": ([], mismatch),
+        "gadget(n1(q=2,n=1),n=60000)": (
+            [],
+            "no closed-form code for 'gadget(n1(q=2,n=1),n=60000)': "
+            "solve lifts a gadget only at its family's n",
+        ),
     }
-    for name, builders in cases.items():
+    for name, (builders, message) in cases.items():
         renamed = type(net)(name, net.messages, net.nodes, net.edges)
         net_path = write_net(tmp_path, renamed)
         built.clear()
         code, out, err = run(capsys, "solve", str(net_path), "--p", "2")
         assert code == 64 and out == ""
-        assert "does not match its construction name" in err
+        assert message in err
         assert len(err.strip().splitlines()) == 1
         assert built == builders, name
+
+
+def test_solve_of_a_gadget_at_another_n_says_why(tmp_path, capsys):
+    # the file is exactly the construction its name says, but solve's closed
+    # form lifts a gadget only at the family's n
+    base = write_net(tmp_path, gen_n1(2, 1), "n1.json")
+    out = tmp_path / "g.json"
+    code, _, _ = run(capsys, "gadget", str(base), "--n", "2", "--out", str(out))
+    assert code == 0
+    net = load(out.read_bytes())
+    assert net == gadget_transform(gen_n1(2, 1), 2)
+    assert net.name == "gadget(n1(q=2,n=1),n=2)"
+    code, stdout, err = run(capsys, "solve", str(out), "--p", "2")
+    assert code == 64 and stdout == ""
+    assert err.strip() == (
+        "no closed-form code for 'gadget(n1(q=2,n=1),n=2)': "
+        "solve lifts a gadget only at its family's n"
+    )
 
 
 def test_family_edge_bound_is_a_lower_bound():

@@ -1,6 +1,7 @@
 """Exact prime-field matrix arithmetic."""
 
 import random
+import re
 
 import pytest
 
@@ -43,6 +44,15 @@ def test_modulus_rejects_non_primes():
 def test_from_rows_reduces_entries_mod_p():
     m = M([[4, -1], [3, 7]], 3)
     assert m.to_rows() == [[1, 2], [0, 1]]
+
+
+def test_from_rows_refuses_entries_that_are_not_ints():
+    # int() would truncate a float or parse a string: [[0.5, 1.5]] as (0, 1)
+    for bad in (0.5, 1.5, 2.0, "3", True, False, None):
+        with pytest.raises(ValueError, match=f"^entry {re.escape(repr(bad))} not an int$"):
+            M([[0, bad]], 5)
+    big = 2**70 + 3
+    assert M([[-1, big, -big]], 5).to_rows() == [[4, big % 5, -big % 5]]
 
 
 def test_entries_outside_field_rejected():
@@ -257,6 +267,12 @@ def test_block_compose_unit_rows_make_identity():
     for n in (2, 3, 4):
         grid = [[M([[1 if c == r else 0 for c in range(n)]], 2)] for r in range(n)]
         assert block_compose(grid) == FieldMatrix.identity(n, 2)
+
+
+def test_block_compose_keeps_the_width_of_blocks_with_no_rows():
+    mod = PrimeModulus(2)
+    empty = block_compose([[FieldMatrix(0, 2, (), mod), FieldMatrix(0, 1, (), mod)]])
+    assert (empty.rows, empty.cols) == (0, 3)
 
 
 def test_block_compose_rejects_ragged_grids():

@@ -85,6 +85,16 @@ def test_decodable_scaling_is_free():
     assert decodable([(0, 2)], 1, 3)
 
 
+def test_decodable_refuses_entries_that_are_not_ints():
+    # int() would truncate 0.9 to 0 and answer "not decodable"
+    for bad in (0.9, 1.0, "1", True):
+        with pytest.raises(ValueError, match=f"^entry {bad!r} not an int$"):
+            decodable([[bad, 1]], 0, 2)
+    # negative and large ints are still reduced mod p
+    assert decodable([(0, -2)], 1, 3)
+    assert decodable([(3**40 + 1, 3**41)], 0, 3)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_decoding_tests_agree_with_rank_oracle(p, k):
