@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constructions": """GadgetApplication gadget_transform gadget_transform_traced
         gen_fano gen_n1 gen_n2 gen_nonfano union_copies""",
-    "gf": """FieldMatrix PrimeModulus SingularMatrixError as_modulus block_compose
-        block_identity_check inverse mat_add mat_mul rank solve_right""",
+    "gf": """FieldMatrix PrimeModulus SingularMatrixError as_modulus inverse rank
+        solve_right""",
     "lincode": """CharacteristicError CodeError CodeFormatError CodeInput FractionalCode
         SymbolicCode SymInput SymMatrix TerminalReport VerificationReport
-        eval_transfer instantiate load_code rate save_code verify""",
+        eval_transfer instantiate load_code save_code verify""",
     "network": """CodedNetwork CycleError NetEdge NetNode NetworkFormatError
         UnicastCheck ValidationReport Violation is_multiple_unicast load save
         topological_order validate""",

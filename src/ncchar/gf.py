@@ -51,9 +51,6 @@ class PrimeModulus(_Value):
             raise ValueError(f"modulus {p} is not prime")
         _set(self, "p", p)
 
-    def __int__(self) -> int:
-        return self.p
-
 
 def as_modulus(p: "PrimeModulus | int") -> PrimeModulus:
     return p if isinstance(p, PrimeModulus) else PrimeModulus(p)
@@ -107,6 +104,7 @@ class FieldMatrix(_Value):
     def from_rows(
         cls, rows: Sequence[Sequence[int]], p: "PrimeModulus | int"
     ) -> "FieldMatrix":
+        """Rows reduced mod p; ``[]`` is 0x0, and 0 x m is ``FieldMatrix(0, m, (), mod)``."""
         mod = as_modulus(p)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -131,11 +129,6 @@ class FieldMatrix(_Value):
         return cls(size, size, tuple(flat), mod)
 
     # -- element access --------------------------------------------------
-
-    def at(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r},{c}) outside {self.rows}x{self.cols}")
-        return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> tuple[int, ...]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
@@ -162,22 +155,6 @@ class FieldMatrix(_Value):
         p = self.modulus.p
         flat = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
         return FieldMatrix._trusted(self.rows, self.cols, flat, self.modulus)
-
-    def __neg__(self) -> "FieldMatrix":
-        p = self.modulus.p
-        return FieldMatrix._trusted(
-            self.rows, self.cols, tuple((-a) % p for a in self.entries), self.modulus
-        )
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        return self + (-other)
-
-    def scale(self, c: int) -> "FieldMatrix":
-        p = self.modulus.p
-        c %= p
-        return FieldMatrix._trusted(
-            self.rows, self.cols, tuple((c * a) % p for a in self.entries), self.modulus
-        )
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._require_same_field(other)
@@ -276,14 +253,6 @@ def _solve(a_rows: Iterable, b_rows: Iterable, na: int, nb: int, p: int) -> list
 # -- public operations ------------------------------------------------------
 
 
-def mat_add(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    return a + b
-
-
-def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    return a @ b
-
-
 def rank(a: FieldMatrix) -> int:
     rows = a.to_rows()
     _, pivots = _rref(rows, a.modulus.p)
@@ -314,64 +283,3 @@ def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
     flat = tuple([v for row in x for v in row])
     return FieldMatrix._trusted(a.cols, b.cols, flat, a.modulus)
 
-
-def block_compose(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:
-    """Assemble a grid of blocks into one matrix.
-
-    Block heights must agree along each grid row and widths along each
-    grid column, and every block must share one modulus.
-    """
-    if not blocks or not blocks[0]:
-        raise ValueError("empty block grid")
-    mod = blocks[0][0].modulus
-    heights = [row[0].rows for row in blocks]
-    widths = [blk.cols for blk in blocks[0]]
-    for i, row in enumerate(blocks):
-        if len(row) != len(widths):
-            raise ValueError("ragged block grid")
-        for j, blk in enumerate(row):
-            if blk.modulus != mod:
-                raise ValueError("mixed moduli in block grid")
-            if blk.rows != heights[i] or blk.cols != widths[j]:
-                raise ValueError(
-                    f"block ({i},{j}) has shape {blk.rows}x{blk.cols}, "
-                    f"expected {heights[i]}x{widths[j]}"
-                )
-    flat: list[int] = []  # validated blocks: canonical residues already
-    for i, row in enumerate(blocks):
-        for r in range(heights[i]):
-            for blk in row:
-                flat.extend(blk.row(r))
-    return FieldMatrix._trusted(sum(heights), sum(widths), tuple(flat), mod)
-
-
-def block_identity_check(
-    a_blocks: Sequence[FieldMatrix], b_blocks: Sequence[FieldMatrix]
-) -> bool:
-    """True iff A_i B_j = I for i = j and A_i B_j = 0 for i != j.
-
-    The A_i must be d x dn and the B_j dn x d with n the number of
-    blocks on each side; stacking the A_i over the B_j then yields a
-    two-sided identity, so both stacks are invertible.
-    """
-    if not a_blocks or len(a_blocks) != len(b_blocks):
-        raise ValueError("need equally many A and B blocks")
-    n = len(a_blocks)
-    d = a_blocks[0].rows
-    mod = a_blocks[0].modulus
-    for blk in a_blocks:
-        if blk.modulus != mod or blk.rows != d or blk.cols != d * n:
-            raise ValueError("A blocks must all be d x dn over one field")
-    for blk in b_blocks:
-        if blk.modulus != mod or blk.rows != d * n or blk.cols != d:
-            raise ValueError("B blocks must all be dn x d over one field")
-    ident = FieldMatrix.identity(d, mod)
-    for i, a in enumerate(a_blocks):
-        for j, b in enumerate(b_blocks):
-            prod = a @ b
-            if i == j:
-                if prod != ident:
-                    return False
-            elif not prod.is_zero:
-                return False
-    return True

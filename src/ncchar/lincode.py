@@ -23,7 +23,8 @@ A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
 construction parameter q.  ``instantiate`` maps it onto GF(p), which
 fails precisely when an inverse of q is used but p divides q.  Equal
-symbolic matrices of one code become one shared ``FieldMatrix``.
+symbolic matrices of one code become one shared ``FieldMatrix``, and
+``load_code`` shares the equal matrices of one file the same way.
 
 ``save_code`` writes either kind as a canonical file: the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, produced by
@@ -54,8 +55,6 @@ from .network import (
 )
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .network import NetNode
 
 SRC_PREFIX = "src:"
@@ -277,12 +276,6 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
     )
 
 
-def rate(code: FractionalCode | SymbolicCode) -> Fraction:
-    from fractions import Fraction  # imported here: only rate needs it
-
-    return Fraction(code.k, code.n)
-
-
 # -- evaluation and verification ---------------------------------------------
 
 
@@ -469,6 +462,7 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
 # -- serialization ------------------------------------------------------------
 
 _INV_Q_RE = re.compile(r"^(-?\d+)\*INV_Q$")
+_JSON_ENTRY_TYPES = frozenset((int, str))  # the types of valid entries
 
 
 def _entry_to_json(entry: SymEntry) -> str:
@@ -574,6 +568,19 @@ def load_code(
         def matrix(rows: int, cols: int, flat: tuple) -> FieldMatrix:
             return FieldMatrix(rows, cols, flat, mod)
 
+    # One matrix per distinct entry list, as in ``instantiate``.  Any entry but
+    # an int or a str goes straight to ``matrix``, which refuses it: a bool or a
+    # float would hit the matrix of an equal int, and a list cannot be hashed.
+    shared: dict[tuple, FieldMatrix | SymMatrix] = {}
+
+    def shared_matrix(rows: int, cols: int, flat: tuple) -> FieldMatrix | SymMatrix:
+        if not _JSON_ENTRY_TYPES.issuperset(map(type, flat)):
+            return matrix(rows, cols, flat)
+        m = shared.get(flat)
+        if m is None or m.rows != rows:
+            m = shared[flat] = matrix(rows, cols, flat)
+        return m
+
     def parse_rules(raw: object, key_name: str, decode: bool):
         if not isinstance(raw, list):
             raise CodeFormatError(f"'{key_name}_rules' must be a list")
@@ -611,7 +618,7 @@ def load_code(
                     )
                 flat = tuple([v for row in rows for v in row])
                 try:
-                    inputs.append(make_input(ref, matrix(len(rows), len(rows[0]), flat)))
+                    inputs.append(make_input(ref, shared_matrix(len(rows), len(rows[0]), flat)))
                 except ValueError as exc:
                     raise CodeFormatError(f"{iw}: {exc}") from exc
             rules[key] = tuple(inputs)

@@ -9,16 +9,16 @@ from ncchar.gf import (
     FieldMatrix,
     PrimeModulus,
     SingularMatrixError,
-    block_compose,
-    block_identity_check,
     inverse,
-    mat_add,
-    mat_mul,
     rank,
     solve_right,
 )
 from util_oracles import (
+    _plus,
+    _rows_of,
+    _times,
     annihilating_block_family,
+    assert_block_products,
     identity_block_family,
     rand_invertible,
     rand_matrix,
@@ -55,6 +55,17 @@ def test_from_rows_refuses_entries_that_are_not_ints():
             M([[0, bad]], 5)
 
 
+def test_shapes_of_matrices_with_no_rows():
+    # an empty row list has no row to take a width from
+    empty = M([], 3)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 0, ())
+    mod = PrimeModulus(3)
+    for m in range(3):
+        wide = FieldMatrix(0, m, (), mod)
+        assert (wide.rows, wide.cols) == (0, m)
+        assert rand_matrix(0, m, mod, random.Random(0)) == wide
+
+
 def test_entries_outside_field_rejected():
     with pytest.raises(ValueError, match=r"^entry 5 outside \[0, 3\)$"):
         FieldMatrix(1, 1, (5,), PrimeModulus(3))
@@ -74,52 +85,60 @@ def test_entries_outside_field_rejected():
 
 def test_add_characteristic_two_self_cancels():
     a = M([[1, 1], [0, 1]], 2)
-    assert mat_add(a, a).is_zero
+    assert (a + a).is_zero
 
 
 def test_add_zero_is_identity():
     rng = random.Random(0)
     for p in (2, 3, 5):
         a = rand_matrix(3, 2, PrimeModulus(p), rng)
-        assert mat_add(a, FieldMatrix.zeros(3, 2, p)) == a
+        assert a + FieldMatrix.zeros(3, 2, p) == a
 
 
 def test_add_wraps_mod_three():
-    assert mat_add(M([[2]], 3), M([[2]], 3)) == M([[1]], 3)
+    assert M([[2]], 3) + M([[2]], 3) == M([[1]], 3)
 
 
 def test_add_shape_mismatch():
     with pytest.raises(ValueError):
-        mat_add(M([[1]], 2), M([[1, 0]], 2))
+        M([[1]], 2) + M([[1, 0]], 2)
     with pytest.raises(ValueError):
-        mat_add(M([[1]], 2), M([[1]], 3))
+        M([[1]], 2) + M([[1]], 3)
 
 
 def test_mul_identity():
     rng = random.Random(1)
     for p in (2, 5):
         a = rand_matrix(3, 3, PrimeModulus(p), rng)
-        assert mat_mul(FieldMatrix.identity(3, p), a) == a
-        assert mat_mul(a, FieldMatrix.identity(3, p)) == a
+        assert FieldMatrix.identity(3, p) @ a == a
+        assert a @ FieldMatrix.identity(3, p) == a
 
 
 def test_mul_involution_gf2():
     a = M([[1, 1], [0, 1]], 2)
-    assert mat_mul(a, a) == FieldMatrix.identity(2, 2)
+    assert a @ a == FieldMatrix.identity(2, 2)
 
 
 def test_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(M([[1, 0]], 2), M([[1, 0]], 2))
+        M([[1, 0]], 2) @ M([[1, 0]], 2)
 
 
 def test_operator_forms_match_functions():
+    # + and @ against hand-worked values and the tuple arithmetic of the oracles
     a = M([[1, 2], [0, 1]], 3)
     b = M([[2, 0], [1, 1]], 3)
-    assert a + b == mat_add(a, b)
-    assert a @ b == mat_mul(a, b)
-    assert (a - b) + b == a
-    assert a.scale(2) == a + a
+    assert a + b == M([[0, 2], [1, 2]], 3)
+    assert a @ b == M([[1, 2], [1, 1]], 3)
+    rng = random.Random(10)
+    for p in (2, 3, 5):
+        mod = PrimeModulus(p)
+        for _ in range(10):
+            a = rand_matrix(2, 3, mod, rng)
+            b = rand_matrix(2, 3, mod, rng)
+            c = rand_matrix(3, 4, mod, rng)
+            assert _rows_of(a + b) == _plus(_rows_of(a), _rows_of(b), p)
+            assert _rows_of(a @ c) == _times(_rows_of(a), _rows_of(c), p)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +169,8 @@ def test_inverse_round_trip_random():
         mod = PrimeModulus(p)
         for _ in range(20):
             a = rand_invertible(3, mod, rng)
-            assert mat_mul(a, inverse(a)) == FieldMatrix.identity(3, p)
-            assert mat_mul(inverse(a), a) == FieldMatrix.identity(3, p)
+            assert a @ inverse(a) == FieldMatrix.identity(3, p)
+            assert inverse(a) @ a == FieldMatrix.identity(3, p)
 
 
 def test_invertible_iff_full_rank_exhaustive_2x2():
@@ -163,7 +182,7 @@ def test_invertible_iff_full_rank_exhaustive_2x2():
                     for a11 in range(p):
                         a = M([[a00, a01], [a10, a11]], p)
                         if rank(a) == 2:
-                            assert mat_mul(a, inverse(a)) == FieldMatrix.identity(2, p)
+                            assert a @ inverse(a) == FieldMatrix.identity(2, p)
                         else:
                             with pytest.raises(SingularMatrixError):
                                 inverse(a)
@@ -190,7 +209,7 @@ def test_solve_right_solutions_are_exact():
             b = rand_matrix(3, 2, mod, rng)
             x = solve_right(a, b)
             if x is not None:
-                assert mat_mul(a, x) == b
+                assert a @ x == b
 
 
 def test_solve_right_finds_constructed_solutions():
@@ -198,10 +217,10 @@ def test_solve_right_finds_constructed_solutions():
     for _ in range(40):
         a = rand_matrix(2, 3, PrimeModulus(3), rng)
         x0 = rand_matrix(3, 2, PrimeModulus(3), rng)
-        b = mat_mul(a, x0)
+        b = a @ x0
         x = solve_right(a, b)
         assert x is not None
-        assert mat_mul(a, x) == b
+        assert a @ x == b
 
 
 def test_inverse_is_solve_right_against_identity():
@@ -249,58 +268,29 @@ def test_solve_right_keeps_the_shape_of_empty_systems():
 
 
 # ---------------------------------------------------------------------------
-# block composition / block identity check
+# block identity families
 # ---------------------------------------------------------------------------
-
-def test_block_compose_single_block():
-    a = M([[1, 2], [0, 1]], 3)
-    assert block_compose([[a]]) == a
-
-
-def test_block_compose_stacks_rows():
-    top = M([[1, 0]], 2)
-    bot = M([[0, 1]], 2)
-    assert block_compose([[top], [bot]]) == FieldMatrix.identity(2, 2)
-
-
-def test_block_compose_unit_rows_make_identity():
-    for n in (2, 3, 4):
-        grid = [[M([[1 if c == r else 0 for c in range(n)]], 2)] for r in range(n)]
-        assert block_compose(grid) == FieldMatrix.identity(n, 2)
-
-
-def test_block_compose_keeps_the_width_of_blocks_with_no_rows():
-    mod = PrimeModulus(2)
-    empty = block_compose([[FieldMatrix(0, 2, (), mod), FieldMatrix(0, 1, (), mod)]])
-    assert (empty.rows, empty.cols) == (0, 3)
-
-
-def test_block_compose_rejects_ragged_grids():
-    with pytest.raises(ValueError):
-        block_compose([[M([[1, 0]], 2)], [M([[1]], 2)]])
-
 
 def test_block_identity_check_unit_vectors():
     a = [M([[1, 0]], 2), M([[0, 1]], 2)]
     b = [M([[1], [0]], 2), M([[0], [1]], 2)]
-    assert block_identity_check(a, b)
+    assert_block_products(a, b, FieldMatrix.identity(1, 2))
 
 
 def test_block_identity_check_rejects_bad_diagonal():
     a = [M([[1, 0]], 2), M([[0, 1]], 2)]
     b = [M([[0], [1]], 2), M([[1], [0]], 2)]  # swapped: A_1 B_1 = 0
-    assert not block_identity_check(a, b)
+    with pytest.raises(AssertionError, match=r"^block \(0,0\) is \[\[0\]\]$"):
+        assert_block_products(a, b, FieldMatrix.identity(1, 2))
 
 
 def test_block_identity_from_invertible_matrix():
     rng = random.Random(5)
     mod = PrimeModulus(3)
     a, b = identity_block_family(2, 2, mod, rng)
-    assert block_identity_check(a, b)
-    # and the stacked product is the full identity
-    stacked = block_compose([[ai] for ai in a])
-    wide = block_compose([list(b)])
-    assert mat_mul(stacked, wide) == FieldMatrix.identity(4, 3)
+    assert [(m.rows, m.cols) for m in a] == [(2, 4)] * 2
+    assert [(m.rows, m.cols) for m in b] == [(4, 2)] * 2
+    assert_block_products(a, b, FieldMatrix.identity(2, 3))
 
 
 def test_block_families_compose_to_identity_sampled():
@@ -312,11 +302,7 @@ def test_block_families_compose_to_identity_sampled():
             for n in (2, 3):
                 for _ in range(10):
                     a, b = identity_block_family(d, n, mod, rng)
-                    assert block_identity_check(a, b)
-                    prod = mat_mul(
-                        block_compose([[ai] for ai in a]), block_compose([list(b)])
-                    )
-                    assert prod == FieldMatrix.identity(d * n, p)
+                    assert_block_products(a, b, FieldMatrix.identity(d, p))
 
 
 def test_annihilating_families_compose_to_zero_sampled():
@@ -327,7 +313,20 @@ def test_annihilating_families_compose_to_zero_sampled():
             for n in (2, 3):
                 for _ in range(10):
                     a, b = annihilating_block_family(d, n, mod, rng)
-                    prod = mat_mul(
-                        block_compose([[ai] for ai in a]), block_compose([list(b)])
-                    )
-                    assert prod.is_zero
+                    assert_block_products(a, b, None)
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark patches
+# ---------------------------------------------------------------------------
+
+def test_benchmark_hooks_exist():
+    # bench/harness.py (GfCounter) reads these from FieldMatrix.__dict__ by
+    # name and bench/run.py wraps lincode.eval_transfer: without them every
+    # traced benchmark pass fails
+    from ncchar import lincode
+
+    for name in ("__init__", "__matmul__", "__add__"):
+        assert callable(FieldMatrix.__dict__[name]), name
+    assert isinstance(FieldMatrix.__dict__["is_zero"], property)
+    assert callable(lincode.eval_transfer)

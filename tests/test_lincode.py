@@ -2,7 +2,6 @@
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,6 @@ from ncchar import (
     lift_gadget,
     lift_union,
     load_code,
-    rate,
     save_code,
     solve_n1,
     solve_n2,
@@ -466,6 +464,9 @@ def test_verify_no_terminals_is_vacuous():
 
 
 def test_verify_decode_blocks_scale_linearly():
+    def scaled_by(m, c):
+        return FieldMatrix.from_rows([[c * x for x in row] for row in m.to_rows()], m.modulus)
+
     net = tiny_net()
     for p, c in ((3, 2), (5, 3)):
         base = tiny_code(p)
@@ -477,14 +478,14 @@ def test_verify_decode_blocks_scale_linearly():
             base.edge_rules,
             {
                 term: tuple(
-                    CodeInput(inp.ref, inp.matrix.scale(c)) for inp in inputs
+                    CodeInput(inp.ref, scaled_by(inp.matrix, c)) for inp in inputs
                 )
                 for term, inputs in base.decode_rules.items()
             },
         )
         report = verify(net, scaled)
         (t,) = report.terminals
-        assert t.demanded_block == FieldMatrix.identity(1, p).scale(c)
+        assert t.demanded_block == scaled_by(FieldMatrix.identity(1, p), c)
         assert t.interferers == ()
         assert not t.passed  # c != 1, so the block is not the identity
 
@@ -526,21 +527,32 @@ def test_verify_reports_a_broken_edge_rule_before_a_broken_decode_rule():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_verify_is_the_same_on_shared_and_distinct_matrices(p):
-    # instantiate shares each distinct matrix among its inputs; a loaded
-    # code holds one matrix per input
+    # instantiate and load_code share each distinct matrix among their
+    # inputs; the rebuilt code holds one matrix per input
     net = gen_n1(6, 2)
     code = instantiate(solve_n1(6, 2), p)
     loaded = load_code(save_code(code), net)
 
-    def matrix_ids(c):
-        rules = (*c.edge_rules.values(), *c.decode_rules.values())
-        return [id(inp.matrix) for inputs in rules for inp in inputs]
+    def rebuilt(rules):  # a new matrix for every input
+        return {
+            key: tuple(CodeInput(i.ref, FieldMatrix.from_rows(i.matrix.to_rows(), p)) for i in ins)
+            for key, ins in rules.items()
+        }
 
-    assert len(set(matrix_ids(code))) < len(matrix_ids(code))
-    assert len(set(matrix_ids(loaded))) == len(matrix_ids(loaded))
+    edge_rules, decode_rules = rebuilt(code.edge_rules), rebuilt(code.decode_rules)
+    distinct = FractionalCode(code.k, code.n, code.modulus, edge_rules, decode_rules, q=code.q)
+
+    def matrices(c):
+        rules = (*c.edge_rules.values(), *c.decode_rules.values())
+        return [inp.matrix for inputs in rules for inp in inputs]
+
+    assert loaded == distinct == code
+    assert len({id(m) for m in matrices(code)}) < len(matrices(code))
+    assert len({id(m) for m in matrices(loaded)}) == len(set(matrices(loaded)))
+    assert len({id(m) for m in matrices(distinct)}) == len(matrices(distinct))
     report = verify(net, code)
     assert report.passed == (p != 5)
-    assert verify(net, loaded) == report
+    assert verify(net, loaded) == verify(net, distinct) == report
 
 
 def test_verify_reports_sorted_by_terminal():
@@ -549,24 +561,6 @@ def test_verify_reports_sorted_by_terminal():
     ids = [t.terminal for t in report.terminals]
     assert ids == sorted(ids)
     assert report.passed
-
-
-# ---------------------------------------------------------------------------
-# rate
-# ---------------------------------------------------------------------------
-
-def test_rate_examples():
-    assert rate(tiny_code()) == Fraction(1, 1)
-    assert rate(instantiate(solve_n1(2, 2), 2)) == Fraction(1, 2)
-    assert rate(solve_n2(2, 3)) == Fraction(1, 3)
-
-
-def test_rate_reduces():
-    mod = FieldMatrix.zeros(1, 1, 2).modulus
-    code = FractionalCode(2, 4, mod, {}, {})
-    assert rate(code) == Fraction(1, 2)
-    code = FractionalCode(3, 3, mod, {}, {})
-    assert rate(code) == Fraction(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +610,39 @@ def test_load_rejects_bool_or_null_where_an_int_is_expected():
     for doc in cases:
         with pytest.raises(CodeFormatError):
             load_code(json.dumps(doc))
+
+
+def test_load_refuses_entries_in_place_of_a_shared_matrix():
+    # True == 1.0 == 1 with one hash, so neither may reuse the matrix [[1]]
+    # read before it, and a list may not be hashed: each is refused with the
+    # text it gets on its own
+    field = save_code(instantiate(solve_n1(2, 1), 2))
+    symbolic = save_code(solve_n1(2, 1))
+    for data, bad, text in (
+        (field, True, "entry True not an int"),
+        (field, 1.0, "entry 1.0 not an int"),
+        (field, [1], "entry [1] not an int"),
+        (symbolic, True, "entry must be an int or INV_Q token"),
+        (symbolic, 1.0, "bad entry 1.0"),
+        (symbolic, [1], "bad entry [1]"),
+    ):
+        doc = json.loads(data)
+        first, last = doc["edge_rules"][0]["inputs"][0], doc["edge_rules"][31]["inputs"][0]
+        assert first["matrix"] == last["matrix"] == [[1]]
+        last["matrix"] = [[bad]]
+        with pytest.raises(CodeFormatError) as exc:
+            load_code(json.dumps(doc))
+        assert str(exc.value) == f"edge_rules[31].inputs[0]: {text}"
+
+
+def test_load_shares_one_matrix_per_distinct_value():
+    code = instantiate(solve_n1(30, 4), 3)
+    loaded = load_code(save_code(code))
+    assert loaded == code
+    rules = (*loaded.edge_rules.values(), *loaded.decode_rules.values())
+    matrices = [inp.matrix for inputs in rules for inp in inputs]
+    assert len(matrices) == 14_446
+    assert len({id(m) for m in matrices}) == len(set(matrices)) == 10
 
 
 def test_load_rejects_nesting_deeper_than_recursion_limit():

@@ -24,9 +24,8 @@ from ncchar.network import topological_order
 # ---------------------------------------------------------------------------
 
 def rand_matrix(rows: int, cols: int, mod: PrimeModulus, rng: random.Random) -> FieldMatrix:
-    return FieldMatrix.from_rows(
-        [[rng.randrange(mod.p) for _ in range(cols)] for _ in range(rows)], mod
-    )
+    flat = tuple(rng.randrange(mod.p) for _ in range(rows * cols))
+    return FieldMatrix(rows, cols, flat, mod)
 
 
 def rand_invertible(size: int, mod: PrimeModulus, rng: random.Random) -> FieldMatrix:
@@ -36,23 +35,22 @@ def rand_invertible(size: int, mod: PrimeModulus, rng: random.Random) -> FieldMa
             return m
 
 
+def _columns(m: FieldMatrix, start: int, stop: int) -> FieldMatrix:
+    flat = tuple(x for r in range(m.rows) for x in m.row(r)[start:stop])
+    return FieldMatrix(m.rows, stop - start, flat, m.modulus)
+
+
 def identity_block_family(d: int, n: int, mod: PrimeModulus, rng: random.Random):
     """Random (A_i, B_j) with A_i·B_j = δ_ij·I_d, via row/column blocks of
     a random invertible matrix and its inverse."""
     m = rand_invertible(d * n, mod, rng)
     minv = inverse(m)
+    width = d * d * n  # entries in d rows of minv
     a_blocks = [
-        FieldMatrix.from_rows(
-            [[minv.at(i * d + r, c) for c in range(d * n)] for r in range(d)], mod
-        )
+        FieldMatrix(d, d * n, minv.entries[i * width : (i + 1) * width], mod)
         for i in range(n)
     ]
-    b_blocks = [
-        FieldMatrix.from_rows(
-            [[m.at(r, j * d + c) for c in range(d)] for r in range(d * n)], mod
-        )
-        for j in range(n)
-    ]
+    b_blocks = [_columns(m, j * d, (j + 1) * d) for j in range(n)]
     return a_blocks, b_blocks
 
 
@@ -60,21 +58,28 @@ def annihilating_block_family(d: int, n: int, mod: PrimeModulus, rng: random.Ran
     """Random (A_i, B_j) with A_i·B_j = 0 for every i, j: the A rows live in
     the span of the first r rows of an invertible M, the B columns in the
     last dn−r columns of M⁻¹."""
-    from ncchar.gf import mat_mul
-
     dn = d * n
     r = rng.randrange(1, dn)
     m = rand_invertible(dn, mod, rng)
     minv = inverse(m)
-    top = FieldMatrix.from_rows(
-        [[m.at(i, c) for c in range(dn)] for i in range(r)], mod
-    )
-    right = FieldMatrix.from_rows(
-        [[minv.at(i, c) for c in range(r, dn)] for i in range(dn)], mod
-    )
-    a_blocks = [mat_mul(rand_matrix(d, r, mod, rng), top) for _ in range(n)]
-    b_blocks = [mat_mul(right, rand_matrix(dn - r, d, mod, rng)) for _ in range(n)]
+    top = FieldMatrix(r, dn, m.entries[: r * dn], mod)
+    right = _columns(minv, r, dn)
+    a_blocks = [rand_matrix(d, r, mod, rng) @ top for _ in range(n)]
+    b_blocks = [right @ rand_matrix(dn - r, d, mod, rng) for _ in range(n)]
     return a_blocks, b_blocks
+
+
+def assert_block_products(a_blocks, b_blocks, diagonal: FieldMatrix | None) -> None:
+    """Assert A_i·B_j == ``diagonal`` for i = j (zero when it is None) and
+    A_i·B_j zero for i != j.  Block (i, j) of [A_1; ...; A_n]·[B_1 ... B_n]
+    is A_i·B_j, so this checks that whole product block by block."""
+    for i, a in enumerate(a_blocks):
+        for j, b in enumerate(b_blocks):
+            prod = a @ b
+            if i == j and diagonal is not None:
+                assert prod == diagonal, f"block ({i},{j}) is {prod.to_rows()}"
+            else:
+                assert prod.is_zero, f"block ({i},{j}) is {prod.to_rows()}"
 
 
 # ---------------------------------------------------------------------------
