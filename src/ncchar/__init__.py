@@ -18,17 +18,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constructions": """GadgetApplication gadget_transform gadget_transform_traced
         gen_fano gen_n1 gen_n2 gen_nonfano union_copies""",
-    "gf": """FieldMatrix PrimeModulus SingularMatrixError as_modulus inverse rank
-        solve_right""",
+    "gf": "FieldMatrix PrimeModulus as_modulus rank",
     "lincode": """CharacteristicError CodeError CodeFormatError CodeInput FractionalCode
-        SymbolicCode SymInput SymMatrix TerminalReport VerificationReport
+        SymbolicCode SymMatrix TerminalReport VerificationReport
         eval_transfer instantiate load_code save_code verify""",
     "network": """CodedNetwork CycleError NetEdge NetNode NetworkFormatError
         UnicastCheck ValidationReport Violation is_multiple_unicast load save
         topological_order validate""",
     "solutions": "lift_gadget lift_union solve_n1 solve_n2",
     "solver": """INCONCLUSIVE SOLVABLE UNSOLVABLE SearchConfig SearchOutcome
-        decodable search_fractional search_scalar""",
+        search_fractional search_scalar""",
 }
 _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

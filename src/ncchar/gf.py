@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 from .network import _set, _Value
 
 
-class SingularMatrixError(ValueError):
-    """Raised when an inverse is requested for a singular matrix."""
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -104,7 +100,8 @@ class FieldMatrix(_Value):
     def from_rows(
         cls, rows: Sequence[Sequence[int]], p: "PrimeModulus | int"
     ) -> "FieldMatrix":
-        """Rows reduced mod p; ``[]`` is 0x0, and 0 x m is ``FieldMatrix(0, m, (), mod)``."""
+        """Rows of ints, not bools, reduced mod p; ``[]`` is 0x0, and 0 x m
+        is ``FieldMatrix(0, m, (), mod)``."""
         mod = as_modulus(p)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -112,7 +109,10 @@ class FieldMatrix(_Value):
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(_residues(r, mod.p))
+            for x in r:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(f"entry {x!r} not an int")
+                flat.append(x % mod.p)
         return cls._trusted(nrows, ncols, tuple(flat), mod)
 
     @classmethod
@@ -169,16 +169,6 @@ class FieldMatrix(_Value):
         return FieldMatrix._trusted(
             self.rows, other.cols, tuple([x % p for x in flat]), self.modulus
         )
-
-
-def _residues(row: Iterable[int], p: int) -> list[int]:
-    """The entries of ``row`` reduced mod p; each must be an int, not a bool."""
-    out = []
-    for x in row:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"entry {x!r} not an int")
-        out.append(x % p)
-    return out
 
 
 def _dot_rows(rows: Sequence[Sequence[int]], b: Sequence[int], k: int) -> list[int]:
@@ -240,7 +230,7 @@ def _rref(
 def _solve(a_rows: Iterable, b_rows: Iterable, na: int, nb: int, p: int) -> list | None:
     """The rows of one X with A X = B, or None when inconsistent: [A | B] is
     reduced once and free variables are 0.  The widths keep the shape of a
-    system with no rows.  ``solve_right``, ``inverse`` and witnesses use it."""
+    system with no rows.  The search's witness rules use it."""
     aug, pivots = _rref([a + b for a, b in zip(a_rows, b_rows)], p)
     if pivots and pivots[-1] >= na:  # pivots ascend: one is in B's columns
         return None
@@ -257,29 +247,3 @@ def rank(a: FieldMatrix) -> int:
     rows = a.to_rows()
     _, pivots = _rref(rows, a.modulus.p)
     return len(pivots)
-
-
-def inverse(a: FieldMatrix) -> FieldMatrix:
-    """``solve_right(A, I)``, which for a square A is consistent exactly when
-    A is invertible, and then unique; raises SingularMatrixError."""
-    if a.rows != a.cols:
-        raise SingularMatrixError(f"non-square matrix {a.rows}x{a.cols}")
-    x = solve_right(a, FieldMatrix.identity(a.rows, a.modulus))
-    if x is None:
-        raise SingularMatrixError("matrix is singular")
-    return x
-
-
-def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
-    """One exact solution X of A X = B, or None when inconsistent; free
-    variables are set to zero, so the result is deterministic."""
-    a._require_same_field(b)
-    if a.rows != b.rows:
-        raise ValueError("row mismatch between A and B")
-    rows = range(a.rows)
-    x = _solve(map(a.row, rows), map(b.row, rows), a.cols, b.cols, a.modulus.p)
-    if x is None:
-        return None
-    flat = tuple([v for row in x for v in row])
-    return FieldMatrix._trusted(a.cols, b.cols, flat, a.modulus)
-

@@ -73,11 +73,13 @@ class CharacteristicError(ValueError):
 
 
 class CodeInput(_Value):
-    """One weighted input of a rule: a parent edge id or ``src:<message>``."""
+    """One weighted input of a rule: a parent edge id or ``src:<message>``,
+    with a ``FieldMatrix`` in a ``FractionalCode`` and a ``SymMatrix`` in a
+    ``SymbolicCode``."""
 
     __slots__ = ("ref", "matrix")
 
-    def __init__(self, ref: str, matrix: FieldMatrix) -> None:
+    def __init__(self, ref: str, matrix: FieldMatrix | SymMatrix) -> None:
         _set(self, "ref", ref)
         _set(self, "matrix", matrix)
 
@@ -202,14 +204,6 @@ class SymMatrix(_Value):
         return cls(1, size, tuple(flat))
 
 
-class SymInput(_Value):
-    __slots__ = ("ref", "matrix")
-
-    def __init__(self, ref: str, matrix: SymMatrix) -> None:
-        _set(self, "ref", ref)
-        _set(self, "matrix", matrix)
-
-
 class SymbolicCode(_Value):
     __slots__ = ("k", "n", "q", "edge_rules", "decode_rules")
 
@@ -218,8 +212,8 @@ class SymbolicCode(_Value):
         k: int,
         n: int,
         q: int,
-        edge_rules: Mapping[str, tuple[SymInput, ...]],
-        decode_rules: Mapping[str, tuple[SymInput, ...]],
+        edge_rules: Mapping[str, tuple[CodeInput, ...]],
+        decode_rules: Mapping[str, tuple[CodeInput, ...]],
     ) -> None:
         _set(self, "k", k)
         _set(self, "n", n)
@@ -265,7 +259,7 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
             fm = converted[matrix] = FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
         return fm
 
-    def convert(rules: Mapping[str, tuple[SymInput, ...]]) -> dict[str, tuple[CodeInput, ...]]:
+    def convert(rules: Mapping[str, tuple[CodeInput, ...]]) -> dict[str, tuple[CodeInput, ...]]:
         return {
             key: tuple([CodeInput(inp.ref, concrete(inp.matrix)) for inp in inputs])
             for key, inputs in rules.items()
@@ -553,7 +547,6 @@ def load_code(
     if symbolic:
         if "q" not in doc:
             raise CodeFormatError("symbolic code needs 'q'")
-        make_input = SymInput
 
         def matrix(rows: int, cols: int, flat: tuple) -> SymMatrix:
             return SymMatrix(rows, cols, tuple(map(_entry_from_json, flat)))
@@ -563,7 +556,6 @@ def load_code(
             mod = PrimeModulus(doc["p"])
         except ValueError as exc:
             raise CodeFormatError(str(exc)) from exc
-        make_input = CodeInput
 
         def matrix(rows: int, cols: int, flat: tuple) -> FieldMatrix:
             return FieldMatrix(rows, cols, flat, mod)
@@ -618,7 +610,7 @@ def load_code(
                     )
                 flat = tuple([v for row in rows for v in row])
                 try:
-                    inputs.append(make_input(ref, shared_matrix(len(rows), len(rows[0]), flat)))
+                    inputs.append(CodeInput(ref, shared_matrix(len(rows), len(rows[0]), flat)))
                 except ValueError as exc:
                     raise CodeFormatError(f"{iw}: {exc}") from exc
             rules[key] = tuple(inputs)

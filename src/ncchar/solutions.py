@@ -33,10 +33,10 @@ from .constructions import (
     edge_id,
     gadget_transform_traced,
 )
-from .lincode import SRC_PREFIX, SymEntry, SymInput, SymMatrix, SymbolicCode
+from .lincode import SRC_PREFIX, CodeInput, SymEntry, SymMatrix, SymbolicCode
 from .network import CodedNetwork, _int_at_least
 
-Rules = dict[str, tuple[SymInput, ...]]
+Rules = dict[str, tuple[CodeInput, ...]]
 
 _ONE: SymEntry = (1, False)
 _NEG: SymEntry = (-1, False)
@@ -51,17 +51,17 @@ def _solve(fam: _Family, q: int, n: int, weights: dict[str, SymEntry]) -> Symbol
     rows = [SymMatrix.unit_row(n, j) for j in range(1, n + 1)]
     scaled = {w: SymMatrix.scaled_identity(n, *w) for w in {_ONE, *weights.values()}}
     er: Rules = {}
-    into: dict[str, list[SymInput]] = defaultdict(list)  # each node's summands
+    into: dict[str, list[CodeInput]] = defaultdict(list)  # each node's summands
     for m, head, slot in fam.sources:
         eid = edge_id(m, head)
-        er[eid] = (SymInput(SRC_PREFIX + m, cols[slot - 1]),)
-        into[head].append(SymInput(eid, scaled[weights.get(eid, _ONE)]))
+        er[eid] = (CodeInput(SRC_PREFIX + m, cols[slot - 1]),)
+        into[head].append(CodeInput(eid, scaled[weights.get(eid, _ONE)]))
     edges = fam.inner_edges()
     for eid, _, head in edges:
-        into[head].append(SymInput(eid, scaled[weights.get(eid, _ONE)]))
+        into[head].append(CodeInput(eid, scaled[weights.get(eid, _ONE)]))
     for eid, tail, _ in edges:
         er[eid] = tuple(into[tail])
-    dr = {tid: (SymInput(edge_id(t, tid), rows[j - 1]),) for tid, _, j, t in fam.terminals}
+    dr = {tid: (CodeInput(edge_id(t, tid), rows[j - 1]),) for tid, _, j, t in fam.terminals}
     return SymbolicCode(1, n, q, er, dr)
 
 
@@ -150,9 +150,9 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
                 if inp.ref.startswith(SRC_PREFIX):
                     # an n x 1 source column becomes column c of n x k
                     block = place(inp.matrix, inp.matrix.rows, copies, 0, c - 1)
-                    lifted.append(SymInput(inp.ref, block))
+                    lifted.append(CodeInput(inp.ref, block))
                 else:
-                    lifted.append(SymInput(f"{inp.ref}#{c}", inp.matrix))
+                    lifted.append(CodeInput(f"{inp.ref}#{c}", inp.matrix))
             er[f"{eid}#{c}"] = tuple(lifted)
     for tid, inputs in sym.decode_rules.items():
         rows = []
@@ -160,7 +160,7 @@ def lift_union(sym: SymbolicCode, copies: int) -> SymbolicCode:
             for inp in inputs:
                 # a 1 x n decode row becomes row c of k x n
                 block = place(inp.matrix, copies, inp.matrix.cols, c - 1, 0)
-                rows.append(SymInput(f"{inp.ref}#{c}", block))
+                rows.append(CodeInput(f"{inp.ref}#{c}", block))
         dr[tid] = tuple(rows)
     return SymbolicCode(copies, sym.n, sym.q, er, dr)
 
@@ -200,21 +200,21 @@ def lift_gadget(
         # what a new source or a demoted terminal sends on its new out-edges:
         # its message's unit column at its slot (z in 1, y_i in i+1), or its
         # 1 x n decode row as the first row of an n x n block
-        sends = {v: (SymInput(SRC_PREFIX + m, col),) for (v, m), col in zip(app.sources(), cols)}
+        sends = {v: (CodeInput(SRC_PREFIX + m, col),) for (v, m), col in zip(app.sources(), cols)}
         for t in (app.n1, app.n2):
-            sends[t] = tuple(SymInput(i.ref, place(i.matrix, n, n, 0, 0)) for i in dr.pop(t))
+            sends[t] = tuple(CodeInput(i.ref, place(i.matrix, n, n, 0, 0)) for i in dr.pop(t))
         into: dict[str, list[str]] = defaultdict(list)
         for tail, head in app.edges():
             eid = edge_id(tail, head)
             if tail in sends:
                 er[eid] = sends[tail]
             else:  # x2 and x3 send the sum of their in-edges
-                er[eid] = tuple(SymInput(f, ident) for f in into[tail])
+                er[eid] = tuple(CodeInput(f, ident) for f in into[tail])
             into[head].append(eid)
         # x4 wants b = (b+z) - z; x5 wants z = (b+z) - b
         for x in app.x_nodes[3:]:
             first, second = into[x]
-            dr[x] = (SymInput(first, rows[0]), SymInput(second, minus_row1))
+            dr[x] = (CodeInput(first, rows[0]), CodeInput(second, minus_row1))
         for t, row in zip(app.t_nodes, rows[1:]):
-            dr[t] = (SymInput(into[t][0], row),)
+            dr[t] = (CodeInput(into[t][0], row),)
     return SymbolicCode(1, n, sym.q, er, dr)

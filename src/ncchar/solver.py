@@ -48,7 +48,7 @@ import itertools
 from operator import mul
 from typing import Sequence
 
-from .gf import FieldMatrix, PrimeModulus, _residues, _rref, _solve, as_modulus
+from .gf import FieldMatrix, PrimeModulus, _rref, _solve, as_modulus
 from .lincode import SRC_PREFIX, CodeInput, FractionalCode
 from .network import (
     ROLE_SOURCE,
@@ -67,7 +67,12 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_BUDGET = 10**9
 _MEMO_CAP = 4_000_000  # safety valve: stop growing memo tables past this
-_HOIST_MIN = 16  # loops over more candidates than this hoist their checks
+# Loops over more candidates than this hoist their checks.  The threshold is
+# measured, not needed for soundness: hoisting every loop that may hoist left
+# decisions, states and witnesses the same on the benchmark's search grid, but
+# made its scalar certificates 20-80% and its witnesses 15-25% slower (2-CPU
+# machine, alternating runs).
+_HOIST_MIN = 16
 
 
 class SearchConfig(_Value):
@@ -152,39 +157,6 @@ def _in_span(x: tuple[int, ...], basis: Sequence[tuple[int, ...]], p: int) -> bo
         if w := x[row.index(1)]:
             y = [a + w * b for a, b in zip(y, row)]
     return tuple([a % p for a in y]) == x
-
-
-def decodable(
-    vectors: Sequence[Sequence[int]],
-    demand: int | str,
-    p: PrimeModulus | int,
-    messages: Sequence[str] | None = None,
-) -> bool:
-    """True iff the demand's unit vector lies in the row span of vectors
-    (see ``_in_span``).
-
-    ``demand`` is a coordinate index, or a message id resolved against
-    ``messages`` (the coordinate order of the vectors).  Entries must be
-    ints, not bools; they are reduced mod p.
-    """
-    mod = as_modulus(p)
-    if isinstance(demand, str):
-        if messages is None:
-            raise ValueError("resolving a message id needs the messages sequence")
-        try:
-            demand = list(messages).index(demand)
-        except ValueError as exc:
-            raise ValueError(f"unknown message {demand!r}") from exc
-    vecs = [tuple(_residues(v, mod.p)) for v in vectors]
-    if not vecs:
-        return False
-    width = len(vecs[0])
-    if any(len(v) != width for v in vecs):
-        raise ValueError("vectors must share one length")
-    if not (0 <= demand < width):
-        raise ValueError("demand index out of range")
-    unit = tuple(1 if i == demand else 0 for i in range(width))
-    return _in_span(unit, _echelon(vecs, mod.p), mod.p)
 
 
 # -- search planning ----------------------------------------------------------
@@ -518,8 +490,11 @@ class _Engine:
         dimension (``_Algebra.enumerate``), so the first one decides.
 
         A loop over at most ``_HOIST_MIN`` candidates steps through them
-        all and tests that join.  A longer one hoists the checks out of the
-        loop: only ``values[i]`` changes in it, so a check that does not
+        all and tests that join, and so does the loop of an edge into a
+        one-in-edge terminal: its candidates are ``_Algebra.forced``, not
+        the subspaces of ``pspan`` that ``_Algebra.steps`` rebuilds a
+        hoisted loop from.  Any other loop hoists the checks out of it:
+        only ``values[i]`` changes in it, so a check that does not
         read i is one boolean, and one that does asks whether its demand
         lies in rest + c, rest being the join of its other positions;
         ``_Algebra.targets`` makes that one span c must hold, except where
@@ -537,7 +512,7 @@ class _Engine:
         checks = self.plan.checks_at[i]
         if cands and alg.dim[cands[0]] < alg.dim[pspan]:
             checks += self.plan.frontier_after[i]
-        if len(cands) <= _HOIST_MIN:
+        if len(cands) <= _HOIST_MIN or self.plan.edges[i].forced_demand is not None:
             return cands, lambda cand: self._decodes(checks, values)
         need, joined = [], []
         for didx, positions in checks:

@@ -40,7 +40,7 @@ from ncchar import (
     union_copies,
 )
 from ncchar.gf import FieldMatrix, PrimeModulus
-from ncchar.lincode import SymbolicCode, SymInput, SymMatrix
+from ncchar.lincode import SymbolicCode, SymMatrix
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -192,8 +192,7 @@ def codes(draw):
                     shape = (k, n)
                 else:
                     shape = (n, k) if ref.startswith("src:") else (n, n)
-                make = SymInput if symbolic else CodeInput
-                inputs.append(make(ref, matrix(*shape)))
+                inputs.append(CodeInput(ref, matrix(*shape)))
             out[key] = tuple(inputs)
         return out
 

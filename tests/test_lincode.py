@@ -31,7 +31,7 @@ from ncchar import (
     verify,
 )
 from ncchar.gf import FieldMatrix, PrimeModulus
-from ncchar.lincode import SymbolicCode, SymInput, SymMatrix
+from ncchar.lincode import SymbolicCode, SymMatrix
 from util_oracles import dense_transfer, dense_verify
 
 
@@ -706,9 +706,9 @@ def test_code_shape_validation():
     # a symbolic code obeys the same rules
     one, two = SymMatrix.scaled_identity(1), SymMatrix.scaled_identity(2)
     with pytest.raises(CodeError, match="must be 1x1, got 2x2"):
-        SymbolicCode(1, 1, 2, {"e": (SymInput("src:a1", two),)}, {})
+        SymbolicCode(1, 1, 2, {"e": (CodeInput("src:a1", two),)}, {})
     with pytest.raises(CodeError, match="may not read source messages"):
-        SymbolicCode(1, 1, 2, {}, {"t": (SymInput("src:a1", one),)})
+        SymbolicCode(1, 1, 2, {}, {"t": (CodeInput("src:a1", one),)})
     # k, n and q are checked as load_code checks a document's: each an int
     # >= 1 and not a bool, q of a field code only when it is given
     for k, n, q in ((0, 1, 2), (True, 1, 2), (1, 1.0, 2), (1, 1, 0), (1, 1, True), (1, 1, 2.0)):

@@ -20,7 +20,6 @@ from ncchar.lincode import (
     CodeInput,
     FractionalCode,
     SymbolicCode,
-    SymInput,
     SymMatrix,
     TerminalReport,
     VerificationReport,
@@ -47,6 +46,10 @@ EDGE = NetEdge("s->t", "s", "t")
 CODE = FractionalCode(1, 1, P3, {"s->t": (CodeInput("src:a", I1),)},
                       {"t": (CodeInput("s->t", I1),)})
 REPORT = TerminalReport("t", "a", True, I1, ())
+
+# a rule input of a symbolic code: a CodeInput holding a SymMatrix
+SYM_INPUT = (CodeInput, ("ref", "matrix"), ("src:a", SM), {},
+             "CodeInput(ref='src:a', matrix=SymMatrix(rows=1, cols=1, entries=((1, True),)))")
 
 # (class, field names in order, positional arguments, defaults, repr)
 CASES = [
@@ -85,13 +88,12 @@ CASES = [
      "q=None)"),
     (SymMatrix, ("rows", "cols", "entries"), (1, 1, ((1, True),)), {},
      "SymMatrix(rows=1, cols=1, entries=((1, True),))"),
-    (SymInput, ("ref", "matrix"), ("src:a", SM), {},
-     "SymInput(ref='src:a', matrix=SymMatrix(rows=1, cols=1, entries=((1, True),)))"),
+    SYM_INPUT,
     (SymbolicCode, ("k", "n", "q", "edge_rules", "decode_rules"),
-     (1, 1, 2, {"s->t": (SymInput("src:a", SM),)}, {"t": (SymInput("s->t", SM),)}), {},
-     "SymbolicCode(k=1, n=1, q=2, edge_rules={'s->t': (SymInput(ref='src:a', "
+     (1, 1, 2, {"s->t": (CodeInput("src:a", SM),)}, {"t": (CodeInput("s->t", SM),)}), {},
+     "SymbolicCode(k=1, n=1, q=2, edge_rules={'s->t': (CodeInput(ref='src:a', "
      "matrix=SymMatrix(rows=1, cols=1, entries=((1, True),))),)}, decode_rules={'t': "
-     "(SymInput(ref='s->t', matrix=SymMatrix(rows=1, cols=1, entries=((1, True),))),)})"),
+     "(CodeInput(ref='s->t', matrix=SymMatrix(rows=1, cols=1, entries=((1, True),))),)})"),
     (TerminalReport, ("terminal", "demanded", "passed", "demanded_block", "interferers"),
      ("t", "a", False, I1, ("b",)), {},
      "TerminalReport(terminal='t', demanded='a', passed=False, demanded_block="
@@ -134,9 +136,8 @@ OTHER = {
     CodeInput: ("src:b", I1),
     FractionalCode: (1, 1, P3, {"s->t": (CodeInput("src:a", I1),)}, {}, None),
     SymMatrix: (1, 1, ((1, False),)),
-    SymInput: ("src:b", SM),
-    SymbolicCode: (1, 1, 3, {"s->t": (SymInput("src:a", SM),)},
-                   {"t": (SymInput("s->t", SM),)}),
+    SymbolicCode: (1, 1, 3, {"s->t": (CodeInput("src:a", SM),)},
+                   {"t": (CodeInput("s->t", SM),)}),
     TerminalReport: ("t", "a", True, I1, ("b",)),
     VerificationReport: ((),),
     SearchConfig: (78,),
@@ -145,7 +146,7 @@ OTHER = {
                         ("x1#0", "x2#0", "x3#0", "x4#0", "x5#0"), ("t1#0",), ("s1#0",)),
 }
 
-IDS = [case[0].__name__ for case in CASES]
+IDS = [case[0].__name__ + ("-SymMatrix" if case is SYM_INPUT else "") for case in CASES]
 
 
 def field_tuple(obj, fields):

@@ -6,7 +6,8 @@ coefficient assignment directly and test decoding with their own rank
 routine, which shares no elimination code with ncchar, the dense transfer
 oracle does
 its own tuple arithmetic, and the matrix helpers build block families
-whose products are known by construction.
+whose products are known by construction, from a random invertible
+matrix and its inverse, both found by their own elimination.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import random
 
 from ncchar import CodedNetwork, NetEdge, NetNode, gen_fano, validate
-from ncchar.gf import FieldMatrix, PrimeModulus, inverse, rank
+from ncchar.gf import FieldMatrix, PrimeModulus
 from ncchar.network import topological_order
 
 
@@ -31,8 +32,29 @@ def rand_matrix(rows: int, cols: int, mod: PrimeModulus, rng: random.Random) -> 
 def rand_invertible(size: int, mod: PrimeModulus, rng: random.Random) -> FieldMatrix:
     while True:
         m = rand_matrix(size, size, mod, rng)
-        if rank(m) == size:
+        if rank_mod_p(m.to_rows(), mod.p) == size:
             return m
+
+
+def inverse(m: FieldMatrix) -> FieldMatrix:
+    """The inverse of a square matrix by Gauss–Jordan elimination on
+    [M | I], with Fermat inverses; raises ValueError when M is singular."""
+    size, p = m.rows, m.modulus.p
+    if m.cols != size:
+        raise ValueError(f"non-square matrix {m.rows}x{m.cols}")
+    rows = [list(m.row(i)) + [int(i == j) for j in range(size)] for i in range(size)]
+    for c in range(size):
+        piv = next((i for i in range(c, size) if rows[i][c]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for i in range(size):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
+    return FieldMatrix(size, size, tuple(x for r in rows for x in r[size:]), m.modulus)
 
 
 def _columns(m: FieldMatrix, start: int, stop: int) -> FieldMatrix:
