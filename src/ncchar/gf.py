@@ -8,7 +8,7 @@ of a few rows), so everything here is plain Python integer arithmetic.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .network import _set, _Value
@@ -171,19 +171,40 @@ class FieldMatrix(_Value):
         )
 
 
+# B with at least this many columns is multiplied row by row.  Measured on a
+# 2-CPU machine, row path time over dot path time: at 16 columns 0.65-1.04
+# with A 2x2 or 3x3 and 1.17 at 4x4 (0.89 from 64 columns); at 4 columns
+# 1.2-2.6.  So block-sized operands keep the dot path.
+_WIDE = 16
+
+
 def _dot_rows(rows: Sequence[Sequence[int]], b: Sequence[int], k: int) -> list[int]:
     """The row-major entries of A @ B, not yet reduced mod p.
 
     ``rows`` are the rows of A and ``b`` the row-major entries of B, which
     has ``k`` columns.  Each entry is one ``sum(map(mul, row, column))``;
-    when k = 1 the only column is ``b`` itself.  This is the one product
-    routine of the package: ``FieldMatrix.__matmul__`` and the transfer
-    evaluation of ``lincode`` both use it.
+    when k = 1 the only column is ``b`` itself.  A wide B (``_WIDE``
+    columns or more) is read by rows instead: each output row is the sum of
+    the B rows scaled by the nonzero entries of an A row, so the work per
+    entry runs inside ``map`` and the Python loop is over A's entries.  This
+    is the one product routine of the package: ``FieldMatrix.__matmul__``
+    and the transfer evaluation of ``lincode`` both use it.
     """
     if k == 1:
         return [sum(map(mul, r, b)) for r in rows]
-    cols = [b[j::k] for j in range(k)]
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
+    if k < _WIDE:
+        cols = [b[j::k] for j in range(k)]
+        return [sum(map(mul, r, c)) for r in rows for c in cols]
+    brows = [b[i : i + k] for i in range(0, len(b), k)]
+    out: list[int] = []
+    for r in rows:
+        acc = None
+        for a, br in zip(r, brows):
+            if a:
+                scaled = map(a.__mul__, br)
+                acc = list(scaled if acc is None else map(add, acc, scaled))
+        out += acc or [0] * k
+    return out
 
 
 # -- elimination core -----------------------------------------------------

@@ -14,10 +14,13 @@ Transfer maps are sparse.  Each edge stores only its nonzero blocks, and
 a rule multiplies only stored blocks, so the cost follows the nonzero
 blocks rather than edges times messages.  Blocks are raw row-major
 residue tuples: a rule's products are added unreduced and reduced mod p
-once.  Only ``eval_transfer`` wraps them, once each, as ``FieldMatrix``
-blocks of a ``TransferBlocks`` map, which reads any other message of the
-network as the zero block; ``verify`` builds a matrix only for each
-demanded block.
+once, and a rule with one input reduces them as it makes them.  An input
+whose parent holds many blocks multiplies them all in one product through
+``gf._dot_rows``, with the blocks side by side as one wide matrix, and
+splits the result back into blocks.  Only ``eval_transfer`` wraps the
+blocks, once each, as ``FieldMatrix`` blocks of a ``TransferBlocks`` map,
+which reads any other message of the network as the zero block;
+``verify`` builds a matrix only for each demanded block.
 
 A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
@@ -37,8 +40,9 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain
 from operator import add, attrgetter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _dot_rows, as_modulus
 from .network import (
@@ -303,6 +307,15 @@ TransferMap = dict[str, TransferBlocks]
 Blocks = dict[str, tuple[int, ...]]  # message -> row-major residues, nonzero only
 
 
+# An in-edge input whose parent holds at least this many blocks multiplies
+# them all in one product, whose B is then at least gf._WIDE columns wide.
+# The threshold is measured, not needed for exactness: on the benchmark's
+# verify_scale codes (2-CPU machine, in-process, alternating), thresholds of 4
+# and 8 timed within 1% of 16, while batching every input was 10% slower, 32
+# was 4% slower and never batching 21% slower.
+_BATCH_MIN = 16
+
+
 def _evaluate(
     key: str, inputs: tuple[CodeInput, ...], node: NetNode, in_ids: set[str],
     transfer: dict[str, Blocks], k: int, p: int, decode: bool = False,
@@ -316,10 +329,18 @@ def _evaluate(
     stored block B[m] of that edge; a ``src:<m>`` input S at the source
     that generates m adds S @ I_k, which is S itself.  Decode rules never
     read ``src:``, since the rule check refuses that on construction.  The
-    products of a message are added unreduced and reduced mod p once.  The
+    products of a message are added unreduced and reduced mod p once; the
+    blocks of a rule with one input are reduced as they are made.  The
     first input with a bad ref raises ``CodeError``: ``src:`` at the wrong
     tail, a ref that is not an in-edge, or an in-edge never evaluated.
+
+    A parent with ``_BATCH_MIN`` blocks or more is read in one product
+    A @ B, where B holds its M blocks side by side, column c of block j
+    at column c * M + j.  The row-major entries of that B are the blocks'
+    entries interleaved, and block j of the product is every M-th entry of
+    it from the j-th on.
     """
+    single = len(inputs) == 1  # its products are the rule's blocks: reduce them
     acc: dict[str, Sequence[int]] = {}
     for inp in inputs:
         ref, m = inp.ref, inp.matrix
@@ -328,7 +349,7 @@ def _evaluate(
             if node.role != ROLE_SOURCE or node.generates != msg:
                 fault = f"but its tail {node.id!r} does not generate that message"
                 break
-            blocks, rows = {msg: m.entries}, None  # S @ I_k is S: no product
+            products: Iterable = ((msg, m.entries),)  # S @ I_k is S: reduced, no product
         elif ref not in in_ids:
             edges = "one of its in-edges" if decode else f"an in-edge of its tail {node.id!r}"
             fault = f"which is not {edges}"
@@ -339,8 +360,20 @@ def _evaluate(
             break
         else:
             rows = list(zip(*[iter(m.entries)] * m.cols))  # the rows of A, sliced once
-        for msg, b in blocks.items():
-            prod = b if rows is None else _dot_rows(rows, b, k)
+            width = len(blocks)
+            if width < _BATCH_MIN:
+                products = [(msg, _dot_rows(rows, b, k)) for msg, b in blocks.items()]
+                if single:
+                    products = [(msg, tuple([x % p for x in f])) for msg, f in products]
+            else:
+                stacked = tuple(chain.from_iterable(zip(*blocks.values())))
+                wide = _dot_rows(rows, stacked, k * width)
+                if single:
+                    wide = tuple(map(p.__rmod__, wide))
+                products = zip(blocks, [wide[j::width] for j in range(width)])
+        if single:
+            return {msg: flat for msg, flat in products if any(flat)}
+        for msg, prod in products:
             old = acc.get(msg)
             acc[msg] = prod if old is None else list(map(add, old, prod))
     else:
@@ -483,11 +516,16 @@ def _entry_from_json(value: object) -> SymEntry:
     raise CodeFormatError(f"bad entry {value!r}")
 
 
-def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> str:
+def _rules_json(
+    rules: Mapping[str, tuple], key_name: str, formatted: dict[int, tuple] | None
+) -> str:
     """A rule map as the code document's list, inputs in their stored ref
     order.  Each input fills a template made once per matrix shape, with
     a ``%s`` per entry and one for the ref; each rule fills one made once,
-    whose two keys sort by ``key_name``."""
+    whose two keys sort by ``key_name``.  A field code's entries are ints
+    and fill it as they are (``formatted`` None).  A symbolic code's are
+    formatted once per matrix object into ``formatted``, keyed by ``id``:
+    its inputs share few matrices, and all of them live through the call."""
     rule = _json_object({key_name: "%(key)s", "inputs": "%(inputs)s"}, 2)
     templates: dict[tuple[int, int], str] = {}
     out = []
@@ -502,7 +540,10 @@ def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> st
                 matrix = _json_array([row] * m.rows, 5)
                 template = _json_object({"matrix": matrix, "ref": "%s"}, 4)
                 templates[shape] = template
-            cells = tuple(map(_entry_to_json, m.entries)) if symbolic else m.entries
+            if formatted is None:
+                cells = m.entries
+            elif (cells := formatted.get(id(m))) is None:
+                cells = formatted[id(m)] = tuple(map(_entry_to_json, m.entries))
             inputs.append(template % (cells + (_quote(inp.ref),)))
         out.append(rule % {"key": _quote(key), "inputs": _json_array(inputs, 3)})
     return _json_array(out, 1)
@@ -511,11 +552,12 @@ def _rules_json(rules: Mapping[str, tuple], key_name: str, symbolic: bool) -> st
 def save_code(code: FractionalCode | SymbolicCode) -> bytes:
     """The canonical bytes of ``code`` (see the module docstring)."""
     symbolic = isinstance(code, SymbolicCode)
+    formatted: dict[int, tuple] | None = {} if symbolic else None
     doc = {
         "k": json.dumps(code.k),
         "n": json.dumps(code.n),
-        "edge_rules": _rules_json(code.edge_rules, "edge", symbolic),
-        "decode_rules": _rules_json(code.decode_rules, "terminal", symbolic),
+        "edge_rules": _rules_json(code.edge_rules, "edge", formatted),
+        "decode_rules": _rules_json(code.decode_rules, "terminal", formatted),
     }
     if symbolic:
         doc["q"] = json.dumps(code.q)
@@ -576,43 +618,45 @@ def load_code(
     def parse_rules(raw: object, key_name: str, decode: bool):
         if not isinstance(raw, list):
             raise CodeFormatError(f"'{key_name}_rules' must be a list")
+        outer = "terminal" if decode else "edge"
+
+        def fault(text: str, i: int, j: int | None = None) -> CodeFormatError:
+            """The error at rule i, or at its input j: located only when raised."""
+            where = f"{key_name}_rules[{i}]" + ("" if j is None else f".inputs[{j}]")
+            return CodeFormatError(f"{where}: {text}")
+
         rules: dict[str, tuple] = {}
         for i, entry in enumerate(raw):
-            where = f"{key_name}_rules[{i}]"
             if not isinstance(entry, dict):
-                raise CodeFormatError(f"{where}: must be an object")
-            outer = "terminal" if decode else "edge"
+                raise fault("must be an object", i)
             if outer not in entry or "inputs" not in entry:
-                raise CodeFormatError(f"{where}: needs {outer!r} and 'inputs'")
+                raise fault(f"needs {outer!r} and 'inputs'", i)
             key = entry[outer]
             if not isinstance(key, str):
-                raise CodeFormatError(f"{where}: {outer!r} must be a string")
+                raise fault(f"{outer!r} must be a string", i)
             if key in rules:
-                raise CodeFormatError(f"{where}: duplicate rule for {key!r}")
+                raise fault(f"duplicate rule for {key!r}", i)
             inputs = []
             raw_inputs = entry["inputs"]
             if not isinstance(raw_inputs, list):
-                raise CodeFormatError(f"{where}: 'inputs' must be a list")
+                raise fault("'inputs' must be a list", i)
             for j, rin in enumerate(raw_inputs):
-                iw = f"{where}.inputs[{j}]"
                 if not isinstance(rin, dict) or "ref" not in rin or "matrix" not in rin:
-                    raise CodeFormatError(f"{iw}: needs 'ref' and 'matrix'")
+                    raise fault("needs 'ref' and 'matrix'", i, j)
                 ref, rows = rin["ref"], rin["matrix"]
                 if not isinstance(ref, str):
-                    raise CodeFormatError(f"{iw}: 'ref' must be a string")
+                    raise fault("'ref' must be a string", i, j)
                 if not (
                     isinstance(rows, list)
                     and rows
                     and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
                 ):
-                    raise CodeFormatError(
-                        f"{iw}: 'matrix' must be a non-empty list of equal-length rows"
-                    )
+                    raise fault("'matrix' must be a non-empty list of equal-length rows", i, j)
                 flat = tuple([v for row in rows for v in row])
                 try:
                     inputs.append(CodeInput(ref, shared_matrix(len(rows), len(rows[0]), flat)))
                 except ValueError as exc:
-                    raise CodeFormatError(f"{iw}: {exc}") from exc
+                    raise fault(str(exc), i, j) from exc
             rules[key] = tuple(inputs)
         return rules
 

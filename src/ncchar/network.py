@@ -410,9 +410,12 @@ def save(net: CodedNetwork) -> bytes:
     return text.encode("utf-8")
 
 
-def _req(doc: Mapping, key: str, where: str) -> object:
+def _req(doc: Mapping, key: str, where: str, index: int | None = None) -> object:
+    """``doc[key]``; a missing key is reported at ``where``, or at
+    ``where[index]`` for an entry of a list, formatted only then."""
     if key not in doc:
-        raise NetworkFormatError(f"{where}: missing field {key!r}")
+        at = where if index is None else f"{where}[{index}]"
+        raise NetworkFormatError(f"{at}: missing field {key!r}")
     return doc[key]
 
 
@@ -455,33 +458,32 @@ def load(data: bytes | str) -> CodedNetwork:
     for key, value in (("nodes", raw_nodes), ("edges", raw_edges)):
         if not isinstance(value, list):
             raise NetworkFormatError(f"field {key!r} must be a list")
+    # an entry's location is formatted only for an error
     nodes: list[NetNode] = []
     for i, entry in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
         if not isinstance(entry, dict):
-            raise NetworkFormatError(f"{where}: must be an object")
-        nid = _req(entry, "id", where)
-        role = _req(entry, "role", where)
+            raise NetworkFormatError(f"nodes[{i}]: must be an object")
+        nid = _req(entry, "id", "nodes", i)
+        role = _req(entry, "role", "nodes", i)
         if not isinstance(nid, str) or not isinstance(role, str):
-            raise NetworkFormatError(f"{where}: 'id' and 'role' must be strings")
+            raise NetworkFormatError(f"nodes[{i}]: 'id' and 'role' must be strings")
         if role not in _ROLES:
-            raise NetworkFormatError(f"{where}: unknown role {role!r}")
+            raise NetworkFormatError(f"nodes[{i}]: unknown role {role!r}")
         gen = entry.get("generates")
         dem = entry.get("demands")
         if gen is not None and not isinstance(gen, str):
-            raise NetworkFormatError(f"{where}: 'generates' must be a string")
+            raise NetworkFormatError(f"nodes[{i}]: 'generates' must be a string")
         if dem is not None and not isinstance(dem, str):
-            raise NetworkFormatError(f"{where}: 'demands' must be a string")
+            raise NetworkFormatError(f"nodes[{i}]: 'demands' must be a string")
         nodes.append(NetNode(nid, role, gen, dem))
     edges: list[NetEdge] = []
     for i, entry in enumerate(raw_edges):
-        where = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise NetworkFormatError(f"{where}: must be an object")
-        eid = _req(entry, "id", where)
-        tail = _req(entry, "from", where)
-        head = _req(entry, "to", where)
+            raise NetworkFormatError(f"edges[{i}]: must be an object")
+        eid = _req(entry, "id", "edges", i)
+        tail = _req(entry, "from", "edges", i)
+        head = _req(entry, "to", "edges", i)
         if not (isinstance(eid, str) and isinstance(tail, str) and isinstance(head, str)):
-            raise NetworkFormatError(f"{where}: 'id', 'from', 'to' must be strings")
+            raise NetworkFormatError(f"edges[{i}]: 'id', 'from', 'to' must be strings")
         edges.append(NetEdge(eid, tail, head))
     return CodedNetwork(name, tuple(messages), tuple(nodes), tuple(edges))

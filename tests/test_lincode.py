@@ -31,7 +31,7 @@ from ncchar import (
     verify,
 )
 from ncchar.gf import FieldMatrix, PrimeModulus
-from ncchar.lincode import SymbolicCode, SymMatrix
+from ncchar.lincode import _BATCH_MIN, SymbolicCode, SymMatrix
 from util_oracles import dense_transfer, dense_verify
 
 
@@ -356,6 +356,29 @@ def _random_code(net, k, n, p, rng):
     return FractionalCode(k, n, mod, edge_rules, decode_rules)
 
 
+def _assert_matches_dense(net, code):
+    """Check ``eval_transfer`` and ``verify`` against the dense oracle and
+    return the transfer map and the report."""
+    tm = eval_transfer(net, code)
+    want = dense_transfer(net, code)
+    assert sorted(tm) == sorted(want)
+    for e, blocks in want.items():
+        assert sorted(tm[e]) == sorted(
+            m for m, rows in blocks.items() if any(any(r) for r in rows)
+        )
+        for m, rows in blocks.items():
+            got = tm[e][m]
+            assert (got.rows, got.cols) == (code.n, code.k)
+            assert got.to_rows() == [list(r) for r in rows]
+    report = verify(net, code)
+    got = [
+        (t.terminal, t.demanded, t.passed, t.demanded_block.to_rows(), t.interferers)
+        for t in report.terminals
+    ]
+    assert got == dense_verify(net, code)
+    return tm, report
+
+
 @pytest.mark.parametrize("case", sorted(_oracle_cases()))
 def test_sparse_transfer_matches_dense_oracle(case):
     net, sym = _oracle_cases()[case]
@@ -371,27 +394,105 @@ def test_sparse_transfer_matches_dense_oracle(case):
         except CharacteristicError:
             pass  # n2 needs 1/q, which GF(p) lacks when p divides q
         for code in codes:
-            tm = eval_transfer(net, code)
-            want = dense_transfer(net, code)
-            assert sorted(tm) == sorted(want)
-            for e, blocks in want.items():
-                assert sorted(tm[e]) == sorted(
-                    m for m, rows in blocks.items() if any(any(r) for r in rows)
-                )
-                for m, rows in blocks.items():
-                    got = tm[e][m]
-                    assert (got.rows, got.cols) == (code.n, code.k)
-                    assert got.to_rows() == [list(r) for r in rows]
-            report = verify(net, code)
-            got = [
-                (t.terminal, t.demanded, t.passed, t.demanded_block.to_rows(),
-                 t.interferers)
-                for t in report.terminals
-            ]
-            assert got == dense_verify(net, code)
+            _, report = _assert_matches_dense(net, code)
             seen_fail += not report.passed
             seen_interference += any(t.interferers for t in report.terminals)
     assert seen_fail and seen_interference
+
+
+_HUB_WIDTH = _BATCH_MIN + 4  # messages, so v's out-edges batch
+
+
+def _hub():
+    """Each source x00, x01, ... sends into one node v, whose two out-edges
+    go through u1 and u2 to w; s00 also sends straight to w.  Each terminal
+    reads w's edge to it and its own source's."""
+    msgs = [f"x{i:02d}" for i in range(_HUB_WIDTH)]
+    nodes = [NetNode(f"s{m}", "source", generates=m) for m in msgs]
+    nodes += [NetNode(v, "intermediate") for v in ("v", "u1", "u2", "w")]
+    nodes += [NetNode(f"t{m}", "terminal", demands=m) for m in msgs]
+    edges = [NetEdge(f"s{m}->v", f"s{m}", "v") for m in msgs]
+    edges += [NetEdge(f"v->{u}", "v", u) for u in ("u1", "u2")]
+    edges += [NetEdge(f"{u}->w", u, "w") for u in ("u1", "u2")]
+    edges.append(NetEdge("sx00->w", "sx00", "w"))
+    edges += [NetEdge(f"w->t{m}", "w", f"t{m}") for m in msgs]
+    edges += [NetEdge(f"s{m}->t{m}", f"s{m}", f"t{m}") for m in msgs]
+    return CodedNetwork("hub", msgs, nodes, edges)
+
+
+def _hub_code(net, k, n, p, rng, cancel=False):
+    """A random code on ``_hub`` whose v->u1 and v->u2 carry one nonzero
+    block per message: source i sends a column whose only nonzero entry,
+    1 + (i div n) mod (p - 1), is at row i mod n, and v forwards it
+    unchanged, so over GF(3) and up no two messages share a block.  u2->w
+    applies a unit upper triangular matrix, which keeps every block.  u1->w
+    applies a matrix with a zero first column, so the blocks of every
+    message i with i mod n = 0 vanish in its one batched product; with
+    ``cancel`` it applies u2->w's matrix instead, and w's edges read u2->w
+    negated, so their two batched inputs cancel."""
+    code = _random_code(net, k, n, p, rng)
+    mod = code.modulus
+    rules = dict(code.edge_rules)
+    for i, m in enumerate(net.messages):
+        x = 1 + (i // n) % (p - 1)
+        col = [[x if r == i % n and c == 0 else 0 for c in range(k)] for r in range(n)]
+        rules[f"s{m}->v"] = (CodeInput("src:" + m, FieldMatrix.from_rows(col, mod)),)
+    ident = FieldMatrix.identity(n, mod)
+    for u in ("u1", "u2"):
+        rules[f"v->{u}"] = tuple(CodeInput(f"s{m}->v", ident) for m in net.messages)
+    upper = [[int(r == c) or (c > r) * rng.randrange(p) for c in range(n)] for r in range(n)]
+    keep = FieldMatrix.from_rows(upper, mod)
+    rules["u2->w"] = (CodeInput("v->u2", keep),)
+    [(ref, a)] = [(inp.ref, inp.matrix) for inp in rules["u1->w"]]
+    a = FieldMatrix.from_rows([[0, *row[1:]] for row in a.to_rows()], mod)
+    rules["u1->w"] = (CodeInput(ref, keep if cancel else a),)
+    if cancel:
+        for m in net.messages:
+            inputs = {inp.ref: inp.matrix for inp in rules[f"w->t{m}"]}
+            negated = [[-x for x in row] for row in inputs["u1->w"].to_rows()]
+            inputs["u2->w"] = FieldMatrix.from_rows(negated, mod)
+            rules[f"w->t{m}"] = tuple(CodeInput(r, x) for r, x in inputs.items())
+    return FractionalCode(k, n, mod, rules, code.decode_rules)
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 3), (2, 3), (3, 2)])
+def test_batched_transfer_matches_dense_oracle(k, n):
+    # u1->w and u2->w are rules of one batched input, each w->t a rule of
+    # one unbatched input (sx00->w) and batched ones, and each decode rule
+    # reads w->t and an unbatched source edge
+    net = _hub()
+    rng = random.Random(f"batched-oracle:{k},{n}")
+    for p in (2, 3, 5, 2_147_483_647):
+        for cancel in (False, True, False):
+            code = _hub_code(net, k, n, p, rng, cancel)
+            tm, _ = _assert_matches_dense(net, code)
+            assert len(tm["v->u1"]) == len(tm["u2->w"]) == _HUB_WIDTH
+            if cancel:  # both inputs batch, and only sx00->w's block is left
+                assert len(tm["u1->w"]) == _HUB_WIDTH
+                assert all(len(tm[f"w->t{m}"]) <= 1 for m in net.messages)
+            else:  # the zero column drops blocks
+                assert len(tm["u1->w"]) < _HUB_WIDTH
+
+
+def test_bad_ref_after_a_batched_input_keeps_its_error():
+    net = _hub()
+    code = _hub_code(net, 1, 2, 3, random.Random("batched-bad-ref"))
+    tm = eval_transfer(net, code)
+    assert len(tm["u2->w"]) >= _BATCH_MIN and len(tm["w->tx05"]) >= _BATCH_MIN
+    # "zz" sorts after every in-edge of w and of tx05, so it is read after
+    # a batched input
+    rules = dict(code.edge_rules)
+    rules["w->tx05"] += (CodeInput("zz", FieldMatrix.identity(2, code.modulus)),)
+    bad = FractionalCode(1, 2, code.modulus, rules, code.decode_rules)
+    assert _eval_and_verify_error(net, bad) == (
+        "rule for edge 'w->tx05' reads 'zz', which is not an in-edge of its tail 'w'"
+    )
+    decode = dict(code.decode_rules)
+    decode["tx05"] += (CodeInput("zz", FieldMatrix.zeros(1, 2, code.modulus)),)
+    bad = FractionalCode(1, 2, code.modulus, code.edge_rules, decode)
+    with pytest.raises(CodeError) as exc:
+        verify(net, bad)
+    assert str(exc.value) == "decode rule for 'tx05' reads 'zz', which is not one of its in-edges"
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +682,22 @@ def test_symbolic_round_trip_keeps_inv_q():
     assert b"INV_Q" in save_code(sym)
 
 
+def test_save_formats_each_symbolic_matrix_once(monkeypatch):
+    # the 14,446 inputs of solve_n1(30, 4) share 10 matrices
+    from ncchar import lincode
+
+    sym = solve_n1(30, 4)
+    want = save_code(sym)
+    calls = []
+    monkeypatch.setattr(lincode, "_entry_to_json",
+                        lambda e, f=lincode._entry_to_json: calls.append(e) or f(e))
+    assert save_code(sym) == want
+    rules = (*sym.edge_rules.values(), *sym.decode_rules.values())
+    distinct = {id(inp.matrix): inp.matrix for inputs in rules for inp in inputs}
+    assert len(distinct) == 10
+    assert len(calls) == sum(len(m.entries) for m in distinct.values())
+
+
 def test_load_rejects_entry_outside_field():
     code = instantiate(solve_n1(2, 1), 2)
     doc = json.loads(save_code(code))
@@ -633,6 +750,36 @@ def test_load_refuses_entries_in_place_of_a_shared_matrix():
         with pytest.raises(CodeFormatError) as exc:
             load_code(json.dumps(doc))
         assert str(exc.value) == f"edge_rules[31].inputs[0]: {text}"
+
+
+def test_load_errors_name_the_rule_and_input_they_are_in():
+    # a location is formatted only when the rule or input is wrong; the texts stay
+    good = json.loads(save_code(instantiate(solve_n1(2, 1), 2)))
+    for part, change, where, text in (
+        ("edge_rules", None, "[3]", "must be an object"),
+        ("edge_rules", {"inputs": []}, "[3]", "needs 'edge' and 'inputs'"),
+        ("decode_rules", {"edge": "x", "inputs": []}, "[3]", "needs 'terminal' and 'inputs'"),
+        ("edge_rules", {"edge": 5, "inputs": []}, "[3]", "'edge' must be a string"),
+        ("edge_rules", {"edge": "x", "inputs": {}}, "[3]", "'inputs' must be a list"),
+        ("edge_rules", {"edge": "x", "inputs": [{}]}, "[3].inputs[0]",
+         "needs 'ref' and 'matrix'"),
+        ("edge_rules", {"edge": "x", "inputs": [{"ref": 1, "matrix": [[1]]}]},
+         "[3].inputs[0]", "'ref' must be a string"),
+        ("edge_rules", {"edge": "x", "inputs": [{"ref": "r", "matrix": [[1], []]}]},
+         "[3].inputs[0]", "'matrix' must be a non-empty list of equal-length rows"),
+        ("decode_rules", {"terminal": "x", "inputs": [{"ref": "r", "matrix": [[2]]}]},
+         "[3].inputs[0]", "entry 2 outside [0, 2)"),
+    ):
+        doc = json.loads(json.dumps(good))
+        doc[part][3] = change
+        with pytest.raises(CodeFormatError) as exc:
+            load_code(json.dumps(doc))
+        assert str(exc.value) == f"{part}{where}: {text}"
+    doc = json.loads(json.dumps(good))
+    doc["edge_rules"][3]["edge"] = doc["edge_rules"][0]["edge"]
+    with pytest.raises(CodeFormatError) as exc:
+        load_code(json.dumps(doc))
+    assert str(exc.value) == f"edge_rules[3]: duplicate rule for {doc['edge_rules'][0]['edge']!r}"
 
 
 def test_load_shares_one_matrix_per_distinct_value():

@@ -342,6 +342,35 @@ def test_load_rejects_unknown_role():
         load(doc)
 
 
+def test_load_errors_name_the_entry_they_are_in():
+    # each entry's location is formatted only when it is wrong; the texts stay
+    good = json.loads(save(gen_n1(2, 1)))
+    for part, i, change, text in (
+        ("nodes", 3, 7, "must be an object"),
+        ("nodes", 3, {"id": "x"}, "missing field 'role'"),
+        ("nodes", 3, {"role": "source"}, "missing field 'id'"),
+        ("nodes", 3, {"id": 1, "role": "source"}, "'id' and 'role' must be strings"),
+        ("nodes", 3, {"id": "x", "role": "sink"}, "unknown role 'sink'"),
+        ("nodes", 3, {"id": "x", "role": "source", "generates": 1},
+         "'generates' must be a string"),
+        ("nodes", 3, {"id": "x", "role": "terminal", "demands": []},
+         "'demands' must be a string"),
+        ("edges", 12, [], "must be an object"),
+        ("edges", 12, {"from": "a", "to": "b"}, "missing field 'id'"),
+        ("edges", 12, {"id": "e", "to": "b"}, "missing field 'from'"),
+        ("edges", 12, {"id": "e", "from": "a"}, "missing field 'to'"),
+        ("edges", 12, {"id": "e", "from": "a", "to": None}, "'id', 'from', 'to' must be strings"),
+    ):
+        doc = json.loads(json.dumps(good))
+        doc[part][i] = change
+        with pytest.raises(NetworkFormatError) as exc:
+            load(json.dumps(doc))
+        assert str(exc.value) == f"{part}[{i}]: {text}"
+    with pytest.raises(NetworkFormatError) as exc:
+        load(b'{"messages": [], "nodes": [], "edges": []}')
+    assert str(exc.value) == "network: missing field 'name'"
+
+
 def test_round_trip_all_generated():
     for q, n in ((2, 1), (2, 2), (3, 1), (3, 3), (6, 2)):
         for gen in (gen_n1, gen_n2):

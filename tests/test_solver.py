@@ -750,15 +750,33 @@ def test_search_agrees_with_raw_enumeration():
             assert verify(net, got.code).passed
 
 
+def _merge(side: str) -> CodedNetwork:
+    """m1, m2 and m3 meet at v, and t, demanding m3, reads v and ``side``.
+
+    At (1, 2) v->t has a choice: 7 two-dimensional subspaces of the
+    three-dimensional span at v, and the first in enumeration order,
+    span(m1, m2), cannot serve t when ``side`` is s1 or s2, so a search
+    that tried only the first candidate of each edge would call these
+    unsolvable.  Random DAGs small enough to enumerate never have such a
+    choice, and raw enumeration of these ends at the first code that
+    decodes, which comes early."""
+    msgs = ("m1", "m2", "m3")
+    nodes = [NetNode(f"s{i}", "source", generates=m) for i, m in enumerate(msgs, 1)]
+    nodes += [NetNode("v", "intermediate"), NetNode("t", "terminal", demands="m3")]
+    edges = [NetEdge(f"s{i}->v", f"s{i}", "v") for i in (1, 2, 3)]
+    edges += [NetEdge("v->t", "v", "t"), NetEdge(f"{side}->t", side, "t")]
+    return CodedNetwork("merge", msgs, nodes, edges)
+
+
 @pytest.mark.parametrize("k, n", [(1, 2), (2, 1)])
 def test_fractional_search_agrees_with_raw_enumeration(k, n):
-    # every local block over GF(2) on DAGs of at most 4 edges
+    # every local block over GF(2) on the two merges and on 100 DAGs of at
+    # most 4 edges
     rng = random.Random(6000 + 10 * k + n)
+    randoms = (random_network(rng, max_edges=4) for _ in itertools.count())
+    small = (net for net in randoms if fractional_slots(net, k, n) <= 16)
     decisions = []
-    while len(decisions) < 100:
-        net = random_network(rng, max_edges=4)
-        if fractional_slots(net, k, n) > 16:
-            continue
+    for net in itertools.chain([_merge("s1"), _merge("s2")], itertools.islice(small, 100)):
         got = search_fractional(net, k, n, 2, SearchConfig())
         want = brute_force_fractional(net, k, n, 2)
         assert (got.status == SOLVABLE) == want, net
