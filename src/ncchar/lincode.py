@@ -4,11 +4,12 @@ Sources emit blocks of k symbols, edges carry blocks of n symbols.  A
 code assigns each edge a rule combining the blocks on its tail's
 in-edges (n x n matrices) and/or the message generated at its tail
 (n x k matrices), and each terminal a decode rule (k x n matrices over
-its in-edges).  One rule evaluator runs both kinds: ``eval_transfer``
-unrolls the edge rules, in topological order, into global transfer
-blocks, an n x k matrix per (edge, message); ``verify`` then evaluates
-each decode rule on them and checks that every terminal reconstructs its
-demand exactly: identity on the demanded block, zero on every other.
+its in-edges).  One rule evaluator runs both kinds.  ``eval_transfer``,
+the one walk over the edge rules, unrolls them in topological order into
+global transfer blocks, an n x k block per (edge, message); ``verify``
+runs it, then evaluates each decode rule on the blocks and checks that
+every terminal reconstructs its demand exactly: identity on the demanded
+block, zero on every other.
 
 Transfer maps are sparse.  Each edge stores only its nonzero blocks, and
 a rule multiplies only stored blocks, so the cost follows the nonzero
@@ -17,10 +18,10 @@ residue tuples: a rule's products are added unreduced and reduced mod p
 once, and a rule with one input reduces them as it makes them.  An input
 whose parent holds many blocks multiplies them all in one product through
 ``gf._dot_rows``, with the blocks side by side as one wide matrix, and
-splits the result back into blocks.  Only ``eval_transfer`` wraps the
-blocks, once each, as ``FieldMatrix`` blocks of a ``TransferBlocks`` map,
-which reads any other message of the network as the zero block;
-``verify`` builds a matrix only for each demanded block.
+splits the result back into blocks.  ``eval_transfer`` returns the blocks
+raw, ``{edge: {message: block}}`` with nonzero blocks only, so a message
+missing from an edge's map has the zero block there; ``verify`` builds a
+``FieldMatrix`` only for each demanded block.
 
 A ``SymbolicCode`` is the characteristic-agnostic form of the same data:
 entries are small integers, optionally times a formal inverse of the
@@ -276,34 +277,6 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
 
 # -- evaluation and verification ---------------------------------------------
 
-
-class TransferBlocks(dict):
-    """One edge's transfer blocks: message -> n x k matrix, nonzero ones only.
-
-    Reading a message with no stored block gives the zero block; reading
-    anything that is not a message of the network raises ``KeyError``.
-    Iteration, ``len`` and ``==`` see only the stored blocks, so maps that
-    hold the same nonzero blocks compare equal.
-    """
-
-    __slots__ = ("messages", "zero")
-
-    def __init__(
-        self, blocks: Mapping[str, FieldMatrix], messages: frozenset[str], zero: FieldMatrix
-    ):
-        super().__init__(blocks)
-        self.messages = messages
-        self.zero = zero
-
-    def __missing__(self, message: str) -> FieldMatrix:
-        if message in self.messages:
-            return self.zero
-        raise KeyError(message)
-
-
-TransferMap = dict[str, TransferBlocks]
-
-
 Blocks = dict[str, tuple[int, ...]]  # message -> row-major residues, nonzero only
 
 
@@ -383,11 +356,14 @@ def _evaluate(
     raise CodeError(f"{rule} reads {ref!r}, {fault}")
 
 
-def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
-    """Every edge's nonzero transfer blocks as flat row-major residue tuples.
+def eval_transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
+    """Global transfer blocks: for each edge, the n x k block of each
+    message, as a row-major tuple of residues mod p.
 
-    Edges are evaluated in topological order, so a broken rule is reported
-    at the first edge that has one.
+    This is the one walk over the edge rules, and ``verify`` runs it.  Each
+    edge stores only its nonzero blocks, so a message missing from an edge's
+    map has the zero block there.  Edges are evaluated in topological order,
+    so a broken rule is reported at the first edge that has one.
     """
     node_by_id = net.node_map()
     rules, k, p = code.edge_rules, code.k, code.modulus.p
@@ -400,26 +376,6 @@ def _transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
                 raise CodeError(f"no rule for edge {e.id!r}")
             transfer[e.id] = _evaluate(e.id, rules[e.id], node, in_ids, transfer, k, p)
     return transfer
-
-
-def eval_transfer(net: CodedNetwork, code: FractionalCode) -> TransferMap:
-    """Global transfer blocks: for each edge, an n x k matrix per message.
-
-    Each edge's ``TransferBlocks`` stores only its nonzero blocks, built
-    from the stored blocks of its parent edges and its ``src:`` input;
-    any other message of the network reads as the zero n x k block.
-    """
-    n, k, mod = code.n, code.k, code.modulus
-    messages = frozenset(net.messages)
-    zero = FieldMatrix.zeros(n, k, mod)
-    return {
-        eid: TransferBlocks(
-            {m: FieldMatrix._trusted(n, k, flat, mod) for m, flat in blocks.items()},
-            messages,
-            zero,
-        )
-        for eid, blocks in _transfer(net, code).items()
-    }
 
 
 class TerminalReport(_Value):
@@ -457,11 +413,14 @@ class VerificationReport(_Value):
 def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
     """Exact per-terminal check of the decode rules against the transfers.
 
-    Each decode rule is evaluated like an edge rule, after every edge, on
-    the raw blocks of ``_transfer``; only each terminal's demanded block
-    becomes a ``FieldMatrix``.
+    The edge rules are walked once, by ``eval_transfer``, looked up as a
+    module global on each call, so a wrapper set on ``lincode.eval_transfer``
+    sees every walk.  Each decode rule is then evaluated like an edge rule
+    on those raw blocks, row-major n x k residues with a missing message as
+    the zero block; only each terminal's demanded block becomes a
+    ``FieldMatrix``.
     """
-    transfer = _transfer(net, code)
+    transfer = eval_transfer(net, code)
     messages = frozenset(net.messages)
     k, mod = code.k, code.modulus
     ident = FieldMatrix.identity(k, mod)

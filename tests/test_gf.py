@@ -334,3 +334,23 @@ def test_benchmark_hooks_exist():
         assert callable(FieldMatrix.__dict__[name]), name
     assert isinstance(FieldMatrix.__dict__["is_zero"], property)
     assert callable(lincode.eval_transfer)
+
+
+def test_verify_walks_the_edge_rules_through_eval_transfer(monkeypatch):
+    # bench/run.py times the transfer walk by wrapping the module attribute
+    # lincode.eval_transfer; verify must reach the walk through it, once
+    from ncchar import gen_n1, instantiate, lincode, solve_n1
+
+    net, code = gen_n1(2, 2), instantiate(solve_n1(2, 2), 3)
+    want = lincode.verify(net, code)
+    calls = []
+    original = lincode.eval_transfer
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lincode, "eval_transfer", wrapped)
+    assert lincode.verify(net, code) == want
+    assert calls == [(net, code)]
+    assert not want.passed  # GF(3) leaves c-interference at Ta: a non-trivial report
