@@ -35,7 +35,6 @@ from .network import (
     NetEdge,
     NetNode,
     _int_at_least,
-    _set,
     _Value,
     is_multiple_unicast,
     validate,
@@ -86,20 +85,6 @@ class _Family(_Value):
     edge; the ``branches`` are the indices i of the message sets b_i."""
 
     __slots__ = ("messages", "branches", "sources", "links", "terminals")
-
-    def __init__(
-        self,
-        messages: tuple[str, ...],
-        branches: range,
-        sources: tuple[_Source, ...],
-        links: tuple[_Link, ...],
-        terminals: tuple[_Terminal, ...],
-    ) -> None:
-        _set(self, "messages", messages)
-        _set(self, "branches", branches)
-        _set(self, "sources", sources)
-        _set(self, "links", links)
-        _set(self, "terminals", terminals)
 
     def inner_edges(self) -> tuple[_Link, ...]:
         """Every edge but the source edges: the links, then one edge into
@@ -246,6 +231,7 @@ def union_copies(net: CodedNetwork, copies: int) -> CodedNetwork:
 class GadgetApplication(_Value):
     """One rewrite step: two terminals demanding the same message are
     demoted to intermediates and a bottleneck gadget replaces them.
+    ``x_nodes`` holds the gadget's x1..x5, in that order.
 
     ``sources`` and ``edges`` list the step's topology once, read off
     these fields; ``gadget_transform_traced`` builds the step from them
@@ -255,28 +241,6 @@ class GadgetApplication(_Value):
         "index", "message", "n1", "n2", "z_message", "y_messages", "x_nodes", "t_nodes",
         "s_nodes",
     )
-
-    def __init__(
-        self,
-        index: int,
-        message: str,
-        n1: str,
-        n2: str,
-        z_message: str,
-        y_messages: tuple[str, ...],
-        x_nodes: tuple[str, str, str, str, str],  # x1..x5
-        t_nodes: tuple[str, ...],
-        s_nodes: tuple[str, ...],
-    ) -> None:
-        _set(self, "index", index)
-        _set(self, "message", message)
-        _set(self, "n1", n1)
-        _set(self, "n2", n2)
-        _set(self, "z_message", z_message)
-        _set(self, "y_messages", y_messages)
-        _set(self, "x_nodes", x_nodes)
-        _set(self, "t_nodes", t_nodes)
-        _set(self, "s_nodes", s_nodes)
 
     def sources(self) -> list[tuple[str, str]]:
         """(node, message) of each new source in bottleneck-slot order:

@@ -84,10 +84,6 @@ class CodeInput(_Value):
 
     __slots__ = ("ref", "matrix")
 
-    def __init__(self, ref: str, matrix: FieldMatrix | SymMatrix) -> None:
-        _set(self, "ref", ref)
-        _set(self, "matrix", matrix)
-
 
 _by_ref = attrgetter("ref")
 
@@ -381,26 +377,9 @@ def eval_transfer(net: CodedNetwork, code: FractionalCode) -> dict[str, Blocks]:
 class TerminalReport(_Value):
     __slots__ = ("terminal", "demanded", "passed", "demanded_block", "interferers")
 
-    def __init__(
-        self,
-        terminal: str,
-        demanded: str,
-        passed: bool,
-        demanded_block: FieldMatrix,
-        interferers: tuple[str, ...],
-    ) -> None:
-        _set(self, "terminal", terminal)
-        _set(self, "demanded", demanded)
-        _set(self, "passed", passed)
-        _set(self, "demanded_block", demanded_block)
-        _set(self, "interferers", interferers)
-
 
 class VerificationReport(_Value):
     __slots__ = ("terminals",)
-
-    def __init__(self, terminals: tuple[TerminalReport, ...]) -> None:
-        _set(self, "terminals", terminals)
 
     @property
     def passed(self) -> bool:

@@ -42,9 +42,11 @@ class CycleError(ValueError):
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields, in order, as its ``__slots__`` (plus
-    ``"__dict__"`` when it caches into the instance) and sets each one in
-    its own ``__init__`` with ``_set``.  From those fields alone it gets
+    A subclass lists its fields once, in order, as its ``__slots__`` (plus
+    ``"__dict__"`` when it caches into the instance) and gets a constructor
+    that stores them, the last ones defaulted from ``_defaults``.  A class
+    that checks or normalises its input writes its own ``__init__``, which
+    sets each field with ``_set``.  From the fields alone it also gets
     ``==`` (objects of one class with equal fields), a hash equal to that
     of the field tuple, the repr ``Name(field=value, ...)``, pickling
     through the constructor, and an ``AttributeError`` on any assignment
@@ -52,12 +54,23 @@ class _Value:
     """
 
     __slots__ = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
         get = attrgetter(*cls._fields)
         # the field tuple, a one-tuple too, built by one C-level getter
         cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+        if cls.__init__ is object.__init__:
+            # compiled per class, as collections.namedtuple compiles its
+            # __new__, so the signature names the fields and binds them itself
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            scope = {"_set": _set, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", scope)
+            init = scope["__init__"]
+            init.__defaults__ = cls._defaults or None
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -87,38 +100,19 @@ _by_id = attrgetter("id")
 
 class NetNode(_Value):
     __slots__ = ("id", "role", "generates", "demands")
-
-    def __init__(
-        self, id: str, role: str, generates: str | None = None, demands: str | None = None
-    ) -> None:
-        _set(self, "id", id)
-        _set(self, "role", role)
-        _set(self, "generates", generates)
-        _set(self, "demands", demands)
+    _defaults = (None, None)
 
 
 class NetEdge(_Value):
     __slots__ = ("id", "tail", "head")
 
-    def __init__(self, id: str, tail: str, head: str) -> None:
-        _set(self, "id", id)
-        _set(self, "tail", tail)
-        _set(self, "head", head)
-
 
 class Violation(_Value):
     __slots__ = ("kind", "detail")
 
-    def __init__(self, kind: str, detail: str) -> None:
-        _set(self, "kind", kind)
-        _set(self, "detail", detail)
-
 
 class ValidationReport(_Value):
     __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...]) -> None:
-        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -129,20 +123,14 @@ class ValidationReport(_Value):
 
 
 class UnicastViolation(_Value):
-    __slots__ = ("message", "kind", "count")
+    """A message generated, or demanded, by ``count`` nodes other than one;
+    ``kind`` is ``"generated"`` or ``"demanded"``."""
 
-    def __init__(self, message: str, kind: str, count: int) -> None:
-        _set(self, "message", message)
-        _set(self, "kind", kind)  # "generated" or "demanded"
-        _set(self, "count", count)
+    __slots__ = ("message", "kind", "count")
 
 
 class UnicastCheck(_Value):
     __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[UnicastViolation, ...]) -> None:
-        _set(self, "ok", ok)
-        _set(self, "violations", violations)
 
 
 class CodedNetwork(_Value):

@@ -86,13 +86,7 @@ class SearchConfig(_Value):
 
 class SearchOutcome(_Value):
     __slots__ = ("status", "states_explored", "code")
-
-    def __init__(
-        self, status: str, states_explored: int, code: FractionalCode | None = None
-    ) -> None:
-        _set(self, "status", status)
-        _set(self, "states_explored", states_explored)
-        _set(self, "code", code)
+    _defaults = (None,)
 
 
 # -- tuple-based subspace helpers (hot path, kept free of FieldMatrix) --------
@@ -163,34 +157,25 @@ def _in_span(x: tuple[int, ...], basis: Sequence[tuple[int, ...]], p: int) -> bo
 
 
 class _EdgeInfo(_Value):
-    __slots__ = ("edge_id", "parents", "forced_demand")
+    """One edge of the search order: ``parents`` are the sorted positions of
+    the edges into its tail or, for a source tail, the one slot E + t (E
+    edges, t the index of the message the tail generates); ``forced_demand``
+    is the index of the message its head demands when the head is a
+    terminal with this one in-edge, else None."""
 
-    def __init__(
-        self, edge_id: str, parents: tuple[int, ...], forced_demand: int | None
-    ) -> None:
-        _set(self, "edge_id", edge_id)
-        _set(self, "parents", parents)
-        _set(self, "forced_demand", forced_demand)
+    __slots__ = ("edge_id", "parents", "forced_demand")
 
 
 class _Plan(_Value):
-    __slots__ = ("messages", "edges", "checks_at", "frontier_after", "live_at", "terminals")
+    """The search order and its checks, by position i: ``edges[i]`` is an
+    ``_EdgeInfo``; ``checks_at[i]`` holds the (demand, positions) checks
+    whose last position is i, and ``frontier_after[i]`` the (demand,
+    frontier positions) checks of the prune once i is assigned;
+    ``live_at[i]`` the positions before i that i or a later one reads;
+    ``terminals`` a (terminal id, demand, in-edge positions) triple per
+    terminal, by id.  A demand is an index into ``messages``."""
 
-    def __init__(
-        self,
-        messages: tuple[str, ...],
-        edges: tuple[_EdgeInfo, ...],
-        checks_at: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
-        frontier_after: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
-        live_at: tuple[tuple[int, ...], ...],
-        terminals: tuple[tuple[str, int, tuple[int, ...]], ...],
-    ) -> None:
-        _set(self, "messages", messages)
-        _set(self, "edges", edges)
-        _set(self, "checks_at", checks_at)
-        _set(self, "frontier_after", frontier_after)
-        _set(self, "live_at", live_at)
-        _set(self, "terminals", terminals)
+    __slots__ = ("messages", "edges", "checks_at", "frontier_after", "live_at", "terminals")
 
 
 def _edge_order(net: CodedNetwork) -> list:

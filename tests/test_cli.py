@@ -746,8 +746,9 @@ def test_each_command_imports_only_its_modules(tmp_path):
         assert exit_code == 0, command
         ours = {m for m in loaded if m.startswith("ncchar.")}
         assert ours == {f"ncchar.{m}" for m in COMMAND_MODULES[command] | {"cli"}}, command
-        # the value classes are plain classes: no command pays for dataclasses
-        assert "dataclasses" not in loaded, command
+        # the value classes are plain classes with constructors compiled from
+        # their fields: no command pays for dataclasses or inspect
+        assert not {"dataclasses", "inspect"} & set(loaded), command
     submodules = [m.name for m in pkgutil.iter_modules(ncchar.__path__)]
     loaded = fresh_python(tmp_path, (
         "import importlib, json, sys\n"
@@ -757,7 +758,7 @@ def test_each_command_imports_only_its_modules(tmp_path):
         f"print(json.dumps({added}))\n"
     ))
     assert {f"ncchar.{m}" for m in submodules} <= set(loaded)
-    assert "dataclasses" not in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_import_ncchar_is_lazy_and_every_name_resolves(tmp_path):

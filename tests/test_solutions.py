@@ -21,6 +21,7 @@ from ncchar import (
     verify,
 )
 from ncchar.lincode import SRC_PREFIX
+from util_oracles import reverse, transpose_code
 
 PRIMES = (2, 3, 5, 7)
 
@@ -191,6 +192,26 @@ def test_gadget_bytes_are_pinned(family, q, n):
         hashlib.sha256(save_code(sym)).hexdigest(),
     )
     assert got == GADGET_DIGESTS[family, q, n]
+
+
+@pytest.mark.parametrize("family, q, n", sorted(GADGET_DIGESTS))
+def test_transposed_gadget_code_verifies_on_the_reversed_network(family, q, n):
+    # a gadget network is multiple-unicast, so its lifted closed form,
+    # transposed, solves the reversed network over exactly the same fields
+    gadgeted, sym = _gadget_lift(family, q, n)
+    rev, rev_sym = reverse(gadgeted), transpose_code(gadgeted, sym)
+    assert reverse(rev) == gadgeted and transpose_code(rev, rev_sym) == sym
+    passed = []
+    for p in PRIMES:
+        sides = []
+        for net, code in ((gadgeted, sym), (rev, rev_sym)):
+            try:
+                sides.append(verify(net, instantiate(code, p)).passed)
+            except CharacteristicError:
+                sides.append(None)
+        assert sides[0] == sides[1], p
+        passed.append(sides[0])
+    assert True in passed  # the closed form solves N over some prime
 
 
 def test_lifted_gadget_union_code_is_pinned():

@@ -39,6 +39,8 @@ from util_oracles import (
     random_network,
     rank_mod_p,
     reference_plan_tables,
+    reverse,
+    transpose_code,
 )
 
 
@@ -323,6 +325,42 @@ def test_dominance_reach():
         assert (out.status, out.states_explored) == (status, states), (net.name, k, n, p)
         if status == SOLVABLE:
             assert verify(net, out.code).passed
+
+
+# Reversing a multiple-unicast network's edges and swapping each message's
+# source and terminal keeps its (k, n) linear solvability over GF(p): a
+# code transposes to one on the reversed network (util_oracles).  So the
+# search on reverse(N) must give N's decision, whatever its state count.
+REVERSAL_RUNS = [
+    (gadget_transform(gen_n1(2, 1), 1), 1, 1, 2),
+    (gadget_transform(gen_n1(2, 1), 1), 1, 1, 3),
+    (gadget_transform(gen_n1(2, 1), 1), 1, 1, 5),
+    (gadget_transform(gen_n1(3, 1), 1), 1, 1, 2),
+    (gadget_transform(gen_n1(3, 1), 1), 1, 1, 3),
+]
+
+
+def test_reversed_search_gives_each_decision():
+    # N's decision is searched here, and for gadget(n2(2,2),2) at (1,2)/GF(2)
+    # it is the one pinned in DOMINANCE_REACH_RUNS
+    net, k, n, p, status, _ = DOMINANCE_REACH_RUNS[-1]
+    runs = [(net, k, n, p, status)]
+    runs += [(*cell, search_fractional(*cell, SearchConfig()).status) for cell in REVERSAL_RUNS]
+    for net, k, n, p, status in runs:
+        rev = reverse(net)
+        out = search_fractional(rev, k, n, p, SearchConfig())
+        assert out.status == status != INCONCLUSIVE, (net.name, k, n, p)
+        if status == SOLVABLE:
+            assert verify(net, transpose_code(rev, out.code)).passed
+
+
+def test_reversed_search_finds_a_witness_for_the_network():
+    # the search on N itself is still inconclusive here at 4 M states
+    net = gadget_transform(gen_n2(2, 2), 2)
+    rev = reverse(net)
+    out = search_fractional(rev, 1, 2, 3, SearchConfig())
+    assert out.status == SOLVABLE
+    assert verify(net, transpose_code(rev, out.code)).passed
 
 
 @pytest.mark.slow

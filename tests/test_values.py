@@ -9,6 +9,7 @@ the fields), and that assigning or deleting an attribute raises
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -165,6 +166,10 @@ def test_every_public_value_class_is_pinned():
 
 @pytest.mark.parametrize("cls, fields, args, defaults, text", CASES, ids=IDS)
 def test_fields_defaults_and_keywords(cls, fields, args, defaults, text):
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(fields)
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
     obj = cls(*args)
     assert field_tuple(obj, fields) == args
     assert cls(**dict(zip(fields, args))) == obj
@@ -254,6 +259,17 @@ def test_constructor_checks():
         FractionalCode(1, 1, P3, {"s->t": (CodeInput("src:a", M12),)}, {})
     with pytest.raises(CodeError, match="q must be a positive integer"):
         SymbolicCode(1, 1, 0, {}, {})
+    # a bare subclass of a checking class keeps its parent's checks
+    for cls, args, match in (
+        (FieldMatrix, (1, 1, (3,), P3), r"entry 3 outside \[0, 3\)"),
+        (SearchConfig, (0,), "node_budget must be positive"),
+        (PrimeModulus, (4,), "not prime"),
+    ):
+        class Sub(cls):
+            pass
+
+        with pytest.raises(ValueError, match=match):
+            Sub(*args)
 
 
 def test_normalising_constructors():

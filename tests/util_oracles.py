@@ -15,7 +15,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from ncchar import CodedNetwork, NetEdge, NetNode, gen_fano, validate
+from ncchar import (
+    CodeInput,
+    CodedNetwork,
+    FractionalCode,
+    NetEdge,
+    NetNode,
+    SymbolicCode,
+    SymMatrix,
+    gen_fano,
+    validate,
+)
 from ncchar.gf import FieldMatrix, PrimeModulus
 from ncchar.network import topological_order
 
@@ -443,3 +453,60 @@ def dense_verify(net: CodedNetwork, code) -> list[tuple]:
         out.append((term.id, term.demands, passed,
                     [list(r) for r in decoded[term.demands]], interferers))
     return out
+
+
+# ---------------------------------------------------------------------------
+# network reversal
+# ---------------------------------------------------------------------------
+#
+# Reversing every edge of a multiple-unicast network and swapping each
+# message's source and terminal turns a (k, n) linear code into one on the
+# reversed network by transposing every block: the transfer from message i
+# to the terminal of j becomes the transpose of the one from j to the
+# terminal of i, so the transposed code decodes exactly when the code does.
+
+_SWAPPED_ROLE = {"source": "terminal", "terminal": "source"}
+
+
+def reverse(net: CodedNetwork) -> CodedNetwork:
+    """Every edge flipped under its own id; each source becomes the terminal
+    of the message it generated and each terminal the source of the one it
+    demanded."""
+    nodes = [NetNode(v.id, _SWAPPED_ROLE.get(v.role, v.role), v.demands, v.generates)
+             for v in net.nodes]
+    edges = [NetEdge(e.id, e.head, e.tail) for e in net.edges]
+    return CodedNetwork(net.name, net.messages, nodes, edges)
+
+
+def _transpose(m):
+    flat = tuple(m.entries[i * m.cols + j] for j in range(m.cols) for i in range(m.rows))
+    if isinstance(m, FieldMatrix):
+        return FieldMatrix(m.cols, m.rows, flat, m.modulus)
+    return SymMatrix(m.cols, m.rows, flat)
+
+
+def transpose_code(net: CodedNetwork, code):
+    """The code on ``reverse(net)`` whose blocks are the transposes of
+    ``code``'s: an edge block A read by edge e from f becomes Aᵀ read by f
+    from e, a source block S of edge e becomes a decode block Sᵀ of e's tail,
+    and a decode block D of edge e at a terminal becomes e's source block Dᵀ
+    of the message that terminal demanded.  ``code`` is a ``FractionalCode``
+    or a ``SymbolicCode``, and so is the result, whose constructor sorts
+    each rule's inputs into a tuple."""
+    node_map, edge_map = net.node_map(), net.edge_map()
+    edge_rules: dict[str, list] = {e.id: [] for e in net.edges}
+    decode_rules: dict[str, list] = {}
+    for eid, inputs in code.edge_rules.items():
+        for inp in inputs:
+            if inp.ref.startswith("src:"):
+                rule = decode_rules.setdefault(edge_map[eid].tail, [])
+            else:
+                rule = edge_rules[inp.ref]
+            rule.append(CodeInput(eid, _transpose(inp.matrix)))
+    for term, inputs in code.decode_rules.items():
+        ref = "src:" + node_map[term].demands
+        for inp in inputs:
+            edge_rules[inp.ref].append(CodeInput(ref, _transpose(inp.matrix)))
+    if isinstance(code, SymbolicCode):
+        return SymbolicCode(code.k, code.n, code.q, edge_rules, decode_rules)
+    return FractionalCode(code.k, code.n, code.modulus, edge_rules, decode_rules, code.q)
