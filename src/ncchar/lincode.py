@@ -34,10 +34,14 @@ symbolic matrices of one code become one shared ``FieldMatrix``, and
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, produced by
 a direct formatter for the one document shape, because ``json.dumps``
 with any ``indent`` gives up its C encoder for a pure-Python one.
+``load_code`` pauses the cyclic garbage collector for the call and
+restores the state it found, even on error; that is safe because the
+parsed tree and the code built from it hold no reference cycle.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
@@ -127,7 +131,8 @@ def _check_rules(
                         f": input {inp.ref!r} must be {rows}x{cols}, "
                         f"got {m.rows}x{m.cols}"
                     )
-                elif modulus is not None and m.modulus != modulus:
+                # mostly the one object; ``is`` spares the Python-level __eq__
+                elif modulus is not None and m.modulus is not modulus and m.modulus != modulus:
                     fault = ": mixed moduli"
                 else:
                     continue
@@ -238,6 +243,9 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
     the one ``FieldMatrix``.  Sharing is safe: a ``FieldMatrix`` refuses
     every assignment to its fields, and nothing in this package mutates a
     matrix, so no holder of a shared matrix can see another change it.
+    Inputs share few matrix objects too, so each is looked up by ``id``
+    first, and by value, which hashes its entries, only on a miss; ``sym``
+    holds every one of them through the call, so no ``id`` is reused.
     Only conversions that succeed are kept, so an error is raised at the
     first input that needs 1/q, as without the sharing.
     """
@@ -245,6 +253,7 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
     p = mod.p
     q_inv = pow(sym.q, -1, p) if sym.q % p else None
     converted: dict[SymMatrix, FieldMatrix] = {}
+    by_id: dict[int, FieldMatrix] = {}
 
     def times_inv_q(coeff: int) -> int:
         if q_inv is None:
@@ -254,10 +263,13 @@ def instantiate(sym: SymbolicCode, p: PrimeModulus | int) -> FractionalCode:
         return coeff * q_inv % p
 
     def concrete(matrix: SymMatrix) -> FieldMatrix:
-        fm = converted.get(matrix)
+        fm = by_id.get(id(matrix))
         if fm is None:
-            flat = tuple([times_inv_q(c) if inv else c % p for c, inv in matrix.entries])
-            fm = converted[matrix] = FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
+            fm = converted.get(matrix)
+            if fm is None:
+                flat = tuple([times_inv_q(c) if inv else c % p for c, inv in matrix.entries])
+                fm = converted[matrix] = FieldMatrix._trusted(matrix.rows, matrix.cols, flat, mod)
+            by_id[id(matrix)] = fm
         return fm
 
     def convert(rules: Mapping[str, tuple[CodeInput, ...]]) -> dict[str, tuple[CodeInput, ...]]:
@@ -426,8 +438,9 @@ def verify(net: CodedNetwork, code: FractionalCode) -> VerificationReport:
 
 # -- serialization ------------------------------------------------------------
 
-_INV_Q_RE = re.compile(r"^(-?\d+)\*INV_Q$")
+_INV_Q_RE = re.compile(r"(-?[0-9]+)\*INV_Q")  # whole string, ASCII digits only
 _JSON_ENTRY_TYPES = frozenset((int, str))  # the types of valid entries
+_BAD_MATRIX = "'matrix' must be a non-empty list of equal-length rows"
 
 
 def _entry_to_json(entry: SymEntry) -> str:
@@ -448,7 +461,7 @@ def _entry_from_json(value: object) -> SymEntry:
     if isinstance(value, str):
         if value == "INV_Q":
             return (1, True)
-        m = _INV_Q_RE.match(value)
+        m = _INV_Q_RE.fullmatch(value)
         if m:
             return (int(m.group(1)), True)
     raise CodeFormatError(f"bad entry {value!r}")
@@ -517,7 +530,28 @@ def load_code(
 
     Shapes, entries, k, n and q are checked by the classes built from
     the document; their errors come back as ``CodeFormatError``.
+
+    The cyclic garbage collector is paused for the whole call and left as
+    the call found it, also when it raises.  That only puts collections
+    off: the JSON tree and the code built from it hold no reference cycle,
+    so reference counts free all the call drops, and a collection inside
+    the call would free none of it, only rescan the young tree while it is
+    built.  The pause spans the call, not the parse alone, so the tree is
+    freed before collections resume.  The state is process-wide: a thread
+    that pauses the collector during a load that found it running finds
+    it running again after.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_code(data, net)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_code(data: bytes | str, net: CodedNetwork | None) -> FractionalCode | SymbolicCode:
+    """The body of ``load_code``, run with the collector paused."""
     doc = _read_object(data, CodeFormatError)
     for field_name in ("k", "n", "edge_rules", "decode_rules"):
         if field_name not in doc:
@@ -545,16 +579,11 @@ def load_code(
     # float would hit the matrix of an equal int, and a list cannot be hashed.
     shared: dict[tuple, FieldMatrix | SymMatrix] = {}
 
-    def shared_matrix(rows: int, cols: int, flat: tuple) -> FieldMatrix | SymMatrix:
-        if not _JSON_ENTRY_TYPES.issuperset(map(type, flat)):
-            return matrix(rows, cols, flat)
-        m = shared.get(flat)
-        if m is None or m.rows != rows:
-            m = shared[flat] = matrix(rows, cols, flat)
-        return m
-
     def parse_rules(raw: object, key_name: str, decode: bool):
-        if not isinstance(raw, list):
+        # The document comes from json.loads, so every container in it is
+        # exactly a list or a dict and every string exactly a str: exact
+        # type tests decide as isinstance would.
+        if type(raw) is not list:
             raise CodeFormatError(f"'{key_name}_rules' must be a list")
         outer = "terminal" if decode else "edge"
 
@@ -565,36 +594,42 @@ def load_code(
 
         rules: dict[str, tuple] = {}
         for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
+            if type(entry) is not dict:
                 raise fault("must be an object", i)
             if outer not in entry or "inputs" not in entry:
                 raise fault(f"needs {outer!r} and 'inputs'", i)
             key = entry[outer]
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise fault(f"{outer!r} must be a string", i)
             if key in rules:
                 raise fault(f"duplicate rule for {key!r}", i)
             inputs = []
             raw_inputs = entry["inputs"]
-            if not isinstance(raw_inputs, list):
+            if type(raw_inputs) is not list:
                 raise fault("'inputs' must be a list", i)
             for j, rin in enumerate(raw_inputs):
-                if not isinstance(rin, dict) or "ref" not in rin or "matrix" not in rin:
+                if type(rin) is not dict or "ref" not in rin or "matrix" not in rin:
                     raise fault("needs 'ref' and 'matrix'", i, j)
                 ref, rows = rin["ref"], rin["matrix"]
-                if not isinstance(ref, str):
+                if type(ref) is not str:
                     raise fault("'ref' must be a string", i, j)
-                if not (
-                    isinstance(rows, list)
-                    and rows
-                    and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
-                ):
-                    raise fault("'matrix' must be a non-empty list of equal-length rows", i, j)
-                flat = tuple([v for row in rows for v in row])
+                # one pass over the rows checks them and flattens the matrix
+                if not (type(rows) is list and rows and type(rows[0]) is list):
+                    raise fault(_BAD_MATRIX, i, j)
+                cols, flat = len(rows[0]), []
+                for row in rows:
+                    if type(row) is not list or len(row) != cols:
+                        raise fault(_BAD_MATRIX, i, j)
+                    flat += row
+                flat = tuple(flat)
                 try:
-                    inputs.append(CodeInput(ref, shared_matrix(len(rows), len(rows[0]), flat)))
+                    if not _JSON_ENTRY_TYPES.issuperset(map(type, flat)):
+                        m = matrix(len(rows), cols, flat)  # refuses an entry
+                    elif (m := shared.get(flat)) is None or m.rows != len(rows):
+                        m = shared[flat] = matrix(len(rows), cols, flat)
                 except ValueError as exc:
                     raise fault(str(exc), i, j) from exc
+                inputs.append(CodeInput(ref, m))
             rules[key] = tuple(inputs)
         return rules
 

@@ -83,6 +83,29 @@ def test_entries_outside_field_rejected():
             FieldMatrix(1, 1, (flag,), PrimeModulus(2))
 
 
+def test_first_bad_entry_is_the_one_named():
+    # with a bad type and a bad value in one matrix, whichever comes first
+    # is named; an int subclass that is not bool is an entry like any int
+    mod = PrimeModulus(3)
+    for entries, text in (
+        ((1, True, 5), "entry True not an int"),
+        ((1, 5, True), "entry 5 outside [0, 3)"),
+        ((0, -1, 2.0), "entry -1 outside [0, 3)"),
+        ((0, 2.0, -1), "entry 2.0 not an int"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            FieldMatrix(1, 3, entries, mod)
+        assert str(exc.value) == text
+
+    class Residue(int):
+        pass
+
+    m = FieldMatrix(1, 3, (Residue(2), 0, Residue(1)), mod)
+    assert m == FieldMatrix(1, 3, (2, 0, 1), mod)
+    with pytest.raises(ValueError, match=r"^entry 3 outside \[0, 3\)$"):
+        FieldMatrix(1, 2, (Residue(1), Residue(3)), mod)
+
+
 # ---------------------------------------------------------------------------
 # add / mul
 # ---------------------------------------------------------------------------

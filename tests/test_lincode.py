@@ -1,7 +1,9 @@
 """Fractional code representation, transfer evaluation, and verification."""
 
+import gc
 import json
 import random
+import re
 
 import pytest
 
@@ -30,6 +32,7 @@ from ncchar import (
     union_copies,
     verify,
 )
+from ncchar import lincode
 from ncchar.gf import FieldMatrix, PrimeModulus
 from ncchar.lincode import _BATCH_MIN, SymbolicCode, SymMatrix
 from util_oracles import dense_transfer, dense_verify
@@ -93,6 +96,29 @@ def test_instantiate_without_inv_q_accepts_any_prime():
     instantiate(solve_n1(2, 1), 2)
     instantiate(solve_n1(2, 1), 3)
     instantiate(solve_n1(6, 2), 5)
+
+
+def test_instantiate_shares_equal_matrices_held_as_distinct_objects():
+    # matrices are looked up by id first and by value on a miss, so equal
+    # symbolic matrices that are distinct objects still become one matrix
+    sym = solve_n1(30, 4)
+
+    def copied(rules):  # a new SymMatrix object for every input
+        return {
+            key: tuple(CodeInput(i.ref, SymMatrix(i.matrix.rows, i.matrix.cols, i.matrix.entries))
+                       for i in ins)
+            for key, ins in rules.items()
+        }
+
+    distinct = SymbolicCode(sym.k, sym.n, sym.q, copied(sym.edge_rules), copied(sym.decode_rules))
+    assert distinct == sym
+    for code in (sym, distinct):
+        field = instantiate(code, 3)
+        rules = (*field.edge_rules.values(), *field.decode_rules.values())
+        matrices = [inp.matrix for inputs in rules for inp in inputs]
+        assert len(matrices) == 14_446
+        assert len({id(m) for m in matrices}) == len(set(matrices)) == 10
+    assert save_code(instantiate(distinct, 3)) == save_code(instantiate(sym, 3))
 
 
 def test_instantiate_equals_the_checked_constructor():
@@ -831,6 +857,59 @@ def test_load_checks_refs_against_network(section, field, value, message):
     load_code(data)  # well formed on its own
     with pytest.raises(CodeFormatError, match=f"^{message}$"):
         load_code(data, net=tiny_net())
+
+
+def test_load_refuses_inv_q_tokens_with_a_newline_or_non_ascii_digits():
+    # int() reads Arabic-Indic digits, and "$" matches before a final newline
+    good = json.loads(save_code(solve_n1(2, 1)))
+    assert good["edge_rules"][0]["inputs"][0]["matrix"] == [[1]]
+    for token in ("2*INV_Q\n", "\u0661*INV_Q", "\u0662\u0663*INV_Q", "INV_Q\n", " 2*INV_Q"):
+        doc = json.loads(json.dumps(good))
+        doc["edge_rules"][0]["inputs"][0]["matrix"] = [[token]]
+        with pytest.raises(CodeFormatError) as exc:
+            load_code(json.dumps(doc))
+        assert str(exc.value) == f"edge_rules[0].inputs[0]: bad entry {token!r}"
+    for token, entry in (("INV_Q", (1, True)), ("-12*INV_Q", (-12, True)), ("0*INV_Q", (0, True))):
+        doc = json.loads(json.dumps(good))
+        doc["edge_rules"][0]["inputs"][0]["matrix"] = [[token]]
+        [inp] = load_code(json.dumps(doc)).edge_rules[good["edge_rules"][0]["edge"]]
+        assert inp.matrix.entries == (entry,)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    # the collector is paused from the parse to the rule check, and left
+    # as it was found whether the load succeeds or raises
+    net = gen_n1(2, 1)
+    want = instantiate(solve_n1(2, 1), 2)
+    data = save_code(want)
+    bad_entry = json.loads(data)
+    bad_entry["edge_rules"][0]["inputs"][0]["matrix"] = [[True]]
+    seen = []
+
+    def probe(name):
+        real = getattr(lincode, name)
+        monkeypatch.setattr(lincode, name, lambda *a: seen.append(gc.isenabled()) or real(*a))
+
+    probe("_read_object")
+    probe("_check_rules")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_code(data, net) == want
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
+        for bad, text in (
+            (data[: len(data) // 2], "line"),
+            (json.dumps(bad_entry), "edge_rules[0].inputs[0]: entry True not an int"),
+            (data.replace(b"u13->u14", b"u13->u99"), "rule for unknown edge 'u13->u99'"),
+        ):
+            with pytest.raises(CodeFormatError, match=f"^{re.escape(text)}"):
+                load_code(bad, net)
+            assert gc.isenabled() is enabled
+        assert not any(seen)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_load_rejects_truncated_document():
