@@ -34,7 +34,11 @@ out of it, exactly: each becomes a span the candidate must hold.  A state
 is one candidate tried, and that includes the candidates such a loop
 rejects in bulk: a run of candidates that cannot hold the span is counted
 by its length without a trial each, which is the count and the budget stop
-the trials would give (``_Engine._trial_test``).
+the trials would give (``_Engine._trial_test``).  Rejected candidates are
+counted, never built: a parent span P has [dim P, d]_p candidates, the
+Gaussian binomial with d = min(n, dim P), and such a loop builds only
+those that hold its span (``_held``) or, when every one does, each one
+only when its trial comes.
 
 Explored-and-failed subtrees are also memoized on the values of the
 edges still visible to the remaining suffix (the live frontier), so
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from operator import mul
 from typing import Sequence
 
 from .gf import FieldMatrix, PrimeModulus, _rref, _solve, as_modulus
@@ -98,11 +101,36 @@ def _echelon(rows: Sequence[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], 
     return tuple(tuple(row) for row in mat[: len(pivots)])
 
 
-def _subspaces(
-    basis: tuple[tuple[int, ...], ...], p: int, maxdim: int
-) -> list[tuple[tuple[int, ...], ...]]:
+def _blocks(r: int, d: int):
+    """The pivot blocks of ``_subspaces``' order, first to last: C's pivots,
+    one d-subset of the r basis rows per block in ``itertools.combinations``
+    order, and C's free entries (row, column) row by row.  Within a block
+    the free values run through GF(p) in lexicographic order of that list,
+    so ``_subspaces`` and ``_held`` agree on every position."""
+    for pivots in itertools.combinations(range(r), d):
+        pivot_set = set(pivots)
+        yield pivots, [
+            (i, j)
+            for i in range(d)
+            for j in range(pivots[i] + 1, r)
+            if j not in pivot_set
+        ]
+
+
+def _span_of(basis: tuple, pivots: tuple, free: list, vals: Sequence[int], p: int) -> tuple:
+    """C·B for the C of ``pivots`` with its ``free`` entries set to ``vals``:
+    row i is B's row q_i plus, for each free (i, j), vals times B's row j."""
+    rows = [basis[q] for q in pivots]
+    for (i, j), val in zip(free, vals):
+        if val:
+            rows[i] = [a + val * b for a, b in zip(rows[i], basis[j])]
+    return tuple(tuple([a % p for a in row]) for row in rows)
+
+
+def _subspaces(basis: tuple[tuple[int, ...], ...], p: int, maxdim: int):
     """All subspaces of the span with dim exactly min(maxdim, dim span), as
-    reduced-echelon bases; ``basis`` must be one, as every interned basis is.
+    reduced-echelon bases, one at a time; ``basis`` must be one, as every
+    interned basis is.  There are [dim span, d]_p of them (``_count``).
 
     Each subspace is one reduced-echelon matrix C over the basis
     coordinates, and C times the basis B is its one reduced basis, the key
@@ -111,28 +139,81 @@ def _subspaces(
     column q_i is 0 in C's other rows.  The zero span has one, itself.
     """
     r = len(basis)
-    d = min(maxdim, r)
-    columns = list(zip(*basis))
-    out: list[tuple[tuple[int, ...], ...]] = []
-    for pivots in itertools.combinations(range(r), d):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, r)
-            if j not in pivot_set
-        ]
+    for pivots, free in _blocks(r, min(maxdim, r)):
         for vals in itertools.product(range(p), repeat=len(free)):
-            coord = [[0] * r for _ in range(d)]
-            for i in range(d):
-                coord[i][pivots[i]] = 1
-            for (i, j), val in zip(free, vals):
-                coord[i][j] = val
-            out.append(tuple(
-                tuple(sum(map(mul, crow, col)) % p for col in columns)
-                for crow in coord
-            ))
+            yield _span_of(basis, pivots, free, vals, p)
+
+
+def _count(r: int, d: int, p: int) -> int:
+    """The Gaussian binomial [r, d]_p: how many d-dimensional subspaces an
+    r-dimensional space over GF(p) has."""
+    num = den = 1
+    for i in range(d):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _affine(rows: list, u: int, p: int) -> list[tuple[int, ...]]:
+    """Every x in GF(p)^u with A x = b, for the rows [a | b] of [A | b]:
+    one ``_rref``, then each value of the free variables in turn."""
+    mat, pivots = _rref(rows, p)
+    if pivots and pivots[-1] == u:
+        return []
+    free = [c for c in range(u) if c not in pivots]
+    out = []
+    for vals in itertools.product(range(p), repeat=len(free)):
+        x = [0] * u
+        for c, v in zip(free, vals):
+            x[c] = v
+        for row, c in zip(mat, pivots):
+            x[c] = (row[u] - sum(row[f] * x[f] for f in free)) % p
+        out.append(tuple(x))
     return out
+
+
+def _held(basis: tuple, target: tuple, p: int, maxdim: int):
+    """(position, subspace) for each subspace ``_subspaces`` lists that
+    holds the span of ``target``, a reduced basis inside the span of
+    ``basis``, in that order; the others are never built.
+
+    C·B holds a vector of the span with coordinates y over B (its entries
+    in B's pivot columns) iff y = sum_i y[q_i] C_i.  That holds at C's
+    pivot columns anyway, and at any other column j it reads y[j] =
+    sum over q_i < j of y[q_i] C[i][j], which involves column j's free
+    entries alone.  So within one pivot block the values that hold the
+    target form a product, over the non-pivot columns, of the solution
+    sets of small affine systems (``_affine``; blocks with the same pivots
+    below j share column j's).  A block's values run in lexicographic
+    order, so a candidate's position is its block's offset plus its
+    values read as a base-p number, each column adding its own digits.
+    """
+    r = len(basis)
+    coords = [[t[row.index(1)] for row in basis] for t in target]
+    solved: dict = {}
+    offset = 0
+    for pivots, free in _blocks(r, min(maxdim, r)):
+        place = {f: p ** at for at, f in enumerate(reversed(free))}
+        sums = [0]
+        for j in range(r):
+            if j in pivots:
+                continue
+            below = tuple(q for q in pivots if q < j)
+            sols = solved.get((below, j))
+            if sols is None:
+                system = [[y[q] for q in below] + [y[j]] for y in coords]
+                sols = solved[below, j] = _affine(system, len(below), p)
+            sums = [
+                s + sum(x * place[i, j] for i, x in enumerate(sol))
+                for s in sums
+                for sol in sols
+            ]
+            if not sums:
+                break
+        for index in sorted(sums):
+            vals = [index // place[f] % p for f in free]
+            yield offset + index, _span_of(basis, pivots, free, vals, p)
+        offset += p ** len(free)
 
 
 def _in_span(x: tuple[int, ...], basis: Sequence[tuple[int, ...]], p: int) -> bool:
@@ -307,6 +388,8 @@ class _Algebra:
             for t in range(m)
         )
         self.unit_ids = tuple(self.intern(u) for u in self.unit_rows)
+        # count[r]: the candidates inside a span of dimension r
+        self.count = [_count(r, min(n, r), p) for r in range(m * k + 1)]
         self._join_cache: dict = {}
         self._enum_cache: dict = {}
         self._steps_cache: dict = {}
@@ -359,27 +442,42 @@ class _Algebra:
         The result is again a solution, and every edge in it has maximal
         dimension, so searching those candidates alone loses no decision.
         """
+        return tuple(self.lazy(sid))  # the cached tuple itself, once built
+
+    def lazy(self, sid: int):
+        """``enumerate``'s candidates, each built only when a loop over span
+        ``sid`` reaches it; the first loop to reach the last one leaves
+        them all in ``enumerate``'s cache.  Short loops take the tuple
+        instead: stepping a generator costs them more than it saves."""
         cands = self._enum_cache.get(sid)
-        if cands is None:
-            cands = self._enum_cache[sid] = tuple(
-                self.intern(b) for b in _subspaces(self.basis[sid], self.p, self.n)
-            )
-        return cands
+        return self._grow(sid) if cands is None else cands
+
+    def _grow(self, sid: int):
+        built = []
+        for cand in map(self.intern, _subspaces(self.basis[sid], self.p, self.n)):
+            built.append(cand)
+            yield cand
+        self._enum_cache[sid] = tuple(built)
 
     def steps(self, pspan: int, tid: int) -> tuple:
-        """The candidates inside span ``pspan`` with each run of those that
-        do not hold span ``tid`` replaced by minus its length; cached.  A
-        candidate of tid's dimension holds it only by being it."""
+        """The candidates inside span ``pspan`` that hold span ``tid``, in
+        ``enumerate``'s order, with each gap before, between and after them
+        given as minus its length; cached.  Only the held candidates are
+        built (``_held``): a gap is the difference of their positions, so
+        the candidates that do not hold tid are counted, never built."""
         key = (pspan, tid)
         steps = self._steps_cache.get(key)
         if steps is None:
-            cands = self.enumerate(pspan)
-            same = self.dim[tid] == self.dim[cands[0]]
             out: list[int] = []
-            for held, run in itertools.groupby(
-                cands, lambda c: c == tid if same else self.contains(c, tid)
-            ):
-                out += run if held else [-len(list(run))]
+            at = 0
+            for index, basis in _held(self.basis[pspan], self.basis[tid], self.p, self.n):
+                if index > at:
+                    out.append(at - index)
+                out.append(self.intern(basis))
+                at = index + 1
+            total = self.count[self.dim[pspan]]
+            if total > at:
+                out.append(at - total)
             steps = self._steps_cache[key] = tuple(out)
         return steps
 
@@ -436,16 +534,6 @@ class _Engine:
         self.budget = budget
         self.states = 0
 
-    def _candidates(self, i: int, values: list) -> tuple[tuple, int]:
-        """Candidate state ids for position i plus the id of the parent
-        span they live in."""
-        info = self.plan.edges[i]
-        alg = self.alg
-        span = alg.join(tuple([values[j] for j in info.parents]))
-        if info.forced_demand is not None:
-            return alg.forced(span, info.forced_demand), span
-        return alg.enumerate(span), span
-
     def _decodes(self, checks: tuple, values: list) -> bool:
         """Whether, for every (demand, positions) check, the join of the
         values at those positions holds the demand's unit block."""
@@ -455,13 +543,15 @@ class _Engine:
                 return False
         return True
 
-    def _trial_test(self, i: int, pspan: int, cands: tuple, values: list):
-        """The steps of the loop at position i over ``cands``, the
-        candidates inside span ``pspan``, and the test that decides a
-        trial of each candidate step: ``_decodes`` over ``checks_at[i]``
-        and, when the candidates are smaller than ``pspan``, over
-        ``frontier_after[i]`` (the frontier prune).  A step is a candidate
-        or minus the length of a run of candidates rejected in bulk.
+    def _trial_test(self, i: int, values: list):
+        """The steps of the loop at position i over its candidates, the
+        subspaces of maximal dimension inside its parent span P
+        (``_Algebra.enumerate``) or, for an edge into a one-in-edge
+        terminal, ``_Algebra.forced``, and the test that decides a trial of
+        each candidate step: ``_decodes`` over ``checks_at[i]`` and, when
+        the candidates are smaller than P, over ``frontier_after[i]`` (the
+        frontier prune).  A step is a candidate or minus the length of a
+        run of candidates rejected in bulk, which are counted, never built.
 
         The frontier prune asks whether every pending terminal could still
         decode were each unassigned edge to carry its parents' full span.
@@ -471,34 +561,48 @@ class _Engine:
         terminal's closure span is one cached join over its frontier (see
         ``_build_plan``), the same subspace the whole closure would give.
         Leaving the prune out is sound too, so it runs only where a trial
-        narrows its parent span; the candidates of one loop share one
-        dimension (``_Algebra.enumerate``), so the first one decides.
+        narrows P; the candidates of one loop share one dimension, so the
+        prune is decided once per loop.
 
         A loop over at most ``_HOIST_MIN`` candidates steps through them
-        all and tests that join, and so does the loop of an edge into a
-        one-in-edge terminal: its candidates are ``_Algebra.forced``, not
-        the subspaces of ``pspan`` that ``_Algebra.steps`` rebuilds a
-        hoisted loop from.  Any other loop hoists the checks out of it:
-        only ``values[i]`` changes in it, so a check that does not
-        read i is one boolean, and one that does asks whether its demand
-        lies in rest + c, rest being the join of its other positions;
-        ``_Algebra.targets`` makes that one span c must hold, except where
-        rest meets ``pspan`` and the join test stays.  The candidates that
-        do not hold the join T of those spans fail, so their runs become
-        negative steps (``_Algebra.steps``), and the test of the others is
-        the join tests alone.  Bulk counting is exact: a rejected trial
-        adds one state and changes nothing read later (``run`` writes
-        ``values[i]`` again before the next test, or clears it when the
-        loop ends), so a run of L adds L states or, if the budget runs out
-        inside it, stops with the count at the budget, as its L trials
-        would.  A state is still one candidate tried.
+        all and tests that join, and so does a forced loop.  Any other
+        loop's candidates are counted, not listed: there are [dim P, d]_p
+        of them, d = min(n, dim P), ``_Algebra.count``.  It hoists the
+        checks out of the loop: only ``values[i]`` changes in it, so a
+        check that does not read i is one boolean, and one that does asks
+        whether its demand lies in rest + c, rest being the join of its
+        other positions; ``_Algebra.targets`` makes that one span c must
+        hold, except where rest meets P and the join test stays.  The
+        candidates that do not hold the join T of those spans fail, and the
+        test of the others is the join tests alone.  If one check can pass
+        for no candidate (a False boolean, or a demand that no c brings into
+        reach) or T has more than d dimensions, every candidate fails and
+        the loop is one negative step, building none.  If T is zero
+        every candidate holds it, and the loop builds each one only when
+        its trial comes (``_Algebra.lazy``).  Otherwise only the
+        candidates that hold T are built, with the runs between them as
+        negative steps (``_Algebra.steps``).  Bulk counting is exact: a
+        rejected trial adds one state and changes nothing read later
+        (``run`` writes ``values[i]`` again before the next test, or clears
+        it when the loop ends), so a run of L adds L states or, if the
+        budget runs out inside it, stops with the count at the budget, as
+        its L trials would.  A state is still one candidate tried.
         """
         alg = self.alg
+        info = self.plan.edges[i]
+        pspan = alg.join(tuple([values[j] for j in info.parents]))
         checks = self.plan.checks_at[i]
-        if cands and alg.dim[cands[0]] < alg.dim[pspan]:
-            checks += self.plan.frontier_after[i]
-        if len(cands) <= _HOIST_MIN or self.plan.edges[i].forced_demand is not None:
+        if info.forced_demand is not None:
+            cands = alg.forced(pspan, info.forced_demand)
+            if cands and alg.k < alg.dim[pspan]:
+                checks += self.plan.frontier_after[i]
             return cands, lambda cand: self._decodes(checks, values)
+        d = min(alg.n, alg.dim[pspan])
+        if d < alg.dim[pspan]:
+            checks += self.plan.frontier_after[i]
+        count = alg.count[alg.dim[pspan]]
+        if count <= _HOIST_MIN:
+            return alg.enumerate(pspan), lambda cand: self._decodes(checks, values)
         need, joined = [], []
         for didx, positions in checks:
             rest = alg.join(tuple([values[j] for j in positions if j != i]))
@@ -507,14 +611,16 @@ class _Engine:
             else:
                 t = alg.zero if alg.contains(rest, alg.unit_ids[didx]) else False
             if t is False:
-                return (-len(cands),), None
+                return (-count,), None
             if t is None:
                 joined.append((didx, positions))
             else:
                 need.append(t)
         target, joined = alg.join(tuple(need)), tuple(joined)
+        if alg.dim[target] > d:
+            return (-count,), None
         # every candidate holds the zero span
-        steps = cands if target == alg.zero else alg.steps(pspan, target)
+        steps = alg.lazy(pspan) if target == alg.zero else alg.steps(pspan, target)
         return steps, lambda cand: self._decodes(joined, values)
 
     def run(self) -> tuple[str, list | None]:
@@ -533,8 +639,7 @@ class _Engine:
             key = tuple([values[j] for j in plan.live_at[i]])
             if key not in failed[i]:
                 keys[i] = key
-                cands, pspan = self._candidates(i, values)
-                steps, test = self._trial_test(i, pspan, cands, values)
+                steps, test = self._trial_test(i, values)
                 loops.append((iter(steps), test))
             # advance the deepest open position to its next passing trial,
             # which opens the one after it; one out of candidates has failed

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -283,7 +284,7 @@ DOMINANCE_REACH_RUNS = [
     (gadget_transform(gen_n2(2, 2), 2), 1, 2, 2, UNSOLVABLE, 874716),
 ]
 
-# Certificates of 1.8 million states, each 6-7 s and 67-75 MB on a 2-CPU
+# Certificates of 1.8 million states, each 1-3 s and 35-42 MB on a 2-CPU
 # machine: deselected by default, run with ``pytest -m slow``.
 SLOW_CERTIFICATE_RUNS = [
     (gen_fano(), 2, 2, 3, UNSOLVABLE, 1804689),
@@ -374,6 +375,14 @@ def test_slow_certificates(net, k, n, p, status, states):
     assert (out.status, out.states_explored) == (status, states)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_wide_searches_stop_at_their_budget(p):
+    # n2(2,2) at (2,2): every loop is over the subspaces of a wide parent
+    # span, which hoisted loops count rather than list
+    out = search_fractional(gen_n2(2, 2), 2, 2, p, SearchConfig(node_budget=3000))
+    assert (out.status, out.states_explored) == (INCONCLUSIVE, 3000)
+
+
 def test_memo_cap_changes_no_decision(monkeypatch):
     # Past _MEMO_CAP entries the failed-state memo stops growing; at 0 it
     # stops after its first entry.  The memo only skips subtrees already
@@ -439,8 +448,8 @@ def test_hoisting_every_loop_changes_no_search(monkeypatch):
     # Hoisting is exact, so with every loop that may hoist hoisted, the grid
     # keeps its decisions, state counts and witness bytes.  A forced loop
     # (an edge into a one-in-edge terminal) may not: the steps of a hoisted
-    # loop are rebuilt from every subspace of its parent span, so hoisting
-    # one gives Fano (1,2) over GF(3) four forced edges of 2-dim span.
+    # loop stand for the subspaces of its parent span, so hoisting one gives
+    # Fano (1,2) over GF(3) four forced edges of 2-dim span.
     monkeypatch.setattr(solver, "_HOIST_MIN", 0)
     assert witness_grid() == WITNESS_GRID
 
@@ -572,10 +581,10 @@ def test_subspaces_match_brute_force_enumeration(p):
         if len(basis) != r:
             continue
         cases += 1
-        got = solver._subspaces(basis, p, maxdim)
+        got = list(solver._subspaces(basis, p, maxdim))
         assert len(set(got)) == len(got)
         assert all(entry == _echelon(entry, p) for entry in got)
-        assert len(got) == _gaussian_binomial(r, d, p)
+        assert len(got) == _gaussian_binomial(r, d, p) == solver._count(r, d, p)
         span = sorted(_members(basis, width, p))
         want = {
             _members(vecs, width, p)
@@ -583,6 +592,57 @@ def test_subspaces_match_brute_force_enumeration(p):
             if rank_mod_p([list(v) for v in vecs], p) == d
         }
         assert {_members(entry, width, p) for entry in got} == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_held_subspaces_match_a_scan_of_the_full_list(p):
+    """``_held`` builds only the subspaces that hold a target T and gives
+    each its position in ``_subspaces``' order; it must give exactly what a
+    scan of the full list finds by rank, position for position, at every
+    maxdim, and ``_Algebra.steps`` must spell out those positions with
+    negative runs that add up to the Gaussian binomial."""
+    rng = random.Random(200 + p)
+
+    def rank(rows):
+        return rank_mod_p([list(row) for row in rows], p)
+
+    cases = 0
+    while cases < 40:
+        width = rng.randint(1, 5)
+        r = rng.randint(0, min(4, width))
+        basis = _echelon([tuple(rng.randrange(p) for _ in range(width)) for _ in range(r)], p)
+        if len(basis) != r:
+            continue
+        cases += 1
+        for maxdim in range(0, r + 2):
+            d = min(maxdim, r)
+            full = list(solver._subspaces(basis, p, maxdim))
+            assert len(full) == _gaussian_binomial(r, d, p) == solver._count(r, d, p)
+            for _ in range(3):
+                picks = []
+                for _ in range(rng.randint(0, r)):
+                    coeffs = [rng.randrange(p) for _ in basis]
+                    picks.append(tuple(sum(map(mul, coeffs, col)) % p for col in zip(*basis)))
+                target = _echelon(picks, p)
+                want = [
+                    (at, sub) for at, sub in enumerate(full)
+                    if rank(list(sub) + list(target)) == len(sub)
+                ]
+                assert list(solver._held(basis, target, p, maxdim)) == want
+                if maxdim == 0:
+                    continue
+                alg = _Algebra(width, 1, maxdim, p)
+                steps = alg.steps(alg.intern(basis), alg.intern(target))
+                at, held = 0, []
+                for step in steps:
+                    if step < 0:
+                        at -= step
+                    else:
+                        held.append((at, alg.basis[step]))
+                        at += 1
+                assert held == want and at == len(full) == alg.count[r]
+                # two gaps never touch
+                assert all(a >= 0 or b >= 0 for a, b in zip(steps, steps[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -659,24 +719,32 @@ def cut_off():
     return CodedNetwork("cut-off", msgs, nodes, edges)
 
 
-def checked_search(monkeypatch, net, k, n, p):
-    """A 3,000-state search whose every trial (``_Engine._trial_test``) is
-    checked against the join-based ``_decodes`` over ``checks_at[i]`` and
+def checked_search(monkeypatch, net, k, n, p, budget=3000):
+    """A search whose every trial (``_Engine._trial_test``) is checked
+    against the join-based ``_decodes`` over ``checks_at[i]`` and
     ``frontier_after[i]``, and every frontier decision against
     ``closure_ok``.
 
     A loop's steps must spell out its candidates in order, and every
     candidate a negative step stands for must fail that join test, so a
-    bulk count is exactly the rejected run.  Compares the frontier on every
-    prefix the search asks about, and on every prefix it extends (each
-    fresh position i has values[:i] assigned).  Returns the frontier
-    decisions, (kind, decision) per candidate, kind being "short" for a
-    loop of at most ``_HOIST_MIN`` candidates or of a forced edge, "hoisted"
-    for a trial of any other loop and "bulk" for a candidate rejected in
-    bulk, and the outcomes of ``_Algebra.targets``.
+    bulk count is exactly the rejected run.  The candidates are built here
+    from ``_subspaces`` (or ``_Algebra.forced``), whatever the loop built.
+    Compares the frontier on every prefix the search asks about, and on
+    every prefix it extends (each fresh position i has values[:i]
+    assigned).  Returns the frontier decisions; (kind, decision) per
+    candidate, kind being "short" for a loop of at most ``_HOIST_MIN``
+    candidates or of a forced edge, "hoisted" for a trial of any other
+    loop and "bulk" for a candidate rejected in bulk; the outcomes of
+    ``_Algebra.targets``; per loop opened, [kind, steps taken, steps,
+    when its last step was taken, whether its span's full candidate list
+    was cached when the search ended], kind being "short", "reject-all",
+    "held" (only the candidates that hold its target), "lazy" (every
+    candidate, each built as its trial comes) or "built" (every candidate,
+    built by an earlier loop over the same span); and the outcome.  Each
+    step is checked as the search takes it, so a lazy loop stays lazy.
     """
-    seen, trials, targets = [], [], []
-    candidates = _Engine._candidates
+    seen, trials, targets, loops, spans = [], [], [], [], []
+    clock = itertools.count()
     trial_test = _Engine._trial_test
     target = _Algebra.targets
 
@@ -685,15 +753,29 @@ def checked_search(monkeypatch, net, k, n, p):
         assert got == closure_ok(net, engine, i, values), (i, values[: i + 1])
         return got
 
-    def checked_candidates(self, i, values):
+    def checked_trial_test(self, i, values):
         if i > 0:
             frontier_ok(self, i - 1, values)
-        return candidates(self, i, values)
-
-    def checked_trial_test(self, i, pspan, cands, values):
-        steps, test = trial_test(self, i, pspan, cands, values)
-        forced = self.plan.edges[i].forced_demand is not None
-        kind = "short" if forced or len(cands) <= solver._HOIST_MIN else "hoisted"
+        alg, info = self.alg, self.plan.edges[i]
+        pspan = alg.join(tuple(values[j] for j in info.parents))
+        steps, test = trial_test(self, i, values)
+        if info.forced_demand is not None:
+            cands, kind = alg.forced(pspan, info.forced_demand), "short"
+        else:
+            cands = tuple(alg.intern(b) for b in solver._subspaces(alg.basis[pspan], p, n))
+            assert len(cands) == alg.count[alg.dim[pspan]]
+            kind = "short" if len(cands) <= solver._HOIST_MIN else "hoisted"
+        if kind == "short":
+            loop = "short"
+        elif test is None:
+            loop = "reject-all"
+        elif type(steps) is not tuple:
+            loop = "lazy"
+        else:
+            loop = "built" if steps is alg._enum_cache.get(pspan) else "held"
+        assert loop != "reject-all" or steps == (-len(cands),)
+        # a loop that builds no candidate is a reject-all one
+        assert loop != "held" or any(step >= 0 for step in steps)
 
         def want(cand):
             ok = self._decodes(self.plan.checks_at[i], values)
@@ -702,21 +784,6 @@ def checked_search(monkeypatch, net, k, n, p):
                 seen.append(ok)
             return ok
 
-        at, held = 0, values[i]
-        for step in steps:
-            if step >= 0:
-                assert step == cands[at], (i, at)
-                at += 1
-                continue
-            assert kind == "hoisted" and at - step <= len(cands), (i, steps)
-            for cand in cands[at : at - step]:
-                values[i] = cand
-                assert not want(cand), (i, values[: i + 1])
-                trials.append(("bulk", False))
-            at -= step
-        assert at == len(cands), (i, steps)
-        values[i] = held
-
         def checked(cand):
             got = test(cand)
             assert values[i] == cand
@@ -724,19 +791,44 @@ def checked_search(monkeypatch, net, k, n, p):
             trials.append((kind, got))
             return got
 
-        return steps, checked
+        record = [loop, 0, len(steps) if type(steps) is tuple else len(cands), None]
+        loops.append(record)
+        spans.append((alg, pspan))
+
+        def taken():
+            at = 0
+            for step in steps:
+                record[1] += 1
+                record[3] = next(clock)
+                if step >= 0:
+                    assert step == cands[at], (i, at)
+                    at += 1
+                else:
+                    assert kind == "hoisted" and at - step <= len(cands), (i, step)
+                    held = values[i]
+                    for cand in cands[at : at - step]:
+                        values[i] = cand
+                        assert not want(cand), (i, values[: i + 1])
+                        trials.append(("bulk", False))
+                    values[i] = held
+                    at -= step
+                yield step
+            assert at == len(cands), (i, at)
+
+        return taken(), checked
 
     def recorded_targets(self, pspan, rest, demand_idx):
         out = target(self, pspan, rest, demand_idx)
         targets.append(out)
         return out
 
-    monkeypatch.setattr(_Engine, "_candidates", checked_candidates)
     monkeypatch.setattr(_Engine, "_trial_test", checked_trial_test)
     monkeypatch.setattr(_Algebra, "targets", recorded_targets)
-    search_fractional(net, k, n, p, SearchConfig(node_budget=3000))
+    out = search_fractional(net, k, n, p, SearchConfig(node_budget=budget))
     monkeypatch.undo()
-    return seen, trials, targets
+    for record, (alg, pspan) in zip(loops, spans):
+        record.append(pspan in alg._enum_cache)
+    return seen, trials, targets, loops, out
 
 
 @pytest.mark.parametrize(
@@ -752,24 +844,49 @@ def checked_search(monkeypatch, net, k, n, p):
     ids=["fano", "fano-gf5", "fano-(1,2)-gf5", "n1(2,2)", "n2(2,2)", "union(fano,2)"],
 )
 def test_frontier_prune_equals_full_closure(monkeypatch, net, k, n, p):
-    seen, _, _ = checked_search(monkeypatch, net, k, n, p)
+    seen = checked_search(monkeypatch, net, k, n, p)[0]
     assert True in seen and False in seen
 
 
 def test_hoisted_checks_reach_every_branch(monkeypatch):
     # n1(2,2) hoists loops of 130 candidates whose parent span meets the
     # rest of a check (the join-test fallback) and loops where it does not;
-    # in cut_off no candidate of v->t1 can pass; both searches also run
-    # loops too short to hoist
-    trials, targets = [], []
-    for net, k, n, p in ((gen_n1(2, 2), 1, 2, 3), (cut_off(), 1, 1, 5)):
-        _, got, outcomes = checked_search(monkeypatch, net, k, n, p)
+    # in cut_off no candidate of v->t1 can pass; n2(2,2) opens loops over
+    # spans whose every candidate an earlier loop has built; all three also
+    # run loops too short to hoist
+    trials, targets, loops = [], [], []
+    runs = ((gen_n1(2, 2), 1, 2, 3), (cut_off(), 1, 1, 5), (gen_n2(2, 2), 1, 2, 2))
+    for net, k, n, p in runs:
+        _, got, outcomes, opened, _ = checked_search(monkeypatch, net, k, n, p)
         trials += got
         targets += outcomes
+        loops += opened
     assert {kind for kind, _ in trials} == {"short", "hoisted", "bulk"}
     assert {ok for kind, ok in trials if kind == "hoisted"} == {True, False}
     assert None in targets and False in targets
     assert any(type(t) is int for t in targets)
+    assert {loop[0] for loop in loops} == {"short", "reject-all", "held", "lazy", "built"}
+
+
+@pytest.mark.parametrize(
+    "budget, stop",
+    [(966, "lazy"), (100, "reject-all")],
+    ids=["lazy", "reject-all"],
+)
+def test_budget_stops_exactly_inside_a_hoisted_loop(monkeypatch, budget, stop):
+    # n1(2,2) at (1,2) over GF(3): at 966 states the budget runs out in a
+    # loop of 130 candidates that builds each as its trial comes, at its
+    # eighth, so the rest are never built; at 100, inside the one run of a
+    # loop of 130 that rejects all (it starts at 20 states)
+    *_, loops, out = checked_search(monkeypatch, gen_n1(2, 2), 1, 2, 3, budget)
+    assert (out.status, out.states_explored) == (INCONCLUSIVE, budget)
+    last = max((loop for loop in loops if loop[1]), key=lambda loop: loop[3])
+    kind, taken, steps, _, cached = last
+    assert kind == stop
+    if stop == "lazy":
+        assert taken < steps and not cached
+    else:
+        assert taken == steps == 1
 
 
 # ---------------------------------------------------------------------------
